@@ -28,7 +28,6 @@ from .polyfactor import (
 from .impedance import (
     ImpedanceData,
     SpectralSeparationError,
-    impedance_diagnostics,
     impedance_tensor,
     radial_derivative_z,
     solve_zminus,

@@ -25,6 +25,7 @@ from .material import isotropic_stiffness
 from .rayleigh import (
     BracketError,
     SCAN_CSV_HEADER,
+    csv_row,
     rayleigh_point,
     scan_directions,
 )
@@ -105,16 +106,6 @@ def _point_payload(pt, frame: SurfaceFrame) -> dict:
     return payload
 
 
-def _point_csv(pt) -> str:
-    v = pt.kernel
-    fields = [
-        "0", f"{pt.c_lim:.17g}", "true", f"{pt.c_r:.17g}", f"{pt.slope:.17g}",
-        *(f"{c:.17g}" for i in range(3) for c in (v[i].real, v[i].imag)),
-        f"{pt.res_kernel:.17g}", f"{pt.res_riccati:.17g}",
-    ]
-    return SCAN_CSV_HEADER + "\n" + ",".join(fields) + "\n"
-
-
 def cmd_rayleigh(args) -> int:
     try:
         mat = _load_material(args.material)
@@ -131,7 +122,7 @@ def cmd_rayleigh(args) -> int:
         _emit(_point_payload(pt, frame))
         return _fail("no Rayleigh root along this direction (E1 fails)", EXIT_EXISTENCE)
     if args.csv:
-        sys.stdout.write(_point_csv(pt))
+        sys.stdout.write(SCAN_CSV_HEADER + "\n" + csv_row(0.0, pt))
     else:
         _emit(_point_payload(pt, frame))
     if pt.res_kernel > RES_KERNEL_TOL or pt.res_riccati > RES_RICCATI_TOL:
@@ -141,21 +132,6 @@ def cmd_rayleigh(args) -> int:
             EXIT_NUMERICAL,
         )
     return EXIT_OK
-
-
-def _holonomy_from_scan(scan) -> float | None:
-    if not scan.e1_satisfied:
-        return None
-    vs = scan.kernels
-    n = scan.thetas.size
-    w = vs[0]
-    for k in range(1, n + 1):
-        nxt = vs[k % n]
-        d = complex(np.vdot(w, nxt))
-        if abs(d) == 0.0:
-            return None
-        w = nxt * (d.conjugate() / abs(d))
-    return float(np.angle(np.vdot(vs[0], w)))
 
 
 def cmd_scan(args) -> int:
@@ -178,7 +154,7 @@ def cmd_scan(args) -> int:
         "e1_satisfied": bool(scan.e1_satisfied),
         "c_r_min": float(np.nanmin(scan.c_r)) if exists.any() else None,
         "c_r_max": float(np.nanmax(scan.c_r)) if exists.any() else None,
-        "holonomy_phase": _holonomy_from_scan(scan),
+        "holonomy_phase": scan.holonomy_phase,
     }
     _emit(summary)
     if args.require_e1 and not scan.e1_satisfied:

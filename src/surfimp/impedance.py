@@ -1,5 +1,5 @@
-"""Surface impedance tensor z = i(a q + a1), its identity diagnostics, and
-small dense Sylvester solves.
+"""Surface impedance tensor z = i(a q + a1) with its identity diagnostics,
+and small dense Sylvester solves.
 
 On the elliptic region z is Hermitian with positive definite real part; it
 satisfies the Riccati identity (z + i a1*) a^{-1} (z - i a1) = a2 - rho and
@@ -63,10 +63,15 @@ class ImpedanceData:
     diagnostics: ImpedanceDiagnostics
 
 
-def riccati_residual(z: np.ndarray, p: QuadraticPencil) -> float:
-    """|(z + i a1^T) a^{-1} (z - i a1) - (a2 - rho)| / |a2 - rho|."""
-    lhs = (z + 1j * p.a1.T) @ np.linalg.solve(p.a, z - 1j * p.a1)
-    return float(np.linalg.norm(lhs - p.c) / np.linalg.norm(p.c))
+def riccati_residual(z: np.ndarray, p: QuadraticPencil) -> float | np.ndarray:
+    """|(z + i a1^T) a^{-1} (z - i a1) - (a2 - rho)| / |a2 - rho|.
+
+    Broadcasts over a leading row axis of z, a1 and a2, returning one
+    residual per row.
+    """
+    lhs = (z + 1j * np.swapaxes(p.a1, -1, -2)) @ np.linalg.solve(p.a, z - 1j * p.a1)
+    res = np.linalg.norm(lhs - p.c, axis=(-2, -1)) / np.linalg.norm(p.c, axis=(-2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor, f0: np.ndarray | None = None) -> ImpedanceData:
@@ -101,26 +106,6 @@ def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor, f0: np.ndarray | No
         nonpositive_eigenvalues=int(np.sum(eig_z <= NONPOSITIVE_EIG_TOL * scale)),
     )
     return ImpedanceData(z=z, q=sf.q, f0=f0, diagnostics=diag)
-
-
-def impedance_diagnostics(data: ImpedanceData, p: QuadraticPencil) -> ImpedanceDiagnostics:
-    """Recompute the identity residuals for given impedance data."""
-    z = data.z
-    scale = np.linalg.norm(z)
-    eig_z = np.linalg.eigvalsh(z)
-    re_eigs = np.linalg.eigvalsh(0.5 * (z.real + z.real.T))
-    solvency = float(
-        np.linalg.norm(p.a @ data.q @ data.q + p.b @ data.q + p.c) / np.linalg.norm(p.a2)
-    )
-    return ImpedanceDiagnostics(
-        hermiticity=float(np.linalg.norm(z - z.conj().T) / scale),
-        riccati=riccati_residual(z, p),
-        barnett_lothe=float(np.linalg.norm(z.real - np.pi * np.linalg.inv(data.f0)) / scale),
-        solvency=solvency,
-        re_z_min_eigenvalue=float(re_eigs[0]),
-        re_z_positive_definite=bool(re_eigs[0] > 0.0),
-        nonpositive_eigenvalues=int(np.sum(eig_z <= NONPOSITIVE_EIG_TOL * scale)),
-    )
 
 
 def sylvester_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

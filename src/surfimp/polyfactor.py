@@ -59,7 +59,7 @@ class QuadraticPencil:
     @property
     def b(self) -> np.ndarray:
         """First-order coefficient a1 + a1^T."""
-        return self.a1 + self.a1.T
+        return self.a1 + np.swapaxes(self.a1, -1, -2)
 
     @property
     def c(self) -> np.ndarray:
@@ -104,7 +104,12 @@ class PencilSpectrum:
     @property
     def margin(self) -> float:
         """min |Im s| / (1 + |s|) over the spectrum."""
-        return float(np.min(np.abs(self.values.imag) / (1.0 + np.abs(self.values))))
+        return float(spectral_margin(self.values))
+
+
+def spectral_margin(values: np.ndarray):
+    """min |Im s| / (1 + |s|) over the last axis of one or more spectra."""
+    return np.min(np.abs(values.imag) / (1.0 + np.abs(values)), axis=-1)
 
 
 def pencil_spectrum(p: QuadraticPencil) -> PencilSpectrum:
@@ -178,16 +183,29 @@ def factor_residuals(p: QuadraticPencil, q: np.ndarray) -> FactorResiduals:
     factor_max = max over s in {-3,-1,0,1,3} * scale of
                  |f(s) - (s-q*) a (s-q)| / |f(s)|
     """
-    solvency = np.linalg.norm(p.a @ q @ q + p.b @ q + p.c) / np.linalg.norm(p.a2)
-    scale = math.sqrt(np.linalg.norm(p.c) / np.linalg.norm(p.a))
-    worst = 0.0
+    solvency, factor_max = factor_residual_rows(p, q)
+    return FactorResiduals(solvency=float(solvency), factor_max=float(factor_max))
+
+
+def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
+    """factor_residuals over a leading row axis of q, a1 and a2.
+
+    Returns the (solvency, factor_max) arrays, one entry per row.
+    """
+    def norm(x):
+        return np.linalg.norm(x, axis=(-2, -1))
+
+    solvency = norm(p.a @ q @ q + p.b @ q + p.c) / norm(p.a2)
+    scale = np.sqrt(norm(p.c) / norm(p.a))[..., None, None]
+    q_adj = np.swapaxes(q.conj(), -1, -2)
     eye = np.eye(3)
+    worst = 0.0
     for s in (-3.0, -1.0, 0.0, 1.0, 3.0):
-        s *= scale
+        s = s * scale
         lhs = p(s)
-        rhs = (s * eye - q.conj().T) @ p.a @ (s * eye - q)
-        worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
-    return FactorResiduals(solvency=float(solvency), factor_max=float(worst))
+        rhs = (s * eye - q_adj) @ p.a @ (s * eye - q)
+        worst = np.maximum(worst, norm(lhs - rhs) / norm(lhs))
+    return solvency, worst
 
 
 def _tan_panel(scale: float, theta_lo: float, theta_hi: float, n: int):

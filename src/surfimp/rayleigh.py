@@ -2,9 +2,19 @@
 
 Along each radial line in the elliptic region the impedance determinant
 crosses zero at most once, transversally; the crossing speed c_r is the
-Rayleigh speed, strictly below the limiting speed at the boundary of the
-elliptic region.  Direction scans run a vectorized engine (batched companion
-eigensolves) and parallelize over directions via RAYLEIGH_THREADS.
+Rayleigh speed, strictly below the limiting speed c_lim at the boundary of
+the elliptic region.
+
+One vectorized engine (batched companion eigensolves) finds every root: it
+walks each ray down from just below c_lim until det z changes sign, polishes
+the bracket with Chandrupatla's method, and post-processes the row (kernel,
+residuals, radial slope).  A single point is a batch of one whose c_lim is
+the certified ellipticity bisection of `limiting_speed`.  A scan estimates
+c_lim on a grid with golden-section refinement and certifies each estimate
+at the walk start: a row whose pencil is not elliptic there takes its c_lim
+from `limiting_speed`.  Every det z row passes spectral_factor's guard or is
+re-factored by spectral_factor.  Scans parallelize over directions via
+RAYLEIGH_THREADS.
 """
 
 from __future__ import annotations
@@ -16,11 +26,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import polyfactor
 from .material import Material, SurfaceFrame, acoustic_tensor, validate_stiffness
-from .impedance import riccati_residual, sylvester_solve
-from .polyfactor import QuadraticPencil, build_pencil, is_elliptic, spectral_factor
+from .impedance import riccati_residual
+from .polyfactor import (
+    QuadraticPencil,
+    build_pencil,
+    factor_residual_rows,
+    is_elliptic,
+    spectral_factor,
+    spectral_margin,
+)
 
 C_LIM_RTOL = 1e-10
 ROOT_RTOL = 1e-12
@@ -59,17 +76,6 @@ class RayleighPoint:
     res_riccati: float | None = None
 
 
-def _hermitian_impedance(p: QuadraticPencil, q: np.ndarray) -> np.ndarray:
-    z = 1j * (p.a @ q + p.a1)
-    return 0.5 * (z + z.conj().T)
-
-
-def _detz_at_speed(mat: Material, frame: SurfaceFrame, c: float) -> float:
-    p = build_pencil(mat, frame, 1.0 / c)
-    z = _hermitian_impedance(p, spectral_factor(p).q)
-    return float(np.linalg.det(z).real)
-
-
 def limiting_speed(mat: Material, frame: SurfaceFrame) -> float:
     """Largest speed c with an elliptic pencil at xi = tangent / c.
 
@@ -95,71 +101,19 @@ def limiting_speed(mat: Material, frame: SurfaceFrame) -> float:
     return 0.5 * (lo + hi)
 
 
-def _kernel_of(z: np.ndarray, tangent: np.ndarray):
-    """Unit vector of the smallest-|lambda| eigenspace, phase-fixed.
-
-    The tangent component is made real positive when it is not tiny;
-    otherwise the largest-magnitude component is.
-    """
-    w, u = np.linalg.eigh(z)
-    v = u[:, np.argmin(np.abs(w))]
-    comp = complex(v @ tangent)
-    if abs(comp) <= KERNEL_PHASE_CUTOFF:
-        comp = complex(v[np.argmax(np.abs(v))])
-    v = v * (comp.conjugate() / abs(comp))
-    res = float(np.linalg.norm(z @ v) / np.linalg.norm(z))
-    return v, res
-
-
-def _adjugate_hermitian(z: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(z)
-    cof = np.array([w[1] * w[2], w[0] * w[2], w[0] * w[1]])
-    return (u * cof[None, :]) @ u.conj().T
-
-
 def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     """Root of det z(tangent / c) on (0, c_lim), with kernel and radial slope.
 
-    Brackets by walking down from (1 - 1e-6) c_lim in geometric steps of 0.99
-    until the determinant changes sign, then polishes with Brent to relative
-    1e-12.  No sign change above the floor 1e-3 c_lim reports exists=False.
+    Runs the scan pipeline on a batch of one with c_lim from limiting_speed:
+    walk down from (1 - 1e-6) c_lim in geometric steps of 0.99 until the
+    determinant changes sign, then polish to relative 1e-12.  No sign change
+    above the floor 1e-3 c_lim reports exists=False.
     """
     c_lim = limiting_speed(mat, frame)
-    floor = C_FLOOR_FRACTION * c_lim
-    c_hi = (1.0 - START_OFFSET) * c_lim
-    g_hi = _detz_at_speed(mat, frame, c_hi)
-    bracket = None
-    c_prev, g_prev = c_hi, g_hi
-    for _ in range(WALK_MAX_STEPS):
-        c_next = WALK_FACTOR * c_prev
-        if c_next < floor:
-            break
-        g_next = _detz_at_speed(mat, frame, c_next)
-        if g_prev * g_next <= 0.0:
-            bracket = (c_next, c_prev)
-            break
-        c_prev, g_prev = c_next, g_next
-    if bracket is None:
-        return RayleighPoint(direction=frame.tangent, c_lim=c_lim, exists=False)
-    c_r = float(
-        brentq(lambda c: _detz_at_speed(mat, frame, c), *bracket, rtol=ROOT_RTOL)
-    )
-    p = build_pencil(mat, frame, 1.0 / c_r)
-    q = spectral_factor(p).q
-    z = _hermitian_impedance(p, q)
-    v, res_kernel = _kernel_of(z, frame.tangent)
-    zdot = z + sylvester_solve(1j * q, 2.0 * mat.density * np.eye(3, dtype=complex))
-    slope = float(np.trace(_adjugate_hermitian(z) @ zdot).real)
-    return RayleighPoint(
-        direction=frame.tangent,
-        c_lim=c_lim,
-        exists=True,
-        c_r=c_r,
-        kernel=v,
-        slope=slope,
-        res_kernel=res_kernel,
-        res_riccati=riccati_residual(z, p),
-    )
+    engine = _Engine(mat, frame.nu)
+    dirs = frame.tangent[None, :]
+    rows = _solve_rows(engine, engine.prepare(dirs), np.array([c_lim]))
+    return DirectionScan(np.zeros(1), *rows, directions=dirs).point(0)
 
 
 def eval_p(mat: Material, frame: SurfaceFrame, xi) -> float:
@@ -185,17 +139,13 @@ class _Engine:
     """Batched det z evaluations for a fixed normal and many tangents."""
 
     def __init__(self, mat: Material, nu: np.ndarray):
+        self.mat = mat
         self.c4 = mat.tensor()
         self.rho = mat.density
         self.nu = np.asarray(nu, dtype=float)
         a = acoustic_tensor(self.c4, self.nu)
         self.a = 0.5 * (a + a.T)
         self.a_inv = np.linalg.inv(self.a)
-        report = validate_stiffness(mat.stiffness)
-        if not (report.convex and report.elliptic):
-            raise BracketError("direction scan requires a strongly convex material")
-        self.delta = report.ellipticity_constant
-        self.lam_max = float(np.linalg.eigvalsh(mat.stiffness.mandel())[-1])
 
     def prepare(self, dirs: np.ndarray) -> dict:
         c_ee = np.einsum("ijkl,mj,ml->mik", self.c4, dirs, dirs)
@@ -203,6 +153,10 @@ class _Engine:
         c_ne = np.einsum("ijkl,j,ml->mik", self.c4, self.nu, dirs)
         return {"dirs": dirs, "c_ee": c_ee, "c_ne": c_ne,
                 "mid": c_ne + c_ne.transpose(0, 2, 1)}
+
+    def pencil(self, a1: np.ndarray, a2: np.ndarray) -> QuadraticPencil:
+        """The pencil of one row, or of all rows for stacked a1, a2."""
+        return QuadraticPencil(a=self.a, a1=a1, a2=a2, rho=self.rho)
 
     def _eigmin_along(self, pre: dict, sigma: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of c(e + sigma nu) per row; sigma shape (m,)."""
@@ -215,9 +169,15 @@ class _Engine:
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
+        Each estimate is certified at the walk start: a row whose pencil is
+        not elliptic there was overshot and takes c_lim from limiting_speed.
         """
+        report = validate_stiffness(self.mat.stiffness)
+        if not (report.convex and report.elliptic):
+            raise BracketError("direction scan requires a strongly convex material")
+        lam_max = float(np.linalg.eigvalsh(self.mat.stiffness.mandel())[-1])
         m = pre["dirs"].shape[0]
-        sigma_max = math.sqrt(self.lam_max / (0.5 * self.delta)) + 1.0
+        sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
         grid = np.linspace(-sigma_max, sigma_max, 97)
         vals = np.empty((m, grid.size))
         for j, s in enumerate(grid):
@@ -236,7 +196,11 @@ class _Engine:
             lo = grid[idx] - h
             hi = grid[idx] + h
             out = np.minimum(out, self._golden_min(pre, lo, hi))
-        return np.sqrt(out / self.rho)
+        c_lim = np.sqrt(out / self.rho)
+        vals = np.linalg.eigvals(self._companion(pre, (1.0 - START_OFFSET) * c_lim)[0])
+        for k in np.flatnonzero(~(spectral_margin(vals) > polyfactor.ELLIPTICITY_MARGIN)):
+            c_lim[k] = limiting_speed(self.mat, SurfaceFrame(self.nu, pre["dirs"][k]))
+        return c_lim
 
     def _golden_min(self, pre, lo, hi, iters=60):
         invphi = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -256,8 +220,8 @@ class _Engine:
             x1, x2 = x1n, x2n
         return np.minimum(f1, f2)
 
-    def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None):
-        """Batched q, a1, a2, z (Hermitian part) at xi = e / c for given rows."""
+    def _companion(self, pre: dict, speeds: np.ndarray, rows=None):
+        """Companion matrices of a^{-1} f at xi = e / c, with a1 and a2."""
         if rows is None:
             c_ee, c_ne = pre["c_ee"], pre["c_ne"]
         else:
@@ -272,11 +236,40 @@ class _Engine:
         comp[:, :3, 3:] = np.eye(3)
         comp[:, 3:, :3] = -self.a_inv[None] @ cc
         comp[:, 3:, 3:] = -self.a_inv[None] @ b1
+        return comp, a1, a2
+
+    def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None, residuals=False):
+        """Batched q, a1, a2, z (Hermitian part) at xi = e / c for given rows.
+
+        Each row's eigen-route q must pass spectral_factor's guard: exactly
+        three eigenvalues with Im s < 0, a spectral margin above
+        ELLIPTICITY_MARGIN, and |V|_F |V^-1|_F <= COND_LIMIT on unit columns
+        (this Frobenius product never sits below cond_2).  With residuals
+        set, the factor_residuals bounds must also hold.  A failing row is
+        re-factored by spectral_factor, which raises when neither of its
+        routes succeeds.
+        """
+        comp, a1, a2 = self._companion(pre, speeds, rows)
         vals, vecs = np.linalg.eig(comp)
         order = np.argsort(vals.imag, axis=1)[:, :3]
-        s3 = np.take_along_axis(vals, order, axis=1)
-        v = np.take_along_axis(vecs, order[:, None, :], axis=2)[:, :3, :]
-        q = (v * s3[:, None, :]) @ np.linalg.inv(v)
+        idx = np.arange(len(vals))[:, None]
+        s3 = vals[idx, order]
+        v = vecs[idx, :3, order].transpose(0, 2, 1)
+        v_inv = np.linalg.inv(v)
+        q = (v * s3[:, None, :]) @ v_inv
+        # V D^-1 has unit columns for D = diag(|v_j|), so its cond_2 is at
+        # most |V D^-1|_F |D V^-1|_F = sqrt(3) |D V^-1|_F
+        cond_sq = 3.0 * np.einsum("mij,mjk->m", np.abs(v) ** 2, np.abs(v_inv) ** 2)
+        # a real matrix has a conjugation-closed spectrum: when the three
+        # lowest roots lie below the real axis, exactly three do
+        ok = ((s3[:, 2].imag < 0.0)
+              & (spectral_margin(vals) > polyfactor.ELLIPTICITY_MARGIN)
+              & (cond_sq <= polyfactor.COND_LIMIT ** 2))
+        if residuals:
+            solvency, factor_max = factor_residual_rows(self.pencil(a1, a2), q)
+            ok &= np.maximum(solvency, factor_max) <= polyfactor.RESIDUAL_TOL
+        for k in np.flatnonzero(~ok):
+            q[k] = spectral_factor(self.pencil(a1[k], a2[k])).q
         z = 1j * (self.a[None] @ q + a1)
         z = 0.5 * (z + z.conj().transpose(0, 2, 1))
         return q, a1, a2, z
@@ -380,6 +373,36 @@ def _chandrupatla(engine: _Engine, pre: dict, rows, lo, flo, hi, fhi, max_iter=9
     return root
 
 
+def csv_row(theta: float, pt: RayleighPoint) -> str:
+    """One line of the scan CSV (SCAN_CSV_HEADER columns) for a point."""
+    fields = [f"{theta:.17g}", f"{pt.c_lim:.17g}"]
+    if pt.exists:
+        v = pt.kernel
+        fields += ["true", f"{pt.c_r:.17g}", f"{pt.slope:.17g}",
+                   *(f"{comp:.17g}" for i in range(3) for comp in (v[i].real, v[i].imag)),
+                   f"{pt.res_kernel:.17g}", f"{pt.res_riccati:.17g}"]
+    else:
+        fields += ["false"] + [""] * 10
+    return ",".join(fields) + "\n"
+
+
+def _transport(kernels: np.ndarray) -> tuple[float, float]:
+    """Carry the kernel phase once around the closed loop of rows.
+
+    Returns the phase mismatch on closing the loop and the smallest step
+    overlap |<w, v_next>|; the mismatch is nan when a step overlap vanishes.
+    """
+    w = kernels[0]
+    worst = math.inf
+    for nxt in (*kernels[1:], kernels[0]):
+        d = complex(np.vdot(w, nxt))
+        worst = min(worst, abs(d))
+        if d == 0.0:
+            return math.nan, 0.0
+        w = nxt * (d.conjugate() / abs(d))
+    return float(np.angle(np.vdot(kernels[0], w))), worst
+
+
 @dataclass(frozen=True)
 class DirectionScan:
     """Per-direction Rayleigh data over a circle of tangents."""
@@ -398,25 +421,34 @@ class DirectionScan:
     def e1_satisfied(self) -> bool:
         return bool(np.all(self.exists))
 
+    @property
+    def holonomy_phase(self) -> float | None:
+        """Closing phase of the kernel transport; None without E1 or at a zero overlap."""
+        if not self.e1_satisfied:
+            return None
+        phase, _ = _transport(self.kernels)
+        return None if math.isnan(phase) else phase
+
+    def point(self, k: int) -> RayleighPoint:
+        """Row k as a RayleighPoint."""
+        if not self.exists[k]:
+            return RayleighPoint(direction=self.directions[k], c_lim=float(self.c_lim[k]), exists=False)
+        return RayleighPoint(
+            direction=self.directions[k],
+            c_lim=float(self.c_lim[k]),
+            exists=True,
+            c_r=float(self.c_r[k]),
+            kernel=self.kernels[k],
+            slope=float(self.slope[k]),
+            res_kernel=float(self.res_kernel[k]),
+            res_riccati=float(self.res_riccati[k]),
+        )
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(SCAN_CSV_HEADER + "\n")
         for k in range(self.thetas.size):
-            if self.exists[k]:
-                v = self.kernels[k]
-                fields = [
-                    f"{self.thetas[k]:.17g}",
-                    f"{self.c_lim[k]:.17g}",
-                    "true",
-                    f"{self.c_r[k]:.17g}",
-                    f"{self.slope[k]:.17g}",
-                    *(f"{comp:.17g}" for pair in ((v[i].real, v[i].imag) for i in range(3)) for comp in pair),
-                    f"{self.res_kernel[k]:.17g}",
-                    f"{self.res_riccati[k]:.17g}",
-                ]
-            else:
-                fields = [f"{self.thetas[k]:.17g}", f"{self.c_lim[k]:.17g}", "false"] + [""] * 10
-            buf.write(",".join(fields) + "\n")
+            buf.write(csv_row(self.thetas[k], self.point(k)))
         return buf.getvalue()
 
 
@@ -432,11 +464,13 @@ def tangent_basis(nu: np.ndarray):
     return e1, np.cross(nu, e1)
 
 
-def _scan_chunk(engine: _Engine, dirs: np.ndarray):
-    pre = engine.prepare(dirs)
-    c_lim = engine.limiting_speeds(pre)
+def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
+    """Rayleigh roots below c_lim for every row: walk, polish, post-process.
+
+    Returns the DirectionScan columns from c_lim to res_riccati.
+    """
     exists, lo, glo, hi, ghi = _bracket_walk(engine, pre, c_lim)
-    m = dirs.shape[0]
+    m = c_lim.shape[0]
     c_r = np.full(m, np.nan)
     slope = np.full(m, np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
@@ -445,11 +479,13 @@ def _scan_chunk(engine: _Engine, dirs: np.ndarray):
     rows = np.nonzero(exists)[0]
     if rows.size:
         c_r[rows] = _chandrupatla(engine, pre, rows, lo[rows], glo[rows], hi[rows], ghi[rows])
-        q, a1, a2, z = engine.impedance_at(pre, c_r[rows], rows=rows)
+        q, a1, a2, z = engine.impedance_at(pre, c_r[rows], rows=rows, residuals=True)
         w, u = np.linalg.eigh(z)
         kmin = np.argmin(np.abs(w), axis=1)
         v = np.take_along_axis(u, kmin[:, None, None], axis=2)[:, :, 0]
-        comp = np.einsum("mi,mi->m", v, dirs[rows].astype(complex))
+        # phase rule: tangent component real positive unless tiny, else the
+        # largest-magnitude component
+        comp = np.einsum("mi,mi->m", v, pre["dirs"][rows].astype(complex))
         small = np.abs(comp) <= KERNEL_PHASE_CUTOFF
         if np.any(small):
             jmax = np.argmax(np.abs(v[small]), axis=1)
@@ -458,10 +494,7 @@ def _scan_chunk(engine: _Engine, dirs: np.ndarray):
         kernels[rows] = v
         znorm = np.linalg.norm(z, axis=(1, 2))
         res_kernel[rows] = np.linalg.norm((z @ v[:, :, None])[:, :, 0], axis=1) / znorm
-        # Riccati residual, batched
-        cc = a2 - engine.rho * np.eye(3)[None]
-        lhs = (z + 1j * a1.transpose(0, 2, 1)) @ (engine.a_inv[None] @ (z - 1j * a1))
-        res_riccati[rows] = np.linalg.norm(lhs - cc, axis=(1, 2)) / np.linalg.norm(cc, axis=(1, 2))
+        res_riccati[rows] = riccati_residual(z, engine.pencil(a1, a2))
         # radial slope of det z via the Sylvester-derived radial derivative
         iq = 1j * q
         eye = np.eye(3)
@@ -474,6 +507,11 @@ def _scan_chunk(engine: _Engine, dirs: np.ndarray):
         adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
         slope[rows] = np.einsum("mij,mji->m", adj, zdot).real
     return c_lim, exists, c_r, slope, kernels, res_kernel, res_riccati
+
+
+def _scan_chunk(engine: _Engine, dirs: np.ndarray):
+    pre = engine.prepare(dirs)
+    return _solve_rows(engine, pre, engine.limiting_speeds(pre))
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -499,24 +537,13 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     threads = resolve_threads(threads)
     if threads == 1 or n < 64:
         parts = [_scan_chunk(engine, dirs)]
-        bounds = [(0, n)]
     else:
         edges = np.linspace(0, n, threads + 1, dtype=int)
         bounds = [(edges[i], edges[i + 1]) for i in range(threads) if edges[i] < edges[i + 1]]
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
             parts = list(pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]]), bounds))
-    out = [np.concatenate([p[k] for p in parts], axis=0) for k in range(7)]
-    return DirectionScan(
-        thetas=thetas,
-        c_lim=out[0],
-        exists=out[1],
-        c_r=out[2],
-        slope=out[3],
-        kernels=out[4],
-        res_kernel=out[5],
-        res_riccati=out[6],
-        directions=dirs,
-    )
+    columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
+    return DirectionScan(thetas, *columns, directions=dirs)
 
 
 @dataclass(frozen=True)
@@ -538,16 +565,8 @@ def kernel_phase_holonomy(mat: Material, nu, n: int, threads: int | None = None)
     scan = scan_directions(mat, nu, n, threads=threads)
     if not scan.e1_satisfied:
         raise BracketError("holonomy transport needs a Rayleigh root in every direction")
-    vs = scan.kernels
-    gap_flag = False
-    w = vs[0]
-    for k in range(1, n + 1):
-        nxt = vs[k % n]
-        d = complex(np.vdot(w, nxt))
-        if abs(d) < HOLONOMY_OVERLAP:
-            gap_flag = True
-        w = nxt * (d.conjugate() / abs(d))
-    total = float(np.angle(np.vdot(vs[0], w)))
+    total, overlap = _transport(scan.kernels)
+    gap_flag = overlap < HOLONOMY_OVERLAP
     max_gap = 2.0 * math.pi / n if gap_flag else 0.0
     if gap_flag and n >= 1024:
         raise SamplingInadequacyError(

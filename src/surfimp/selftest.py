@@ -31,7 +31,7 @@ from .isotropic import (
 from .material import SurfaceFrame
 from .polyfactor import build_pencil, factor_integral, spectral_factor
 from .presets import isotropic_material, poisson_solid, random_isotropic, synthetic_anisotropic
-from .rayleigh import limiting_speed, rayleigh_point, _detz_at_speed
+from .rayleigh import _Engine, limiting_speed, rayleigh_point
 
 RAYLEIGH_RATIO_LAM_EQ_MU = 0.91940168676196612  # sqrt of the cubic root at u = 1/3
 
@@ -171,13 +171,15 @@ def monotonicity_samples(mat, frame, n: int = 20):
     determinant approaches zero non-monotonically for isotropic-like media,
     while transversality only holds through the crossing itself.
     """
-    c_lim = limiting_speed(mat, frame)
     pt = rayleigh_point(mat, frame)
+    c_lim = pt.c_lim
     hi = 0.98 * c_lim
     if pt.exists and pt.c_r >= hi:
         hi = np.sqrt(pt.c_r * c_lim)
     speeds = np.geomspace(hi, 1e-3 * c_lim, n)
-    g = np.array([_detz_at_speed(mat, frame, c) for c in speeds])
+    engine = _Engine(mat, frame.nu)
+    pre = engine.prepare(frame.tangent[None, :])
+    g = engine.detz(pre, speeds, rows=np.zeros(n, dtype=int))
     return speeds, g, pt.exists
 
 

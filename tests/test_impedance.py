@@ -7,7 +7,6 @@ from scipy.linalg import expm
 
 from surfimp.impedance import (
     SpectralSeparationError,
-    impedance_diagnostics,
     impedance_tensor,
     radial_derivative_z,
     solve_zminus,
@@ -66,7 +65,7 @@ def test_identity_residuals_random_points():
             c_min = math.sqrt(np.linalg.eigvalsh(mat.stiffness.mandel())[0] / mat.density)
             ximag = rng.uniform(1.5, 15.0) / c_min
             p, data = impedance_at(mat, frame, ximag)
-            d = impedance_diagnostics(data, p)
+            d = data.diagnostics
             assert d.riccati < 1e-8
             assert d.barnett_lothe < 1e-8
             assert d.hermiticity < 1e-9

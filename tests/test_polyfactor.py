@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from surfimp.impedance import riccati_residual
 from surfimp.material import SurfaceFrame, acoustic_tensor
 from surfimp.polyfactor import (
     NonEllipticError,
+    QuadraticPencil,
     build_pencil,
     factor_integral,
+    factor_residual_rows,
     factor_residuals,
     is_elliptic,
     pencil_spectrum,
@@ -152,6 +155,23 @@ def test_factor_residuals_exact_and_perturbed(unit_iso, std_frame):
     assert res.solvency < 1e-10 and res.factor_max < 1e-10
     bumped = factor_residuals(p, q + 1e-3 * np.linalg.norm(q) / 3.0)
     assert bumped.solvency > 1e-4
+
+
+def test_residuals_broadcast_over_rows(aniso, rng):
+    # stacked rows give the per-row residuals of the scalar functions
+    frame = random_frame(rng)
+    pencils = [build_pencil(aniso, frame, x) for x in (4e-4, 8e-4, 1.6e-3)]
+    qs = np.stack([spectral_factor(p).q for p in pencils])
+    stacked = QuadraticPencil(a=pencils[0].a, a1=np.stack([p.a1 for p in pencils]),
+                              a2=np.stack([p.a2 for p in pencils]), rho=aniso.density)
+    solvency, factor_max = factor_residual_rows(stacked, qs)
+    zs = 1j * (stacked.a @ qs + stacked.a1)
+    riccati = riccati_residual(zs, stacked)
+    for k, p in enumerate(pencils):
+        res = factor_residuals(p, qs[k])
+        assert solvency[k] == pytest.approx(res.solvency, rel=1e-6, abs=1e-14)
+        assert factor_max[k] == pytest.approx(res.factor_max, rel=1e-6, abs=1e-14)
+        assert riccati[k] == pytest.approx(riccati_residual(zs[k], p), rel=1e-6, abs=1e-14)
 
 
 def test_residuals_invariant_under_direction_flip(aniso, rng):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import surfimp.polyfactor as polyfactor
+import surfimp.rayleigh as rayleigh
 from surfimp.cli import main
 from surfimp.isotropic import rayleigh_cubic_root
 from surfimp.material import SurfaceFrame, material_to_json
@@ -17,6 +18,7 @@ from surfimp.rayleigh import (
     BracketError,
     eval_p,
     kernel_phase_holonomy,
+    limiting_speed,
     rayleigh_point,
     scan_directions,
     tangent_basis,
@@ -117,6 +119,50 @@ def test_integral_fallback_path(monkeypatch, soft_iso, std_frame):
     assert fallback.method == "integral"
     assert max(fallback.residual_solvency, fallback.residual_factorization) < 1e-8
     assert np.linalg.norm(fallback.q - reference.q) / np.linalg.norm(reference.q) < 1e-8
+
+
+def test_scan_certifies_overshot_c_lim():
+    # the grid c_lim estimate overshoots the elliptic boundary on rows 15 and
+    # 39; uncaught, the walk starts outside it and finds a spurious root
+    mat = synthetic_anisotropic(750559955, strength=0.7)
+    nu = np.array([0.275124880014095, 0.6878899119845973, 0.6716500349043787])
+    nu /= np.linalg.norm(nu)
+    scan = scan_directions(mat, nu, 48)
+    for k in (15, 39):
+        frame = SurfaceFrame(nu, scan.directions[k])
+        pt = rayleigh_point(mat, frame)
+        assert scan.exists[k] and pt.exists
+        assert scan.res_riccati[k] <= 1e-8
+        assert pt.c_r == pytest.approx(1891.646, abs=1e-3)
+        assert scan.c_r[k] == pytest.approx(pt.c_r, rel=1e-10)
+        assert scan.c_lim[k] == pytest.approx(limiting_speed(mat, frame), rel=1e-8)
+
+
+def test_engine_guard_falls_back_to_integral_route(monkeypatch):
+    # with every eigenvector basis rejected, each det z row is re-factored by
+    # spectral_factor's integral route and det z is unchanged
+    nu = np.array([0.0, 0.0, 1.0])
+    e1v, e2v = tangent_basis(nu)
+    th = 2.0 * np.pi * np.arange(6) / 6
+    dirs = np.cos(th)[:, None] * e1v + np.sin(th)[:, None] * e2v
+    engine = rayleigh._Engine(synthetic_anisotropic(11), nu)
+    pre = engine.prepare(dirs)
+    c_lim = engine.limiting_speeds(pre)
+    speeds = np.concatenate([0.5 * c_lim, 0.9 * c_lim])
+    rows = np.tile(np.arange(6), 2)
+    reference = engine.detz(pre, speeds, rows=rows)
+    integrals = []
+    factor_integral = polyfactor.factor_integral
+
+    def counted(p, check=True):
+        integrals.append(p)
+        return factor_integral(p, check=check)
+
+    monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
+    monkeypatch.setattr(polyfactor, "factor_integral", counted)
+    fallback = engine.detz(pre, speeds, rows=rows)
+    assert len(integrals) == speeds.size
+    assert np.all(np.abs(fallback - reference) <= 1e-8 * np.abs(reference))
 
 
 def test_scan_off_axis_normal(aniso):
