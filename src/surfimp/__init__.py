@@ -47,13 +47,11 @@ from .isotropic import (
     IsoSurfaceState,
     SubprincipalBreakdown,
     build_Y,
-    divXc_and_CS,
     iso_blocks,
     iso_kernel_vector,
     iso_scalar_derivatives,
     iso_state,
     iso_state_on_sigma,
-    iso_symbol_L,
     rayleigh_cubic_root,
     subprincipal_p,
 )

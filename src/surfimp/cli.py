@@ -27,6 +27,7 @@ from .rayleigh import (
     SCAN_CSV_HEADER,
     csv_row,
     rayleigh_point,
+    resolve_threads,
     scan_directions,
 )
 
@@ -118,13 +119,12 @@ def cmd_rayleigh(args) -> int:
         pt = rayleigh_point(mat, frame)
     except BracketError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
-    if not pt.exists:
-        _emit(_point_payload(pt, frame))
-        return _fail("no Rayleigh root along this direction (E1 fails)", EXIT_EXISTENCE)
     if args.csv:
         sys.stdout.write(SCAN_CSV_HEADER + "\n" + csv_row(0.0, pt))
     else:
         _emit(_point_payload(pt, frame))
+    if not pt.exists:
+        return _fail("no Rayleigh root along this direction (E1 fails)", EXIT_EXISTENCE)
     if pt.res_kernel > RES_KERNEL_TOL or pt.res_riccati > RES_RICCATI_TOL:
         return _fail(
             f"residuals exceed tolerance: kernel {pt.res_kernel:.3e}, "
@@ -140,10 +140,11 @@ def cmd_scan(args) -> int:
     try:
         mat = _load_material(args.material)
         normal = _parse_vector(args.normal)
+        threads = resolve_threads(None)
     except (OSError, MaterialError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     try:
-        scan = scan_directions(mat, normal, args.count)
+        scan = scan_directions(mat, normal, args.count, threads=threads)
     except BracketError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
     if args.out:

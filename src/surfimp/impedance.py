@@ -146,21 +146,10 @@ def solve_zminus(q: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the subprincipal-impedance relation z_minus q - q* z_minus = rhs.
 
     The right-hand side carries boundary curvature and material-gradient data
-    assembled by the caller.  The map X -> Xq - q*X is invertible because
-    spec(q) and spec(q*) lie in opposite half-planes; `a` (the normal acoustic
+    assembled by the caller.  With A = i q this is A* X + X A = i rhs, solved
+    by `sylvester_solve`; the separation it requires holds because spec(q)
+    and spec(q*) lie in opposite half-planes.  `a` (the normal acoustic
     tensor) only sets the physical scale of the ingredients and is accepted
     for interface symmetry with z = i(a q + a1).
     """
-    q = np.asarray(q, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    n = q.shape[0]
-    lam = np.linalg.eigvals(q)
-    sep = np.min(np.abs(lam[:, None] - lam.conj()[None, :]))
-    if sep <= SEPARATION_TOL * np.linalg.norm(q):
-        raise SpectralSeparationError(
-            f"spec(q) and spec(q*) too close: separation {sep:.3e}"
-        )
-    eye = np.eye(n)
-    # Row-major vec: vec(X q) = (I x q^T) vec X, vec(q* X) = (q* x I) vec X.
-    op = np.kron(eye, q.T) - np.kron(q.conj().T, eye)
-    return np.linalg.solve(op, rhs.reshape(-1)).reshape(n, n)
+    return sylvester_solve(1j * np.asarray(q), 1j * np.asarray(rhs))

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, sqrt as dsqrt, derivative
 from .impedance import sylvester_solve
 from .polyfactor import NonEllipticError
 
 ON_SIGMA_TOL = 1e-9
+COMPLEX_STEP = 1e-20  # relative; complex step has no cancellation, so any tiny step works
 
 
 def rayleigh_cubic_root(u: float) -> float:
@@ -126,26 +126,26 @@ def iso_state_on_sigma(lam: float, mu: float, rho: float) -> IsoSurfaceState:
     return _state(lam, mu, rho, 1.0 / c_r, t)
 
 
-# --- scalar closed forms, generic over Dual/float --------------------------
+# --- scalar closed forms, real or complex-stepped ---------------------------
 
 
 def _zeta_forms(lam, mu, rho, xi):
-    """zeta_1, zeta_2, zeta_3, zeta_perp of the impedance blocks."""
+    """zeta_1, zeta_2, zeta_3 of the impedance block z11."""
     t = rho / (mu * xi * xi)
     ut = rho / ((lam + 2.0 * mu) * xi * xi)
-    st = dsqrt(1.0 - t)
-    sut = dsqrt(1.0 - ut)
+    st = np.sqrt(1.0 - t)
+    sut = np.sqrt(1.0 - ut)
     b = (ut + t - ut * t) / (1.0 + sut * st)  # 1 - sqrt(1-ut) sqrt(1-t), cancellation-free
     m = mu * xi / b
-    return m * t * st, m * (2.0 * b - t), m * t * sut, mu * xi * st
+    return m * t * st, m * (2.0 * b - t), m * t * sut
 
 
 def _kappa_forms(cs, cp, xi):
     """kappa_11, kappa_12, kappa_21, kappa_22 of the decay-factor block (iq)_11."""
     t = 1.0 / (cs * cs * xi * xi)
     ut = 1.0 / (cp * cp * xi * xi)
-    st = dsqrt(1.0 - t)
-    sut = dsqrt(1.0 - ut)
+    st = np.sqrt(1.0 - t)
+    sut = np.sqrt(1.0 - ut)
     b = (ut + t - ut * t) / (1.0 + sut * st)  # 1 - sqrt(1-ut) sqrt(1-t), cancellation-free
     f = xi / b
     return f * ut * st, f * (b - ut), f * (b - t), f * t * sut
@@ -210,61 +210,41 @@ def iso_kernel_vector(t_on_sigma: float) -> np.ndarray:
 
 # --- derivative records -----------------------------------------------------
 
-_PARAMS = ("lam", "mu", "rho", "xi")
-
 
 @dataclass(frozen=True)
 class IsoDerivatives:
-    """Forward-mode derivatives of the closed forms at one state.
+    """Complex-step derivatives of the closed forms at one state.
 
-    zeta_partials[j] holds d zeta_j / d(lam, mu, rho, |xi|); kappa_partials
-    likewise for the four kappa entries.  Radial derivatives are
-    |xi| * d/d|xi| at fixed material.  Ks, Kp differentiate the decay-factor
-    block with respect to the wave speeds at fixed |xi|.
+    zeta_partials[j] holds d zeta_j / d(lam, mu, rho, |xi|).  Radial
+    derivatives are |xi| * d/d|xi| at fixed material.  Ks, Kp differentiate
+    the decay-factor block with respect to the wave speeds at fixed |xi|.
     """
 
     zeta_partials: np.ndarray   # (3, 4)
-    zperp_partials: np.ndarray  # (4,)
-    kappa_partials: np.ndarray  # (4, 4)
     zeta_dot: np.ndarray        # (3,) radial
-    zperp_dot: float
-    kappa_dot: np.ndarray       # (4,) radial
     Ks: np.ndarray              # (2, 2) complex, d(iq)_11 / d c_s
     Kp: np.ndarray              # (2, 2) complex, d(iq)_11 / d c_p
     Kdot: np.ndarray            # (2, 2) complex, radial derivative of (iq)_11
 
 
+def _complex_step(forms, args) -> np.ndarray:
+    """Column j holds d forms / d args[j] as Im forms(x + ih) / h, exact to rounding."""
+    columns = []
+    for j, x in enumerate(args):
+        h = COMPLEX_STEP * abs(x)
+        stepped = [complex(a, h) if i == j else a for i, a in enumerate(args)]
+        columns.append(np.imag(forms(*stepped)) / h)
+    return np.column_stack(columns)
+
+
 def iso_scalar_derivatives(st: IsoSurfaceState) -> IsoDerivatives:
     if not st.elliptic:
         raise NonEllipticError(f"state not elliptic: t = {st.t}")
-    args = (st.lam, st.mu, st.rho, st.xi_mag)
-    zp = np.empty((3, 4))
-    zperp = np.empty(4)
-    for j in range(4):
-        seeded = [Dual.variable(a) if i == j else a for i, a in enumerate(args)]
-        vals = _zeta_forms(*seeded)
-        zp[:, j] = [derivative(v) for v in vals[:3]]
-        zperp[j] = derivative(vals[3])
-    kp = np.empty((4, 4))
-    for j in range(4):
-        seeded = [Dual.variable(a) if i == j else a for i, a in enumerate(args)]
-        cs = dsqrt(seeded[1] / seeded[2])
-        cp = dsqrt((seeded[0] + 2.0 * seeded[1]) / seeded[2])
-        vals = _kappa_forms(cs, cp, seeded[3])
-        kp[:, j] = [derivative(v) for v in vals]
-    speed_args = (st.c_s, st.c_p, st.xi_mag)
-    kspeed = np.empty((4, 3))
-    for j in range(3):
-        seeded = [Dual.variable(a) if i == j else a for i, a in enumerate(speed_args)]
-        vals = _kappa_forms(*seeded)
-        kspeed[:, j] = [derivative(v) for v in vals]
+    zp = _complex_step(_zeta_forms, (st.lam, st.mu, st.rho, st.xi_mag))
+    kspeed = _complex_step(_kappa_forms, (st.c_s, st.c_p, st.xi_mag))
     return IsoDerivatives(
         zeta_partials=zp,
-        zperp_partials=zperp,
-        kappa_partials=kp,
         zeta_dot=st.xi_mag * zp[:, 3],
-        zperp_dot=float(st.xi_mag * zperp[3]),
-        kappa_dot=st.xi_mag * kp[:, 3],
         Ks=_kappa_matrix(*kspeed[:, 0]),
         Kp=_kappa_matrix(*kspeed[:, 1]),
         Kdot=_kappa_matrix(*(st.xi_mag * kspeed[:, 2])),
@@ -338,6 +318,11 @@ def build_Y(st: IsoSurfaceState, curv: CurvatureData, derivs: IsoDerivatives | N
     """
     if derivs is None:
         derivs = iso_scalar_derivatives(st)
+    return _source_terms(st, curv, derivs)[:3]
+
+
+def _source_terms(st: IsoSurfaceState, curv: CurvatureData, derivs: IsoDerivatives):
+    """Y1, Y2, Y3 of build_Y and the blocks K, A, M, w1, w2 they are built from."""
     lam, mu, xi = st.lam, st.mu, st.xi_mag
     t, ut, b = st.t, st.ut, st.b
     blocks = iso_blocks(st)
@@ -365,7 +350,7 @@ def build_Y(st: IsoSurfaceState, curv: CurvatureData, derivs: IsoDerivatives | N
     Y3 = 1j * (derivs.Kdot.conj().T @ A @ ((gcs / xi) * derivs.Ks + (gcp / xi) * derivs.Kp
                                            + (curv.s22 / b) * M)) \
         + 1j * (mu * xi / (b * b)) * (curv.trS - curv.s22) * np.outer(w2.conj(), w1)
-    return Y1, Y2, Y3
+    return Y1, Y2, Y3, K, A, M, w1, w2
 
 
 @dataclass(frozen=True)
@@ -407,9 +392,7 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
             f"state must lie on the characteristic variety: t = {st.t}, root = {T}"
         )
     derivs = iso_scalar_derivatives(st)
-    Y1, Y2, Y3 = build_Y(st, curv, derivs)
-    blocks = iso_blocks(st)
-    K = blocks.iq11
+    Y1, Y2, Y3, K, A, M, w1, w2 = _source_terms(st, curv, derivs)
     rhs = -2.0 * Y1 - Y2 - Y2.conj().T + Y3 + Y3.conj().T
     X = sylvester_solve(K, rhs)
 
@@ -446,16 +429,10 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
         + 2.0 * c_r / (4.0 - ss2) * (2.0 - ss2) * (5.0 * ss2 - 4.0 - ss2 * ss2) * (trS - s22)
     ) / (16.0 * N)
 
-    sq_t = math.sqrt(1.0 - t)
-    sq_ut = math.sqrt(1.0 - st.ut)
     return SubprincipalBreakdown(
-        Y1=Y1, Y2=Y2, Y3=Y3, K=K,
-        A=np.diag([st.lam + 2.0 * mu, mu]),
-        M=np.array([[0.0, (st.ut - st.b) * sq_t], [(st.ut - st.b) * sq_t, 1j * (st.ut - t)]]),
+        Y1=Y1, Y2=Y2, Y3=Y3, K=K, A=A, M=M,
         Kdot=derivs.Kdot, Ks=derivs.Ks, Kp=derivs.Kp,
-        w1=np.array([(st.ut - st.b) * sq_t, -1j * (st.b - st.ut)]),
-        w2=np.array([1j * (st.b - t), sq_ut - sq_t]),
-        X=X,
+        w1=w1, w2=w2, X=X,
         re_zminus_vv=re_zminus_vv,
         im_trace=float(im_trace),
         gamma2_lambda0dot=float(gamma2_lambda0dot),
@@ -463,46 +440,3 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
         psub_direct=float(psub_direct),
         psub_assembled=float(psub_assembled),
     )
-
-
-# --- symbol-level helpers ----------------------------------------------------
-
-
-def iso_symbol_L(lam: float, mu: float, rho: float, grads, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Principal and sub-leading symbol of the reduced isotropic wave operator.
-
-    grads = (grad_lambda, grad_mu) as 3-vectors.  The principal part splits
-    along the propagation projector P = xi-hat (x) xi-hat; the sub part is
-    -i (grad_lambda (x) xi + (grad_mu (x) xi)^T + <xi, grad_mu> Id) and
-    vanishes for homogeneous media.
-    """
-    xi = np.asarray(xi, dtype=float)
-    mag2 = float(xi @ xi)
-    if mag2 == 0.0:
-        raise ValueError("xi must be nonzero")
-    grad_lambda, grad_mu = (np.asarray(g, dtype=float) for g in grads)
-    proj = np.outer(xi, xi) / mag2
-    cs2 = mu / rho
-    cp2 = (lam + 2.0 * mu) / rho
-    principal = rho * (cp2 * mag2 - 1.0) * proj + rho * (cs2 * mag2 - 1.0) * (np.eye(3) - proj)
-    sub = -1j * (np.outer(grad_lambda, xi) + np.outer(xi, grad_mu)
-                 + float(xi @ grad_mu) * np.eye(3))
-    return principal, sub
-
-
-def divXc_and_CS(zeta, grad_lambda, grad_mu, S, lam: float, mu: float):
-    """Tangential divergence of the acoustic tensor and the stiffness-shape
-    contraction for an isotropic medium:
-
-        (div_X c)(zeta) = grad_lambda (x) zeta + (grad_mu (x) zeta)^T
-                          + <zeta, grad_mu> Id
-        <C, S>          = (lam + mu) S + (mu tr S) Id
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    grad_lambda = np.asarray(grad_lambda, dtype=float)
-    grad_mu = np.asarray(grad_mu, dtype=float)
-    S = np.asarray(S, dtype=float)
-    div = (np.outer(grad_lambda, zeta) + np.outer(zeta, grad_mu)
-           + float(zeta @ grad_mu) * np.eye(3))
-    cs = (lam + mu) * S + mu * np.trace(S) * np.eye(3)
-    return div, cs

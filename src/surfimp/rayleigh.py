@@ -516,7 +516,11 @@ def _scan_chunk(engine: _Engine, dirs: np.ndarray):
 
 def resolve_threads(threads: int | None) -> int:
     if threads is None:
-        threads = int(os.environ.get("RAYLEIGH_THREADS", "1"))
+        text = os.environ.get("RAYLEIGH_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError:
+            raise ValueError(f"RAYLEIGH_THREADS must be an integer, got {text!r}") from None
     return max(1, threads)
 
 

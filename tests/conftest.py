@@ -3,6 +3,7 @@ import pytest
 
 from surfimp.material import Material, SurfaceFrame, isotropic_stiffness
 from surfimp.presets import isotropic_material, poisson_solid, synthetic_anisotropic
+from surfimp.selftest import frame_rotation, random_frame  # noqa: F401  (shared by the test modules)
 
 
 @pytest.fixture
@@ -29,20 +30,6 @@ def poisson():
 @pytest.fixture
 def aniso():
     return synthetic_anisotropic(1)
-
-
-def random_frame(rng):
-    n = rng.standard_normal(3)
-    n /= np.linalg.norm(n)
-    t = rng.standard_normal(3)
-    t -= (t @ n) * n
-    t /= np.linalg.norm(t)
-    return SurfaceFrame(n, t)
-
-
-def frame_rotation(frame):
-    """Columns (nu, tangent, perp): maps frame coordinates to lab coordinates."""
-    return np.column_stack([frame.nu, frame.tangent, frame.perp])
 
 
 @pytest.fixture

@@ -1,43 +1,21 @@
 """Release-gate acceptance suite.
 
-Each criterion prints one pass/fail line (run with `pytest -s` to see them
-on success) and asserts at its stated tolerance.  Run time bounds are wall
-clock on a desk-class machine.
+Criteria 1-8 are measured by the `surfimp.selftest` checks, called here with
+the release seed and draw counts; this file applies the release tolerances
+and time bounds.  Each criterion prints one pass/fail line (run with
+`pytest -s` to see them on success) and asserts at its stated tolerance.
+Run time bounds are wall clock on a desk-class machine.
 """
 
-import math
 import os
 import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
 
-from surfimp.impedance import (
-    impedance_tensor,
-    radial_derivative_z,
-    sylvester_solve,
-)
-from surfimp.isotropic import (
-    CurvatureData,
-    iso_impedance_full,
-    iso_iq_full,
-    iso_scalar_derivatives,
-    iso_state,
-    iso_state_on_sigma,
-    rayleigh_cubic_root,
-    subprincipal_p,
-    _kappa_forms,
-    _zeta_forms,
-)
-from surfimp.material import GPA, SurfaceFrame
-from surfimp.polyfactor import build_pencil, factor_integral, spectral_factor
-from surfimp.presets import isotropic_material, synthetic_anisotropic
-from surfimp.rayleigh import limiting_speed, rayleigh_point, scan_directions
-from surfimp.selftest import monotonicity_samples
-
-from conftest import frame_rotation, random_frame
+from surfimp import selftest
+from surfimp.presets import synthetic_anisotropic
+from surfimp.rayleigh import scan_directions
 
 SEED = 20240817
 
@@ -46,31 +24,10 @@ def _report(num, name, ok, detail=""):
     print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def _draws(n, rng):
-    for _ in range(n):
-        lam = rng.uniform(0.1, 100.0)
-        mu = rng.uniform(0.1, 100.0)
-        rho = rng.uniform(500.0, 12000.0)
-        yield lam, mu, rho
-
-
 def test_criterion_1_isotropic_two_route_blocks():
-    rng = np.random.default_rng([SEED, 1])
     tol = 1e-9
     start = time.perf_counter()
-    worst = 0.0
-    for lam, mu, rho in _draws(50, rng):
-        mat = isotropic_material(lam, mu, rho)
-        frame = random_frame(rng)
-        cs = math.sqrt(mu * GPA / rho)
-        ximag = rng.uniform(1.05, 20.0) / cs
-        p = build_pencil(mat, frame, ximag)
-        data = impedance_tensor(p, spectral_factor(p))
-        st = iso_state(lam * GPA, mu * GPA, rho, ximag)
-        rot = frame_rotation(frame)
-        err_z = np.linalg.norm(rot.T @ data.z @ rot - iso_impedance_full(st))
-        err_q = np.linalg.norm(rot.T @ data.q @ rot + 1j * iso_iq_full(st))
-        worst = max(worst, err_z / np.linalg.norm(data.z), err_q / np.linalg.norm(data.q))
+    worst = selftest._check_iso_blocks(SEED, 50)
     elapsed = time.perf_counter() - start
     ok = worst < tol and elapsed < 5.0
     _report(1, "isotropic two-route equivalence", ok,
@@ -80,77 +37,28 @@ def test_criterion_1_isotropic_two_route_blocks():
 
 
 def test_criterion_2_rayleigh_speed_oracle():
-    rng = np.random.default_rng([SEED, 1])  # same draws as criterion 1
     tol = 1e-9
-    worst = 0.0
-    for lam, mu, rho in _draws(50, rng):
-        mat = isotropic_material(lam, mu, rho)
-        frame = random_frame(rng)
-        rng.uniform(1.05, 20.0)  # keep the draw stream aligned with criterion 1
-        u = mu / (lam + 2.0 * mu)
-        expected = math.sqrt(mu * GPA / rho) * math.sqrt(rayleigh_cubic_root(u))
-        pt = rayleigh_point(mat, frame)
-        worst = max(worst, abs(pt.c_r - expected) / expected)
-    # frozen constant confirmed by an independent bisection oracle first
-    def quartic(t, u=1.0 / 3.0):
-        return ((t - 2.0) ** 4 - 16.0 * (1.0 - t) * (1.0 - u * t)) / t
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if quartic(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    oracle_ratio = math.sqrt(0.5 * (lo + hi))
-    assert oracle_ratio == pytest.approx(0.9194016867619661, abs=1e-12)
-    mat = isotropic_material(30.0, 30.0, 2700.0)
-    pt = rayleigh_point(mat, SurfaceFrame(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])))
-    cs = math.sqrt(30.0 * GPA / 2700.0)
-    worst = max(worst, abs(pt.c_r / cs - oracle_ratio))
+    # draws the same stream as criterion 1; the frozen lam = mu constant is
+    # confirmed by an independent bisection oracle
+    worst, constant_gap = selftest._check_rayleigh_oracle(SEED, 50)
+    assert constant_gap <= 1e-12
     ok = worst < tol
     _report(2, "rayleigh speed oracle", ok, f"worst {worst:.3e} (tol {tol:.0e})")
     assert ok
 
 
 @pytest.fixture(scope="module")
-def identity_dataset():
+def identity_worst():
     """200 seeded elliptic points: isotropic + three synthetic anisotropics."""
-    rng = np.random.default_rng([SEED, 3])
-    mats = [
-        isotropic_material(35.0, 27.0, 2600.0),
-        synthetic_anisotropic(11),
-        synthetic_anisotropic(12),
-        synthetic_anisotropic(13),
-    ]
     start = time.perf_counter()
-    rows = []
-    for mat in mats:
-        for _ in range(50):
-            frame = random_frame(rng)
-            c_lim = limiting_speed(mat, frame)
-            speed = rng.uniform(0.05, 0.95) * c_lim
-            p = build_pencil(mat, frame, 1.0 / speed)
-            sf = spectral_factor(p)
-            intf = factor_integral(p, check=False)
-            data = impedance_tensor(p, sf, f0=intf.f0)
-            zdot = radial_derivative_z(data, mat.density)
-            rows.append((mat, p, sf, intf, data, zdot))
-    return rows, time.perf_counter() - start
+    worst = selftest._check_identities(SEED, 50)
+    return worst, time.perf_counter() - start
 
 
-def test_criterion_3_identity_suite(identity_dataset):
-    rows, build_time = identity_dataset
+def test_criterion_3_identity_suite(identity_worst):
+    (worst_res, worst_herm, structure_failures, _), build_time = identity_worst
     tol, herm_tol = 1e-8, 1e-9
-    worst_res = worst_herm = 0.0
-    structure_ok = True
-    for mat, p, sf, intf, data, zdot in rows:
-        d = data.diagnostics
-        worst_res = max(worst_res, d.riccati, d.solvency,
-                        sf.residual_factorization, d.barnett_lothe)
-        worst_herm = max(worst_herm, d.hermiticity)
-        structure_ok &= bool(d.re_z_positive_definite)
-        structure_ok &= bool(np.linalg.eigvalsh(zdot - data.z)[0] > 0.0)
-        structure_ok &= d.nonpositive_eigenvalues <= 1
+    structure_ok = structure_failures == 0
     ok = worst_res < tol and worst_herm < herm_tol and structure_ok and build_time < 30.0
     _report(3, "identity suite at 200 elliptic points", ok,
             f"residuals {worst_res:.3e} (tol {tol:.0e}), hermiticity {worst_herm:.3e}, "
@@ -161,12 +69,9 @@ def test_criterion_3_identity_suite(identity_dataset):
     assert build_time < 30.0
 
 
-def test_criterion_4_factor_route_cross_check(identity_dataset):
-    rows, _ = identity_dataset
+def test_criterion_4_factor_route_cross_check(identity_worst):
+    (_, _, _, worst), _ = identity_worst
     tol = 1e-8
-    worst = 0.0
-    for mat, p, sf, intf, data, zdot in rows:
-        worst = max(worst, np.linalg.norm(sf.q - intf.q) / np.linalg.norm(sf.q))
     ok = worst < tol
     _report(4, "eigen vs integral factor at 200 points", ok,
             f"worst {worst:.3e} (tol {tol:.0e})")
@@ -174,19 +79,7 @@ def test_criterion_4_factor_route_cross_check(identity_dataset):
 
 
 def test_criterion_5_determinant_monotonicity():
-    rng = np.random.default_rng([SEED, 5])
-    mats = [isotropic_material(25.0, 18.0, 3000.0), synthetic_anisotropic(12)]
-    offending = 0
-    rays = 0
-    for mat in mats:
-        for _ in range(6):
-            frame = random_frame(rng)
-            _, g, has_root = monotonicity_samples(mat, frame, n=20)
-            rays += 1
-            increasing = bool(np.all(np.diff(g) > 0.0))
-            crossings = int(np.sum(np.sign(g[1:]) != np.sign(g[:-1])))
-            if not increasing or crossings != (1 if has_root else 0):
-                offending += 1
+    offending, rays = selftest._check_monotonicity(SEED, 6)
     ok = offending == 0
     _report(5, "determinant monotonicity along rays", ok,
             f"{offending}/{rays} offending rays")
@@ -194,29 +87,9 @@ def test_criterion_5_determinant_monotonicity():
 
 
 def test_criterion_6_subprincipal_suite():
-    rng = np.random.default_rng([SEED, 6])
     tol = 1e-9
     start = time.perf_counter()
-    st = iso_state_on_sigma(2.0e9, 1.0e9, 1000.0)
-    flat = subprincipal_p(st, CurvatureData.zero())
-    flat_terms = max(abs(flat.psub_direct), abs(flat.psub_assembled),
-                     abs(flat.re_zminus_vv) / st.mu, abs(flat.im_trace) / st.mu,
-                     float(np.abs(flat.X).max()) / st.mu)
-    worst_lin = 0.0
-    worst_route = 0.0
-    for _ in range(100):
-        lam = rng.uniform(0.1, 100.0) * GPA
-        mu = rng.uniform(0.1, 100.0) * GPA
-        rho = rng.uniform(500.0, 12000.0)
-        st = iso_state_on_sigma(lam, mu, rho)
-        curv = CurvatureData(*rng.uniform(-1.0, 1.0, size=8))
-        br = subprincipal_p(st, curv)
-        worst_route = max(worst_route,
-                          abs(br.psub_direct - br.psub_assembled) / (1 + abs(br.psub_direct)))
-        for alpha in (2.0, -1.0, 10.0):
-            scaled = subprincipal_p(st, curv.scaled(alpha))
-            ref = alpha * br.psub_direct
-            worst_lin = max(worst_lin, abs(scaled.psub_direct - ref) / (1 + abs(ref)))
+    flat_terms, worst_lin, worst_route = selftest._check_subprincipal(SEED, 100)
     elapsed = time.perf_counter() - start
     ok = flat_terms < 1e-14 and worst_lin < tol and worst_route < tol and elapsed < 5.0
     _report(6, "subprincipal suite", ok,
@@ -228,68 +101,17 @@ def test_criterion_6_subprincipal_suite():
     assert elapsed < 5.0
 
 
-def _richardson(f, x, h):
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def test_criterion_7_derivative_checks():
-    rng = np.random.default_rng([SEED, 7])
     tol = 1e-7
-    worst = 0.0
-    for _ in range(20):
-        lam = rng.uniform(0.5, 80.0) * GPA
-        mu = rng.uniform(0.5, 80.0) * GPA
-        rho = rng.uniform(500.0, 12000.0)
-        cs = math.sqrt(mu / rho)
-        cp = math.sqrt((lam + 2 * mu) / rho)
-        ximag = rng.uniform(1.2, 10.0) / cs
-        st = iso_state(lam, mu, rho, ximag)
-        derivs = iso_scalar_derivatives(st)
-        args = [lam, mu, rho, ximag]
-        z0 = np.array([float(v) for v in _zeta_forms(*args)[:3]])
-        for j in range(4):
-            def fz(x, j=j):
-                a = list(args)
-                a[j] = x
-                return np.array([float(v) for v in _zeta_forms(*a)[:3]])
-            fd = _richardson(fz, args[j], 1e-6 * abs(args[j]))
-            scale = np.maximum(np.abs(fd), np.abs(z0) / abs(args[j]))
-            worst = max(worst, float(np.max(np.abs(derivs.zeta_partials[:, j] - fd) / scale)))
-        speed_args = [cs, cp, ximag]
-        k0 = np.array([float(v) for v in _kappa_forms(*speed_args)])
-        duals = [derivs.Ks, derivs.Kp, derivs.Kdot]
-        for j in range(3):
-            def fk(x, j=j):
-                a = list(speed_args)
-                a[j] = x
-                return np.array([float(v) for v in _kappa_forms(*a)])
-            fd = _richardson(fk, speed_args[j], 1e-6 * abs(speed_args[j]))
-            if j == 2:
-                fd = ximag * fd  # radial form |xi| d/d|xi|
-            got = np.array([duals[j][0, 0].real, -duals[j][0, 1].imag,
-                            duals[j][1, 0].imag, duals[j][1, 1].real])
-            scale = np.maximum(np.abs(fd), np.abs(k0) / abs(speed_args[j]) *
-                               (ximag if j == 2 else 1.0))
-            worst = max(worst, float(np.max(np.abs(got - fd) / scale)))
+    worst = selftest._check_derivatives(SEED, 20)
     ok = worst < tol
-    _report(7, "dual-number derivative checks", ok, f"worst {worst:.3e} (tol {tol:.0e})")
+    _report(7, "complex-step derivative checks", ok, f"worst {worst:.3e} (tol {tol:.0e})")
     assert ok
 
 
 def test_criterion_8_sylvester_oracle():
-    rng = np.random.default_rng([SEED, 8])
     tol = 1e-7
-    worst = 0.0
-    for _ in range(20):
-        raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a = raw + (0.5 + max(0.0, -np.linalg.eigvals(raw).real.min())) * np.eye(3)
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        x = sylvester_solve(a, b)
-        oracle, _ = quad_vec(lambda r: expm(-r * a).conj().T @ b @ expm(-r * a),
-                             0.0, 80.0, epsabs=1e-12, epsrel=1e-12)
-        worst = max(worst, np.linalg.norm(x - oracle) / np.linalg.norm(oracle))
+    worst = selftest._check_sylvester(SEED, 20)
     ok = worst < tol
     _report(8, "sylvester exponential-integral oracle", ok,
             f"worst {worst:.3e} (tol {tol:.0e})")

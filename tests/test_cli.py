@@ -139,6 +139,15 @@ def test_scan_count_too_small(capsys, iso_file):
     assert code == 1
 
 
+def test_scan_malformed_thread_count_is_input_error(capsys, iso_file, monkeypatch):
+    monkeypatch.setenv("RAYLEIGH_THREADS", "two")
+    code, out, err = run(capsys, "scan", "--material", iso_file,
+                         "--normal", "0,0,1", "--count", "8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "RAYLEIGH_THREADS" in err
+
+
 def test_subprincipal_zero_curvature(capsys, iso_file, zero_curv_file):
     code, out, _ = run(capsys, "subprincipal", "--material", iso_file,
                        "--curvature", zero_curv_file, "--xi-dir", "1,0,0")

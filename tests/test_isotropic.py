@@ -7,7 +7,6 @@ from surfimp.impedance import impedance_tensor, radial_derivative_z, solve_zminu
 from surfimp.isotropic import (
     CurvatureData,
     build_Y,
-    divXc_and_CS,
     iso_blocks,
     iso_impedance_full,
     iso_iq_full,
@@ -15,13 +14,13 @@ from surfimp.isotropic import (
     iso_scalar_derivatives,
     iso_state,
     iso_state_on_sigma,
-    iso_symbol_L,
     rayleigh_cubic_root,
     subprincipal_p,
     _zeta_forms,
 )
 from surfimp.polyfactor import NonEllipticError, build_pencil, spectral_factor
 from surfimp.presets import random_isotropic
+from surfimp.selftest import richardson
 
 from conftest import frame_rotation, random_frame
 
@@ -134,12 +133,6 @@ def test_kernel_vector_matches_general_route(soft_iso, std_frame):
     np.testing.assert_allclose(pt.kernel, rot @ iso_kernel_vector(st.t), atol=1e-8)
 
 
-def richardson(f, x, h):
-    d1 = (f(x + h) - f(x - h)) / (2 * h)
-    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def test_derivatives_match_finite_differences():
     rng = np.random.default_rng(17)
     for _ in range(8):
@@ -232,19 +225,14 @@ def test_Y2_consistent_with_tangential_coefficient():
     grad_mu = curv.grad_mu_t * xihat
     # shape operator with <xihat, S xihat> = s22, trace trS, nu in its kernel
     S = np.diag([curv.s22, curv.trS - curv.s22, 0.0])
-    div, cs = divXc_and_CS(nu, grad_lam, grad_mu, S, st.lam, st.mu)
-    a1m = div + cs
+    # (div_X c)(nu) = grad_lambda (x) nu + (grad_mu (x) nu)^T + <nu, grad_mu> Id
+    # <C, S> = (lam + mu) S + (mu tr S) Id
+    div = np.outer(grad_lam, nu) + np.outer(nu, grad_mu) + float(nu @ grad_mu) * np.eye(3)
+    a1m = div + (st.lam + st.mu) * S + st.mu * np.trace(S) * np.eye(3)
     rot = np.column_stack([nu, xihat, perp])
     a1m_block = (rot.T @ a1m @ rot)[:2, :2]
     K = iso_blocks(st).iq11
     np.testing.assert_allclose(a1m_block @ K, y2, rtol=1e-12)
-
-
-def test_divXc_zero_gradients():
-    div, cs = divXc_and_CS(np.array([1.0, 0, 0]), np.zeros(3), np.zeros(3),
-                           np.diag([1.0, 1.0, 0.0]), 1.0, 1.0)
-    assert np.all(div == 0)
-    np.testing.assert_allclose(cs, 2.0 * np.diag([1.0, 1.0, 0.0]) + 2.0 * np.eye(3))
 
 
 def test_subprincipal_flat_is_zero():
@@ -318,29 +306,3 @@ def test_zminus_block_route_matches_hermitian_solve():
     zm = solve_zminus(q_full, a_full, y_full)
     x_full = (zm + zm.conj().T)[:2, :2]
     np.testing.assert_allclose(x_full, br.X, rtol=1e-9, atol=1e-12 * np.linalg.norm(br.X))
-
-
-def test_symbol_L_structure():
-    xi = np.array([0.6, -0.2, 0.3])
-    lam, mu, rho = 2.0e9, 1.0e9, 1200.0
-    principal, sub = iso_symbol_L(lam, mu, rho, (np.zeros(3), np.zeros(3)), xi)
-    assert np.all(sub == 0)
-    mag2 = xi @ xi
-    evs = np.sort(np.linalg.eigvalsh(principal))
-    cs2, cp2 = mu / rho, (lam + 2 * mu) / rho
-    expect = np.sort([rho * (cp2 * mag2 - 1), rho * (cs2 * mag2 - 1), rho * (cs2 * mag2 - 1)])
-    np.testing.assert_allclose(evs, expect, rtol=1e-12)
-    # the pressure branch vanishes exactly at c_p |xi| = 1
-    xin = xi / math.sqrt(mag2) / math.sqrt(cp2)
-    principal, _ = iso_symbol_L(lam, mu, rho, (np.zeros(3), np.zeros(3)), xin)
-    proj = np.outer(xin, xin) / (xin @ xin)
-    assert np.linalg.norm(principal @ proj) < 1e-6 * np.linalg.norm(principal)
-
-
-def test_symbol_L_gradient_part():
-    xi = np.array([1.0, 2.0, -0.5])
-    gl = np.array([0.1, 0.2, 0.3])
-    gm = np.array([-0.2, 0.05, 0.4])
-    _, sub = iso_symbol_L(2.0, 1.0, 1.0, (gl, gm), xi)
-    expected = -1j * (np.outer(gl, xi) + np.outer(xi, gm) + (xi @ gm) * np.eye(3))
-    np.testing.assert_allclose(sub, expected, rtol=1e-14)

@@ -15,6 +15,7 @@ from surfimp.material import SurfaceFrame, material_to_json
 from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.presets import isotropic_material, synthetic_anisotropic
 from surfimp.rayleigh import (
+    SCAN_CSV_HEADER,
     BracketError,
     eval_p,
     kernel_phase_holonomy,
@@ -106,6 +107,13 @@ def test_cli_exit_codes_on_existence_failure(e1_failing_material, tmp_path, caps
                  "--tangent=" + ",".join(f"{x:.17g}" for x in d)])
     capsys.readouterr()
     assert code == 3
+    # --csv keeps its format there: the header and one exists=false row
+    code = main(["rayleigh", "--material", str(mat_file), "--normal", "0,0,1",
+                 "--tangent=" + ",".join(f"{x:.17g}" for x in d), "--csv"])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert code == 3
+    assert lines[0] == SCAN_CSV_HEADER
+    assert len(lines) == 2 and lines[1].split(",")[2] == "false"
 
 
 def test_integral_fallback_path(monkeypatch, soft_iso, std_frame):
