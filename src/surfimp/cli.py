@@ -125,10 +125,15 @@ def cmd_rayleigh(args) -> int:
         _emit(_point_payload(pt, frame))
     if not pt.exists:
         return _fail("no Rayleigh root along this direction (E1 fails)", EXIT_EXISTENCE)
-    if pt.res_kernel > RES_KERNEL_TOL or pt.res_riccati > RES_RICCATI_TOL:
+    return _check_residuals(pt.res_kernel, pt.res_riccati)
+
+
+def _check_residuals(res_kernel: float, res_riccati: float) -> int:
+    """EXIT_NUMERICAL, with a message, when a residual exceeds its tolerance."""
+    if res_kernel > RES_KERNEL_TOL or res_riccati > RES_RICCATI_TOL:
         return _fail(
-            f"residuals exceed tolerance: kernel {pt.res_kernel:.3e}, "
-            f"riccati {pt.res_riccati:.3e}",
+            f"residuals exceed tolerance: kernel {res_kernel:.3e}, "
+            f"riccati {res_riccati:.3e}",
             EXIT_NUMERICAL,
         )
     return EXIT_OK
@@ -150,14 +155,20 @@ def cmd_scan(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(scan.to_csv())
-    exists = scan.exists
+    found = scan.exists.any()
     summary = {
         "e1_satisfied": bool(scan.e1_satisfied),
-        "c_r_min": float(np.nanmin(scan.c_r)) if exists.any() else None,
-        "c_r_max": float(np.nanmax(scan.c_r)) if exists.any() else None,
+        "c_r_min": float(np.nanmin(scan.c_r)) if found else None,
+        "c_r_max": float(np.nanmax(scan.c_r)) if found else None,
+        "res_kernel_max": float(np.nanmax(scan.res_kernel)) if found else None,
+        "res_riccati_max": float(np.nanmax(scan.res_riccati)) if found else None,
         "holonomy_phase": scan.holonomy_phase,
     }
     _emit(summary)
+    if found:
+        code = _check_residuals(summary["res_kernel_max"], summary["res_riccati_max"])
+        if code != EXIT_OK:
+            return code
     if args.require_e1 and not scan.e1_satisfied:
         return _fail("some directions carry no Rayleigh root (E1 fails)", EXIT_EXISTENCE)
     return EXIT_OK

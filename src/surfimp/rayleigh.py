@@ -10,11 +10,12 @@ walks each ray down from just below c_lim until det z changes sign, polishes
 the bracket with Chandrupatla's method, and post-processes the row (kernel,
 residuals, radial slope).  A single point is a batch of one whose c_lim is
 the certified ellipticity bisection of `limiting_speed`.  A scan estimates
-c_lim on a grid with golden-section refinement and certifies each estimate
-at the walk start: a row whose pencil is not elliptic there takes its c_lim
-from `limiting_speed`.  Every det z row passes spectral_factor's guard or is
-re-factored by spectral_factor.  Scans parallelize over directions via
-RAYLEIGH_THREADS.
+c_lim on a grid refined by safeguarded Newton steps, whose derivatives come
+from one batched eigh per round (Hellmann-Feynman), and certifies each
+estimate at the walk start: a row whose pencil is not elliptic there takes
+its c_lim from `limiting_speed`.  Every det z row passes spectral_factor's
+guard or is re-factored by spectral_factor.  Scans parallelize over
+directions via RAYLEIGH_THREADS.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ WALK_FACTOR = 0.99
 WALK_MAX_STEPS = 2000
 C_FLOOR_FRACTION = 1e-3
 START_OFFSET = 1e-6
+_GAP_RTOL = 1e-8
+_NEWTON_FTOL = 1e-13
 KERNEL_PHASE_CUTOFF = 1e-6
 HOLONOMY_OVERLAP = 0.9
 
@@ -158,27 +161,55 @@ class _Engine:
         """The pencil of one row, or of all rows for stacked a1, a2."""
         return QuadraticPencil(a=self.a, a1=a1, a2=a2, rho=self.rho)
 
-    def _eigmin_along(self, pre: dict, sigma: np.ndarray) -> np.ndarray:
-        """Smallest eigenvalue of c(e + sigma nu) per row; sigma shape (m,)."""
-        mats = (pre["c_ee"] + sigma[:, None, None] * pre["mid"]
-                + (sigma * sigma)[:, None, None] * self.a[None, :, :])
-        return np.linalg.eigvalsh(mats)[:, 0]
+    def _eigmin_along(self, pre: dict, sigma: np.ndarray, rows=None, derivs=False) -> np.ndarray:
+        """f = smallest eigenvalue of M = c(e + sigma nu) per row; sigma shape (m,).
 
-    def limiting_speeds(self, pre: dict) -> np.ndarray:
-        """c_lim per direction from min over real sigma of eig_min c(e + sigma nu).
+        With derivs, returns (m, 3) columns f, f', f'' by Hellmann-Feynman,
+        with M' = mid + 2 sigma a: f' = v0.M'v0 and
+        f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).  f'' is nan
+        where the lowest gap is degenerate (below _GAP_RTOL lam_max).
+        """
+        if rows is None:
+            c_ee, mid = pre["c_ee"], pre["mid"]
+        else:
+            c_ee, mid = pre["c_ee"][rows], pre["mid"][rows]
+        s = sigma[:, None, None]
+        mats = c_ee + s * mid + (s * s) * self.a[None, :, :]
+        if not derivs:
+            return np.linalg.eigvalsh(mats)[:, 0]
+        lam, vec = np.linalg.eigh(mats)
+        v0 = vec[:, :, 0]
+        coupling = np.einsum("mik,mij,mj->mk", vec, mid + 2.0 * s * self.a[None, :, :], v0)
+        gap = lam[:, 1:] - lam[:, :1]
+        ok = gap[:, 0] > _GAP_RTOL * lam[:, 2]
+        curv = 2.0 * np.einsum("mi,ij,mj->m", v0, self.a, v0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2 = curv - 2.0 * np.sum(coupling[:, 1:] ** 2 / gap, axis=1)
+        return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
-        The minimum value over the line equals rho * c_lim^2: smaller speeds
-        keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
-        Each estimate is certified at the walk start: a row whose pencil is
-        not elliptic there was overshot and takes c_lim from limiting_speed.
+    def sigma_grid(self) -> np.ndarray:
+        """The 97-node grid of sigma on which limiting_speeds brackets minima.
+
+        Raises BracketError unless the material is strongly convex.
         """
         report = validate_stiffness(self.mat.stiffness)
         if not (report.convex and report.elliptic):
             raise BracketError("direction scan requires a strongly convex material")
         lam_max = float(np.linalg.eigvalsh(self.mat.stiffness.mandel())[-1])
-        m = pre["dirs"].shape[0]
         sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
-        grid = np.linspace(-sigma_max, sigma_max, 97)
+        return np.linspace(-sigma_max, sigma_max, 97)
+
+    def limiting_speeds(self, pre: dict, grid: np.ndarray) -> np.ndarray:
+        """c_lim per direction from min over real sigma of eig_min c(e + sigma nu).
+
+        The minimum value over the line equals rho * c_lim^2: smaller speeds
+        keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
+        The best and the runner-up grid minima are refined by safeguarded
+        Newton steps (_newton_min).  Each estimate is certified at the walk
+        start: a row whose pencil is not elliptic there was overshot and
+        takes c_lim from limiting_speed.
+        """
+        m = pre["dirs"].shape[0]
         vals = np.empty((m, grid.size))
         for j, s in enumerate(grid):
             vals[:, j] = self._eigmin_along(pre, np.full(m, s))
@@ -190,35 +221,50 @@ class _Engine:
         near = np.abs(cols[None, :] - best[:, None]) <= 2
         masked[near] = np.inf
         second = np.argmin(masked, axis=1)
-        out = vals[np.arange(m), best]
+        rows = np.tile(np.arange(m), 2)
+        nodes = np.concatenate([best, second])
+        # start at the lowest of the bracket's three grid nodes: a runner-up
+        # on the slope of the best valley starts at an end whose f' points
+        # out of the bracket, and leaves after one round
+        padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
+        start = nodes - 1 + np.argmin(padded[rows[:, None], nodes[:, None] + np.arange(3)], axis=1)
         h = grid[1] - grid[0]
-        for idx in (best, second):
-            lo = grid[idx] - h
-            hi = grid[idx] + h
-            out = np.minimum(out, self._golden_min(pre, lo, hi))
-        c_lim = np.sqrt(out / self.rho)
+        fmin = self._newton_min(pre, rows, grid[nodes] - h, grid[nodes] + h,
+                                grid[start], vals[rows, start])
+        c_lim = np.sqrt(np.minimum(fmin[:m], fmin[m:]) / self.rho)
         vals = np.linalg.eigvals(self._companion(pre, (1.0 - START_OFFSET) * c_lim)[0])
         for k in np.flatnonzero(~(spectral_margin(vals) > polyfactor.ELLIPTICITY_MARGIN)):
             c_lim[k] = limiting_speed(self.mat, SurfaceFrame(self.nu, pre["dirs"][k]))
         return c_lim
 
-    def _golden_min(self, pre, lo, hi, iters=60):
-        invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1 = self._eigmin_along(pre, x1)
-        f2 = self._eigmin_along(pre, x2)
-        for _ in range(iters):
-            left = f1 < f2
-            hi = np.where(left, x2, hi)
-            lo = np.where(left, lo, x1)
-            x1n = np.where(left, hi - invphi * (hi - lo), x2)
-            x2n = np.where(left, x1, lo + invphi * (hi - lo))
-            xeval = np.where(left, x1n, x2n)
-            feval = self._eigmin_along(pre, xeval)
-            f1, f2 = np.where(left, feval, f2), np.where(left, f1, feval)
-            x1, x2 = x1n, x2n
-        return np.minimum(f1, f2)
+    def _newton_min(self, pre, rows, lo, hi, x, fx, max_rounds=60):
+        """Smallest f seen on each bracket [lo, hi] by safeguarded Newton on f'.
+
+        Starts from x in the bracket, where f = fx is known.  Each round
+        evaluates f, f', f'' at every live row, shrinks the bracket to the
+        side where f' points downhill, and steps by Newton when f'' > 0 and
+        the step lands inside the bracket, else bisects.  A row stops when
+        the predicted decrease |f' step| falls to _NEWTON_FTOL f, so its
+        result does not depend on the other rows of its batch.
+        """
+        lo, hi, x, fmin = lo.copy(), hi.copy(), x.copy(), fx.copy()
+        live = np.arange(rows.size)
+        for _ in range(max_rounds):
+            if live.size == 0:
+                break
+            f, d1, d2 = self._eigmin_along(pre, x[live], rows=rows[live], derivs=True).T
+            fmin[live] = np.minimum(fmin[live], f)
+            xl = x[live]
+            lo[live] = np.where(d1 < 0.0, xl, lo[live])
+            hi[live] = np.where(d1 > 0.0, xl, hi[live])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xn = xl - d1 / d2
+            newton = (d2 > 0.0) & (xn > lo[live]) & (xn < hi[live])
+            xn = np.where(newton, xn, 0.5 * (lo[live] + hi[live]))
+            done = np.abs(d1 * (xn - xl)) <= _NEWTON_FTOL * f
+            x[live] = xn
+            live = live[~done]
+        return fmin
 
     def _companion(self, pre: dict, speeds: np.ndarray, rows=None):
         """Companion matrices of a^{-1} f at xi = e / c, with a1 and a2."""
@@ -297,10 +343,9 @@ def _bracket_walk(engine: _Engine, pre: dict, c_lim: np.ndarray):
         c_next = WALK_FACTOR * c_cur[idx]
         stop = c_next < floor[idx]
         active[idx[stop]] = False
-        idx = idx[~stop]
+        idx, c_next = idx[~stop], c_next[~stop]
         if idx.size == 0:
             continue
-        c_next = WALK_FACTOR * c_cur[idx]
         g_next = engine.detz(pre, c_next, rows=idx)
         crossed = g_cur[idx] * g_next <= 0.0
         hit = idx[crossed]
@@ -509,9 +554,9 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     return c_lim, exists, c_r, slope, kernels, res_kernel, res_riccati
 
 
-def _scan_chunk(engine: _Engine, dirs: np.ndarray):
+def _scan_chunk(engine: _Engine, dirs: np.ndarray, grid: np.ndarray):
     pre = engine.prepare(dirs)
-    return _solve_rows(engine, pre, engine.limiting_speeds(pre))
+    return _solve_rows(engine, pre, engine.limiting_speeds(pre, grid))
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -538,14 +583,15 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     thetas = 2.0 * np.pi * np.arange(n) / n
     dirs = np.cos(thetas)[:, None] * e1[None, :] + np.sin(thetas)[:, None] * e2[None, :]
     engine = _Engine(mat, nu)
+    grid = engine.sigma_grid()
     threads = resolve_threads(threads)
     if threads == 1 or n < 64:
-        parts = [_scan_chunk(engine, dirs)]
+        parts = [_scan_chunk(engine, dirs, grid)]
     else:
         edges = np.linspace(0, n, threads + 1, dtype=int)
         bounds = [(edges[i], edges[i + 1]) for i in range(threads) if edges[i] < edges[i + 1]]
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            parts = list(pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]]), bounds))
+            parts = list(pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]], grid), bounds))
     columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
     return DirectionScan(thetas, *columns, directions=dirs)
 

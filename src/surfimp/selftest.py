@@ -213,16 +213,17 @@ def _check_monotonicity(seed: int, rays: int) -> tuple[int, int]:
     return offending, total
 
 
-def _check_subprincipal(seed: int, draws: int) -> tuple[float, float, float]:
+def _check_subprincipal(seed: int, draws: int) -> tuple[float, float, float, float]:
     """Largest flat-space term, worst linearity gap under curvature scaling,
-    and worst direct-vs-assembled gap over random on-variety states."""
+    worst direct-vs-assembled gap and worst relative hermiticity defect of X
+    over random on-variety states."""
     rng = np.random.default_rng([seed, 6])
     st = iso_state_on_sigma(2.0e9, 1.0e9, 1000.0)
     flat = subprincipal_p(st, CurvatureData.zero())
     flat_terms = max(abs(flat.psub_direct), abs(flat.psub_assembled),
                      abs(flat.re_zminus_vv) / st.mu, abs(flat.im_trace) / st.mu,
                      float(np.abs(flat.X).max()) / st.mu)
-    worst_lin = worst_route = 0.0
+    worst_lin = worst_route = worst_herm = 0.0
     for _ in range(draws):
         lam = rng.uniform(0.1, 100.0) * GPA
         mu = rng.uniform(0.1, 100.0) * GPA
@@ -232,11 +233,12 @@ def _check_subprincipal(seed: int, draws: int) -> tuple[float, float, float]:
         br = subprincipal_p(st, curv)
         worst_route = max(worst_route,
                           abs(br.psub_direct - br.psub_assembled) / (1 + abs(br.psub_direct)))
+        worst_herm = max(worst_herm, np.linalg.norm(br.X - br.X.conj().T) / np.linalg.norm(br.X))
         for alpha in (2.0, -1.0, 10.0):
             scaled = subprincipal_p(st, curv.scaled(alpha))
             ref = alpha * br.psub_direct
             worst_lin = max(worst_lin, abs(scaled.psub_direct - ref) / (1 + abs(ref)))
-    return flat_terms, worst_lin, worst_route
+    return flat_terms, worst_lin, worst_route, worst_herm
 
 
 def _fd_gap(forms, args, j: int, got: np.ndarray, weight: float = 1.0) -> float:

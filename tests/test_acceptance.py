@@ -89,7 +89,7 @@ def test_criterion_5_determinant_monotonicity():
 def test_criterion_6_subprincipal_suite():
     tol = 1e-9
     start = time.perf_counter()
-    flat_terms, worst_lin, worst_route = selftest._check_subprincipal(SEED, 100)
+    flat_terms, worst_lin, worst_route, _ = selftest._check_subprincipal(SEED, 100)
     elapsed = time.perf_counter() - start
     ok = flat_terms < 1e-14 and worst_lin < tol and worst_route < tol and elapsed < 5.0
     _report(6, "subprincipal suite", ok,

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from surfimp.cli import main
+import surfimp.cli as cli
+from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL, main
 from surfimp.material import material_to_json
 from surfimp.presets import synthetic_anisotropic
-from surfimp.rayleigh import SCAN_CSV_HEADER
+from surfimp.rayleigh import SCAN_CSV_HEADER, DirectionScan
 
 
 @pytest.fixture
@@ -128,9 +129,35 @@ def test_scan_summary_and_csv(capsys, iso_file, tmp_path):
     assert doc["e1_satisfied"] is True
     assert doc["c_r_max"] - doc["c_r_min"] < 1e-9 * doc["c_r_min"]
     assert abs(doc["holonomy_phase"]) < 1e-6
+    assert 0.0 <= doc["res_kernel_max"] <= RES_KERNEL_TOL
+    assert 0.0 <= doc["res_riccati_max"] <= RES_RICCATI_TOL
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == SCAN_CSV_HEADER
     assert len(lines) == 361
+
+
+def test_scan_residual_breach_exits_2(capsys, iso_file, monkeypatch):
+    # every row with a root breaches a zero tolerance; the summary is still printed
+    monkeypatch.setattr(cli, "RES_RICCATI_TOL", 0.0)
+    code, out, err = run(capsys, "scan", "--material", iso_file, "--normal", "0,0,1", "--count", "8")
+    assert code == 2
+    assert "residuals exceed tolerance" in err
+    assert json.loads(out)["res_riccati_max"] > 0.0
+
+
+def test_scan_without_roots_reports_null_residuals(capsys, iso_file, monkeypatch):
+    def rootless(mat, nu, n, threads=None):
+        nan = np.full(n, np.nan)
+        return DirectionScan(np.zeros(n), np.ones(n), np.zeros(n, dtype=bool), nan, nan,
+                             np.full((n, 3), np.nan, dtype=complex), nan, nan,
+                             directions=np.tile([1.0, 0.0, 0.0], (n, 1)))
+
+    monkeypatch.setattr(cli, "scan_directions", rootless)
+    code, out, _ = run(capsys, "scan", "--material", iso_file, "--normal", "0,0,1", "--count", "8")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["res_kernel_max"] is None and doc["res_riccati_max"] is None
+    assert doc["c_r_min"] is None and doc["e1_satisfied"] is False
 
 
 def test_scan_count_too_small(capsys, iso_file):

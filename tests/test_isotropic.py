@@ -19,10 +19,10 @@ from surfimp.isotropic import (
     _zeta_forms,
 )
 from surfimp.polyfactor import NonEllipticError, build_pencil, spectral_factor
-from surfimp.presets import random_isotropic
+from surfimp import selftest
 from surfimp.selftest import richardson
 
-from conftest import frame_rotation, random_frame
+from conftest import frame_rotation
 
 T_LAM_EQ_MU = 0.84529946162074847     # cubic root at u = 1/3
 T_INCOMPRESSIBLE = 0.91262197461572976  # u -> 0 limit
@@ -84,22 +84,7 @@ def test_blocks_require_elliptic():
 
 
 def test_blocks_match_general_route():
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(50):
-        mat = random_isotropic(rng)
-        lam = mat.stiffness.voigt[0, 1]
-        mu = mat.stiffness.voigt[3, 3]
-        frame = random_frame(rng)
-        cs = math.sqrt(mu / mat.density)
-        ximag = rng.uniform(1.05, 20.0) / cs
-        p = build_pencil(mat, frame, ximag)
-        data = impedance_tensor(p, spectral_factor(p))
-        st = iso_state(lam, mu, mat.density, ximag)
-        rot = frame_rotation(frame)
-        z_err = np.linalg.norm(rot.T @ data.z @ rot - iso_impedance_full(st))
-        worst = max(worst, z_err / np.linalg.norm(data.z))
-    assert worst < 1e-10
+    assert selftest._check_iso_blocks(8, 50) < 1e-10
 
 
 def test_kernel_vector_on_variety():
@@ -134,25 +119,7 @@ def test_kernel_vector_matches_general_route(soft_iso, std_frame):
 
 
 def test_derivatives_match_finite_differences():
-    rng = np.random.default_rng(17)
-    for _ in range(8):
-        lam = rng.uniform(0.5, 50.0) * 1e9
-        mu = rng.uniform(0.5, 50.0) * 1e9
-        rho = rng.uniform(500.0, 12000.0)
-        cs = math.sqrt(mu / rho)
-        ximag = rng.uniform(1.2, 10.0) / cs
-        st = iso_state(lam, mu, rho, ximag)
-        derivs = iso_scalar_derivatives(st)
-        args = [lam, mu, rho, ximag]
-        f0 = np.array([float(v) for v in _zeta_forms(*args)[:3]])
-        for j in range(4):
-            def f(x, j=j):
-                a = list(args)
-                a[j] = x
-                return np.array([float(v) for v in _zeta_forms(*a)[:3]])
-            fd = richardson(f, args[j], 1e-6 * abs(args[j]))
-            scale = np.maximum(np.abs(fd), np.abs(f0) / abs(args[j]))
-            assert np.max(np.abs(derivs.zeta_partials[:, j] - fd) / scale) < 1e-7
+    assert selftest._check_derivatives(17, 8) < 1e-7
 
 
 def test_radial_derivative_consistent_with_rescaling():
@@ -244,18 +211,10 @@ def test_subprincipal_flat_is_zero():
 
 
 def test_subprincipal_two_routes_and_linearity():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        lam = rng.uniform(0.1, 100.0) * 1e9
-        mu = rng.uniform(0.1, 100.0) * 1e9
-        rho = rng.uniform(500.0, 12000.0)
-        st = iso_state_on_sigma(lam, mu, rho)
-        curv = CurvatureData(*rng.uniform(-1, 1, size=8))
-        br = subprincipal_p(st, curv)
-        assert np.linalg.norm(br.X - br.X.conj().T) <= 1e-12 * max(np.linalg.norm(br.X), 1e-30)
-        assert abs(br.psub_direct - br.psub_assembled) <= 1e-9 * (1 + abs(br.psub_direct))
-        hit = subprincipal_p(st, curv.scaled(2.0))
-        assert hit.psub_direct == pytest.approx(2.0 * br.psub_direct, rel=1e-9)
+    _, worst_lin, worst_route, worst_herm = selftest._check_subprincipal(23, 30)
+    assert worst_herm <= 1e-12
+    assert worst_route <= 1e-9
+    assert worst_lin <= 1e-9
 
 
 def test_subprincipal_radial_slope_against_general_route(soft_iso, std_frame):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import surfimp.rayleigh as rayleigh
 from surfimp.material import SurfaceFrame
 from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.rayleigh import (
@@ -16,6 +17,7 @@ from surfimp.rayleigh import (
 )
 from surfimp.isotropic import iso_kernel_vector, rayleigh_cubic_root
 from surfimp.presets import isotropic_material, synthetic_anisotropic
+from surfimp.selftest import richardson
 
 from conftest import frame_rotation, random_frame
 
@@ -129,6 +131,75 @@ def test_scan_matches_scalar_api(aniso):
         assert pt.c_r == pytest.approx(scan.c_r[k], rel=1e-10)
         assert pt.c_lim == pytest.approx(scan.c_lim[k], rel=1e-8)
         assert pt.slope == pytest.approx(scan.slope[k], rel=1e-8)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _circle(nu, thetas):
+    e1, e2 = tangent_basis(nu)
+    return np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
+
+
+def test_eigmin_derivatives_match_richardson():
+    # Hellmann-Feynman f' and f'' of f = eig_min c(e + sigma nu) against
+    # Richardson differences of f, at rows whose lowest eigenvalue is simple
+    rng = np.random.default_rng(31)
+    nu = _unit(rng.standard_normal(3))
+    engine = rayleigh._Engine(synthetic_anisotropic(5, strength=0.9), nu)
+    pre = engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 32)))
+    sigma = rng.uniform(-2.0, 2.0, 32)
+    mats = (pre["c_ee"] + sigma[:, None, None] * pre["mid"]
+            + (sigma * sigma)[:, None, None] * engine.a)
+    lam = np.linalg.eigvalsh(mats)
+    clear = lam[:, 1] - lam[:, 0] > 0.05 * lam[:, 0]
+    assert np.count_nonzero(clear) >= 16
+    f, d1, d2 = engine._eigmin_along(pre, sigma, derivs=True).T
+    np.testing.assert_allclose(f, engine._eigmin_along(pre, sigma), rtol=1e-13)
+
+    def f_of(x):
+        return engine._eigmin_along(pre, x)
+
+    h = 1e-3
+    fd1 = richardson(f_of, sigma, h)
+    fd2 = richardson(lambda x: richardson(f_of, x, h), sigma, h)
+    assert np.all(np.abs(d1 - fd1)[clear] <= 1e-8 * f[clear])
+    assert np.all(np.abs(d2 - fd2)[clear] <= 1e-6 * f[clear])
+
+
+def test_scan_c_lim_matches_limiting_speed():
+    # limiting_speed's ellipticity margin puts it below the minimum of eig_min
+    # by a gap that grows with the speed (about 1e-9 near 3 km/s); the
+    # isotropic scan is held to c_s itself
+    rng = np.random.default_rng(37)
+    for strength in (0.35, 0.7, 0.9):
+        mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
+        nu = _unit(rng.standard_normal(3))
+        scan = scan_directions(mat, nu, 12)
+        for k in range(12):
+            ref = limiting_speed(mat, SurfaceFrame(nu, scan.directions[k]))
+            assert scan.c_lim[k] == pytest.approx(ref, rel=1e-9)
+    mat = isotropic_material(30.0, 12.0, 2500.0)
+    scan = scan_directions(mat, _unit(rng.standard_normal(3)), 32)
+    cs = math.sqrt(12.0e9 / 2500.0)
+    assert np.all(np.abs(scan.c_lim - cs) <= 1e-12 * cs)
+
+
+def test_scan_c_lim_finds_valley_beside_best(monkeypatch):
+    # rows 11 and 35: the deepest valley of eig_min lies between the grid
+    # node two past the best node and the runner-up node; refining it from
+    # the runner-up bracket avoids the limiting_speed fallback
+    mat = synthetic_anisotropic(642159816, strength=0.7)
+    nu = _unit(np.array([-0.0642, -0.9910, 0.1177]))
+    reference = rayleigh.limiting_speed
+    fallbacks = []
+    monkeypatch.setattr(rayleigh, "limiting_speed", lambda *a: fallbacks.append(a) or reference(*a))
+    scan = scan_directions(mat, nu, 48)
+    assert fallbacks == []
+    for k in (11, 35):
+        ref = reference(mat, SurfaceFrame(nu, scan.directions[k]))
+        assert scan.c_lim[k] == pytest.approx(ref, rel=1e-9)
 
 
 def test_slope_matches_finite_difference(aniso, rng):
