@@ -9,6 +9,7 @@ summary.  Randomized commands take --seed and are bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -67,7 +68,10 @@ def _parse_vector(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise MaterialError("schema", f"expected 'x,y,z', got {text!r}")
-    return np.array([float(x) for x in parts])
+    vec = np.array([float(x) for x in parts])
+    if not np.all(np.isfinite(vec)):
+        raise MaterialError("schema", f"vector components must be finite, got {text!r}")
+    return vec
 
 
 def _load_material(path: str) -> Material:
@@ -145,16 +149,19 @@ def cmd_scan(args) -> int:
     try:
         mat = _load_material(args.material)
         normal = _parse_vector(args.normal)
+        if not np.any(normal):
+            raise MaterialError("schema", "normal must be nonzero")
         threads = resolve_threads(None)
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
     except (OSError, MaterialError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    try:
-        scan = scan_directions(mat, normal, args.count, threads=threads)
-    except BracketError as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(scan.to_csv())
+    with out or contextlib.nullcontext():
+        try:
+            scan = scan_directions(mat, normal, args.count, threads=threads)
+        except BracketError as exc:
+            return _fail(str(exc), EXIT_NUMERICAL)
+        if out:
+            out.write(scan.to_csv())
     found = scan.exists.any()
     summary = {
         "e1_satisfied": bool(scan.e1_satisfied),

@@ -8,12 +8,13 @@ the elliptic region.
 One vectorized engine (batched companion eigensolves) finds every root: it
 walks each ray down from just below c_lim until det z changes sign, polishes
 the bracket with Chandrupatla's method, and post-processes the row (kernel,
-residuals, radial slope).  A single point is a batch of one whose c_lim is
-the certified ellipticity bisection of `limiting_speed`.  A scan estimates
-c_lim on a grid refined by safeguarded Newton steps, whose derivatives come
-from one batched eigh per round (Hellmann-Feynman), and certifies each
-estimate at the walk start: a row whose pencil is not elliptic there takes
-its c_lim from `limiting_speed`.  Every det z row passes spectral_factor's
+residuals, radial slope).  A single point is a batch of one and takes its
+c_lim the same way as a scan row: the smallest eigenvalue of c(e + sigma nu)
+on a 97-node sigma grid, in closed form, picks brackets that safeguarded
+Newton steps refine, with derivatives from one batched eigh per round
+(Hellmann-Feynman).  Each estimate is certified at the walk start: a row
+whose pencil is not elliptic there takes its c_lim from the ellipticity
+bisection of `limiting_speed`.  Every det z row passes spectral_factor's
 guard or is re-factored by spectral_factor.  Scans parallelize over
 directions via RAYLEIGH_THREADS.
 """
@@ -48,6 +49,8 @@ C_FLOOR_FRACTION = 1e-3
 START_OFFSET = 1e-6
 _GAP_RTOL = 1e-8
 _NEWTON_FTOL = 1e-13
+_GRID_NODES = 97
+_GRID_BLOCK = 512
 KERNEL_PHASE_CUTOFF = 1e-6
 HOLONOMY_OVERLAP = 0.9
 
@@ -58,7 +61,7 @@ SCAN_CSV_HEADER = (
 
 
 class BracketError(RuntimeError):
-    """No valid ellipticity bracket; the material is not strongly convex."""
+    """No valid ellipticity bracket; the material is not strongly elliptic."""
 
 
 class SamplingInadequacyError(RuntimeError):
@@ -84,7 +87,12 @@ def limiting_speed(mat: Material, frame: SurfaceFrame) -> float:
 
     Bisection on the ellipticity predicate to relative 1e-10.  The upper
     bracket sqrt(max Kelvin eigenvalue / rho) bounds every body-wave speed,
-    so the pencil there is never elliptic.
+    so the pencil there is never elliptic.  The predicate demands a spectral
+    margin above ELLIPTICITY_MARGIN, which the pencil loses just before the
+    true c_lim, so the result sits low by a gap that grows with the speed:
+    up to about 6e-9 relative at 11 km/s.  Points and scans take c_lim from
+    _Engine.limiting_speeds; this bisection is their certified fallback and
+    a test oracle.
     """
     c0 = math.sqrt(np.linalg.eigvalsh(mat.stiffness.mandel())[-1] / mat.density)
     lo = 1e-6 * c0
@@ -107,15 +115,15 @@ def limiting_speed(mat: Material, frame: SurfaceFrame) -> float:
 def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     """Root of det z(tangent / c) on (0, c_lim), with kernel and radial slope.
 
-    Runs the scan pipeline on a batch of one with c_lim from limiting_speed:
-    walk down from (1 - 1e-6) c_lim in geometric steps of 0.99 until the
-    determinant changes sign, then polish to relative 1e-12.  No sign change
+    Runs the scan pipeline on a batch of one, c_lim included: walk down
+    from (1 - 1e-6) c_lim in geometric steps of 0.99 until the determinant
+    changes sign, then polish to relative 1e-12.  No sign change
     above the floor 1e-3 c_lim reports exists=False.
     """
-    c_lim = limiting_speed(mat, frame)
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
-    rows = _solve_rows(engine, engine.prepare(dirs), np.array([c_lim]))
+    pre = engine.prepare(dirs)
+    rows = _solve_rows(engine, pre, engine.limiting_speeds(pre))
     return DirectionScan(np.zeros(1), *rows, directions=dirs).point(0)
 
 
@@ -139,9 +147,21 @@ def eval_p(mat: Material, frame: SurfaceFrame, xi) -> float:
 
 
 class _Engine:
-    """Batched det z evaluations for a fixed normal and many tangents."""
+    """Batched det z evaluations for a fixed normal and many tangents.
+
+    Raises BracketError unless the material is strongly elliptic.
+    """
 
     def __init__(self, mat: Material, nu: np.ndarray):
+        report = validate_stiffness(mat.stiffness)
+        if not report.elliptic:
+            raise BracketError("material is not strongly elliptic")
+        # with delta at least half the sampled ellipticity constant,
+        # c(e + sigma nu) >= delta (1 + sigma^2) exceeds lam_max >= eig_min c(e)
+        # beyond sigma_max, so every minimum over sigma lies inside the grid
+        lam_max = float(np.linalg.eigvalsh(mat.stiffness.mandel())[-1])
+        sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
+        self.grid = np.linspace(-sigma_max, sigma_max, _GRID_NODES)
         self.mat = mat
         self.c4 = mat.tensor()
         self.rho = mat.density
@@ -162,21 +182,42 @@ class _Engine:
         return QuadraticPencil(a=self.a, a1=a1, a2=a2, rho=self.rho)
 
     def _eigmin_along(self, pre: dict, sigma: np.ndarray, rows=None, derivs=False) -> np.ndarray:
-        """f = smallest eigenvalue of M = c(e + sigma nu) per row; sigma shape (m,).
+        """f = smallest eigenvalue of M = c(e + sigma nu) per row.
 
-        With derivs, returns (m, 3) columns f, f', f'' by Hellmann-Feynman,
-        with M' = mid + 2 sigma a: f' = v0.M'v0 and
-        f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).  f'' is nan
-        where the lowest gap is degenerate (below _GAP_RTOL lam_max).
+        Without derivs, sigma has shape (m, k) (or broadcasts to it) and f
+        comes in closed form from the six entries of M: with q = tr M / 3,
+        p = |M - qI|_F / sqrt(6) and r = det(M - qI) / (2 p^3),
+        f = q + 2p cos(arccos(r) / 3 + 2 pi / 3) (Smith 1961).  It is
+        accurate to about 1e-13 lam_max where the lowest eigenvalue is
+        simple but only to about sqrt(eps) lam_max at a double one, so it
+        only picks brackets.
+
+        With derivs, sigma has shape (m,) and eigh returns (m, 3) columns
+        f, f', f'' by Hellmann-Feynman, with M' = mid + 2 sigma a:
+        f' = v0.M'v0 and f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).
+        f'' is nan where the lowest gap is degenerate (below _GAP_RTOL lam_max).
         """
         if rows is None:
             c_ee, mid = pre["c_ee"], pre["mid"]
         else:
             c_ee, mid = pre["c_ee"][rows], pre["mid"][rows]
+        if not derivs:
+            s2 = sigma * sigma
+            m00, m11, m22, m01, m02, m12 = (
+                c_ee[:, i, j, None] + sigma * mid[:, i, j, None] + s2 * self.a[i, j]
+                for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+            q = (m00 + m11 + m22) / 3.0
+            b00, b11, b22 = m00 - q, m11 - q, m22 - q
+            p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                         + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
+            det = (b00 * (b11 * b22 - m12 * m12) - m01 * (m01 * b22 - m12 * m02)
+                   + m02 * (m01 * m12 - b11 * m02))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.clip(det / (2.0 * p * p * p), -1.0, 1.0)
+                f = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+            return np.where(p > 0.0, f, q)
         s = sigma[:, None, None]
         mats = c_ee + s * mid + (s * s) * self.a[None, :, :]
-        if not derivs:
-            return np.linalg.eigvalsh(mats)[:, 0]
         lam, vec = np.linalg.eigh(mats)
         v0 = vec[:, :, 0]
         coupling = np.einsum("mik,mij,mj->mk", vec, mid + 2.0 * s * self.a[None, :, :], v0)
@@ -187,32 +228,25 @@ class _Engine:
             d2 = curv - 2.0 * np.sum(coupling[:, 1:] ** 2 / gap, axis=1)
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
-    def sigma_grid(self) -> np.ndarray:
-        """The 97-node grid of sigma on which limiting_speeds brackets minima.
-
-        Raises BracketError unless the material is strongly convex.
-        """
-        report = validate_stiffness(self.mat.stiffness)
-        if not (report.convex and report.elliptic):
-            raise BracketError("direction scan requires a strongly convex material")
-        lam_max = float(np.linalg.eigvalsh(self.mat.stiffness.mandel())[-1])
-        sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
-        return np.linspace(-sigma_max, sigma_max, 97)
-
-    def limiting_speeds(self, pre: dict, grid: np.ndarray) -> np.ndarray:
+    def limiting_speeds(self, pre: dict) -> np.ndarray:
         """c_lim per direction from min over real sigma of eig_min c(e + sigma nu).
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
-        The best and the runner-up grid minima are refined by safeguarded
-        Newton steps (_newton_min).  Each estimate is certified at the walk
+        The closed-form grid values (in blocks of _GRID_BLOCK rows, to bound
+        the temporaries) pick the best and the runner-up brackets, which
+        safeguarded Newton steps refine (_newton_min); c_lim comes from the
+        Newton (eigh) values alone.  Each estimate is certified at the walk
         start: a row whose pencil is not elliptic there was overshot and
-        takes c_lim from limiting_speed.
+        takes c_lim from limiting_speed.  A row whose minimum is not
+        positive raises BracketError.
         """
+        grid = self.grid
         m = pre["dirs"].shape[0]
         vals = np.empty((m, grid.size))
-        for j, s in enumerate(grid):
-            vals[:, j] = self._eigmin_along(pre, np.full(m, s))
+        for b in range(0, m, _GRID_BLOCK):
+            block = slice(b, min(b + _GRID_BLOCK, m))
+            vals[block] = self._eigmin_along(pre, grid[None, :], rows=block)
         best = np.argmin(vals, axis=1)
         # refine the best and runner-up grid minima; eig crossings can hide a
         # second local valley between grid nodes
@@ -229,25 +263,29 @@ class _Engine:
         padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
         start = nodes - 1 + np.argmin(padded[rows[:, None], nodes[:, None] + np.arange(3)], axis=1)
         h = grid[1] - grid[0]
-        fmin = self._newton_min(pre, rows, grid[nodes] - h, grid[nodes] + h,
-                                grid[start], vals[rows, start])
-        c_lim = np.sqrt(np.minimum(fmin[:m], fmin[m:]) / self.rho)
+        fmin = self._newton_min(pre, rows, grid[nodes] - h, grid[nodes] + h, grid[start])
+        fmin = np.minimum(fmin[:m], fmin[m:])
+        if not np.all(fmin > 0.0):
+            raise BracketError("c(e + sigma nu) is not positive definite along some direction; "
+                               "material is not strongly elliptic")
+        c_lim = np.sqrt(fmin / self.rho)
         vals = np.linalg.eigvals(self._companion(pre, (1.0 - START_OFFSET) * c_lim)[0])
         for k in np.flatnonzero(~(spectral_margin(vals) > polyfactor.ELLIPTICITY_MARGIN)):
             c_lim[k] = limiting_speed(self.mat, SurfaceFrame(self.nu, pre["dirs"][k]))
         return c_lim
 
-    def _newton_min(self, pre, rows, lo, hi, x, fx, max_rounds=60):
+    def _newton_min(self, pre, rows, lo, hi, x, max_rounds=60):
         """Smallest f seen on each bracket [lo, hi] by safeguarded Newton on f'.
 
-        Starts from x in the bracket, where f = fx is known.  Each round
+        Starts from x in the bracket.  Each round
         evaluates f, f', f'' at every live row, shrinks the bracket to the
         side where f' points downhill, and steps by Newton when f'' > 0 and
         the step lands inside the bracket, else bisects.  A row stops when
         the predicted decrease |f' step| falls to _NEWTON_FTOL f, so its
         result does not depend on the other rows of its batch.
         """
-        lo, hi, x, fmin = lo.copy(), hi.copy(), x.copy(), fx.copy()
+        lo, hi, x = lo.copy(), hi.copy(), x.copy()
+        fmin = np.full(rows.size, np.inf)
         live = np.arange(rows.size)
         for _ in range(max_rounds):
             if live.size == 0:
@@ -554,9 +592,9 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     return c_lim, exists, c_r, slope, kernels, res_kernel, res_riccati
 
 
-def _scan_chunk(engine: _Engine, dirs: np.ndarray, grid: np.ndarray):
+def _scan_chunk(engine: _Engine, dirs: np.ndarray):
     pre = engine.prepare(dirs)
-    return _solve_rows(engine, pre, engine.limiting_speeds(pre, grid))
+    return _solve_rows(engine, pre, engine.limiting_speeds(pre))
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -583,15 +621,14 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     thetas = 2.0 * np.pi * np.arange(n) / n
     dirs = np.cos(thetas)[:, None] * e1[None, :] + np.sin(thetas)[:, None] * e2[None, :]
     engine = _Engine(mat, nu)
-    grid = engine.sigma_grid()
     threads = resolve_threads(threads)
     if threads == 1 or n < 64:
-        parts = [_scan_chunk(engine, dirs, grid)]
+        parts = [_scan_chunk(engine, dirs)]
     else:
         edges = np.linspace(0, n, threads + 1, dtype=int)
         bounds = [(edges[i], edges[i + 1]) for i in range(threads) if edges[i] < edges[i + 1]]
         with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            parts = list(pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]], grid), bounds))
+            parts = list(pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]]), bounds))
     columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
     return DirectionScan(thetas, *columns, directions=dirs)
 

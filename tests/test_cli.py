@@ -175,6 +175,31 @@ def test_scan_malformed_thread_count_is_input_error(capsys, iso_file, monkeypatc
     assert err.startswith("error: ") and "RAYLEIGH_THREADS" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--normal", "0,0,0", "--count", "8"),
+    ("scan", "--normal", "nan,0,1", "--count", "8"),
+    ("rayleigh", "--normal", "inf,0,1", "--tangent", "1,0,0"),
+    ("rayleigh", "--normal", "0,0,1", "--tangent", "nan,0,0"),
+])
+def test_non_finite_or_zero_vectors_are_input_errors(capsys, iso_file, argv):
+    code, out, err = run(capsys, argv[0], "--material", iso_file, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_unwritable_out_fails_before_the_scan(capsys, iso_file, tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "scan_directions", no_scan)
+    code, out, err = run(capsys, "scan", "--material", iso_file, "--normal", "0,0,1",
+                         "--count", "8", "--out", str(tmp_path / "missing" / "scan.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_subprincipal_zero_curvature(capsys, iso_file, zero_curv_file):
     code, out, _ = run(capsys, "subprincipal", "--material", iso_file,
                        "--curvature", zero_curv_file, "--xi-dir", "1,0,0")

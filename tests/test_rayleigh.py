@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import surfimp.rayleigh as rayleigh
-from surfimp.material import SurfaceFrame
+from surfimp.material import SurfaceFrame, validate_stiffness
 from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.rayleigh import (
     SCAN_CSV_HEADER,
@@ -156,16 +156,67 @@ def test_eigmin_derivatives_match_richardson():
     clear = lam[:, 1] - lam[:, 0] > 0.05 * lam[:, 0]
     assert np.count_nonzero(clear) >= 16
     f, d1, d2 = engine._eigmin_along(pre, sigma, derivs=True).T
-    np.testing.assert_allclose(f, engine._eigmin_along(pre, sigma), rtol=1e-13)
+    np.testing.assert_allclose(f, lam[:, 0], rtol=1e-13)
 
     def f_of(x):
-        return engine._eigmin_along(pre, x)
+        return engine._eigmin_along(pre, x, derivs=True)[:, 0]
 
     h = 1e-3
     fd1 = richardson(f_of, sigma, h)
     fd2 = richardson(lambda x: richardson(f_of, x, h), sigma, h)
     assert np.all(np.abs(d1 - fd1)[clear] <= 1e-8 * f[clear])
     assert np.all(np.abs(d2 - fd2)[clear] <= 1e-6 * f[clear])
+
+
+def test_eigmin_closed_form_matches_eigvalsh():
+    # the grid branch of _eigmin_along is tight where the lowest eigenvalue
+    # is simple; at the double eigenvalue of isotropic media it is only
+    # accurate to about sqrt(eps), yet c_lim, taken from the Newton (eigh)
+    # values alone, equals c_s
+    rng = np.random.default_rng(41)
+    for strength in (0.35, 0.7, 0.9):
+        nu = _unit(rng.standard_normal(3))
+        mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
+        engine = rayleigh._Engine(mat, nu)
+        pre = engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 64)))
+        grid = np.broadcast_to(engine.grid, (64, engine.grid.size))
+        f = engine._eigmin_along(pre, grid)
+        s = grid[:, :, None, None]
+        lam = np.linalg.eigvalsh(pre["c_ee"][:, None] + s * pre["mid"][:, None] + s * s * engine.a)
+        simple = lam[..., 1] - lam[..., 0] > 1e-3 * lam[..., 2]
+        assert np.count_nonzero(simple) >= grid.size // 2
+        assert np.all(np.abs(f - lam[..., 0])[simple] <= 1e-12 * lam[..., 2][simple])
+    for lam_gpa, mu_gpa, rho in ((30.0, 12.0, 2500.0), (100.0, 310.0, 2500.0)):
+        nu = _unit(rng.standard_normal(3))
+        engine = rayleigh._Engine(isotropic_material(lam_gpa, mu_gpa, rho), nu)
+        c_lim = engine.limiting_speeds(engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 64))))
+        cs = math.sqrt(mu_gpa * 1e9 / rho)
+        assert np.all(np.abs(c_lim - cs) <= 1e-12 * cs)
+
+
+def test_point_c_lim_is_the_scan_c_lim():
+    # a point is a scan row of a batch of one, c_lim included; on a fast
+    # isotropic material it is c_s, where limiting_speed sits about 6e-9 low
+    rng = np.random.default_rng(43)
+    for strength in (0.35, 0.7, 0.9):
+        mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
+        nu = _unit(rng.standard_normal(3))
+        scan = scan_directions(mat, nu, 12)
+        for k in (2, 7):
+            pt = rayleigh_point(mat, SurfaceFrame(nu, scan.directions[k]))
+            assert abs(pt.c_lim - scan.c_lim[k]) <= 1e-13 * scan.c_lim[k]
+    cs = math.sqrt(310.0e9 / 2500.0)
+    pt = rayleigh_point(isotropic_material(100.0, 310.0, 2500.0), random_frame(rng))
+    assert abs(pt.c_lim - cs) <= 1e-12 * cs
+
+
+def test_point_solves_non_convex_elliptic_material():
+    # lam = -0.9 GPa, mu = 1 GPa: negative bulk modulus, but strongly elliptic
+    mat = isotropic_material(-0.9, 1.0, 1000.0)
+    assert not validate_stiffness(mat.stiffness).convex
+    pt = rayleigh_point(mat, SurfaceFrame(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])))
+    assert pt.exists
+    assert pt.c_r == pytest.approx(425.34048711746806, rel=1e-10)
 
 
 def test_scan_c_lim_matches_limiting_speed():

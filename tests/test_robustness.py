@@ -129,6 +129,15 @@ def test_integral_fallback_path(monkeypatch, soft_iso, std_frame):
     assert np.linalg.norm(fallback.q - reference.q) / np.linalg.norm(reference.q) < 1e-8
 
 
+def test_non_elliptic_material_raises_bracket_error():
+    # lam = 2 GPa, mu = -1 GPa: c(nu) is singular and c(e) indefinite
+    mat = isotropic_material(2.0, -1.0, 1000.0)
+    with pytest.raises(BracketError):
+        rayleigh_point(mat, SurfaceFrame(NU, np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(BracketError):
+        scan_directions(mat, NU, 8)
+
+
 def test_scan_certifies_overshot_c_lim():
     # the grid c_lim estimate overshoots the elliptic boundary on rows 15 and
     # 39; uncaught, the walk starts outside it and finds a spurious root
@@ -155,7 +164,7 @@ def test_engine_guard_falls_back_to_integral_route(monkeypatch):
     dirs = np.cos(th)[:, None] * e1v + np.sin(th)[:, None] * e2v
     engine = rayleigh._Engine(synthetic_anisotropic(11), nu)
     pre = engine.prepare(dirs)
-    c_lim = engine.limiting_speeds(pre, engine.sigma_grid())
+    c_lim = engine.limiting_speeds(pre)
     speeds = np.concatenate([0.5 * c_lim, 0.9 * c_lim])
     rows = np.tile(np.arange(6), 2)
     reference = engine.detz(pre, speeds, rows=rows)
