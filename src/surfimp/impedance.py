@@ -111,45 +111,50 @@ def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor, f0: np.ndarray | No
 def sylvester_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A* X + X A = B by the dense Kronecker system.
 
-    Requires the spectra of A and -A* to be separated; for A = i q with
-    spec(q) in the lower half-plane the separation is automatic and the
-    integral representation X = int_0^inf exp(-rA)* B exp(-rA) dr applies,
-    so Hermitian positive definite B yields Hermitian positive definite X.
+    Broadcasts over a leading row axis of A and B.  Requires the spectra of
+    A and -A* to be separated in every row; for A = i q with spec(q) in the
+    lower half-plane the separation is automatic and the integral
+    representation X = int_0^inf exp(-rA)* B exp(-rA) dr applies, so
+    Hermitian positive definite B yields Hermitian positive definite X.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    n = a.shape[0]
+    n = a.shape[-1]
     lam = np.linalg.eigvals(a)
-    sep = np.min(np.abs(lam[:, None] + lam.conj()[None, :]))
-    if sep <= SEPARATION_TOL * np.linalg.norm(a):
+    sep = np.min(np.abs(lam[..., :, None] + lam.conj()[..., None, :]), axis=(-2, -1))
+    bad = sep <= SEPARATION_TOL * np.linalg.norm(a, axis=(-2, -1))
+    if np.any(bad):
         raise SpectralSeparationError(
-            f"spec(A) and spec(-A*) too close: separation {sep:.3e}"
+            f"spec(A) and spec(-A*) too close: separation {np.min(sep[bad]):.3e}"
         )
-    eye = np.eye(n)
     # Row-major vec: vec(A* X) = (A* x I) vec X, vec(X A) = (I x A^T) vec X.
-    op = np.kron(a.conj().T, eye) + np.kron(eye, a.T)
-    return np.linalg.solve(op, b.reshape(-1)).reshape(n, n)
+    op = np.zeros(a.shape[:-2] + (n, n, n, n), dtype=complex)
+    for k in range(n):
+        op[..., :, k, :, k] += a.conj().swapaxes(-1, -2)
+        op[..., k, :, k, :] += a.swapaxes(-1, -2)
+    op = op.reshape(*a.shape[:-2], n * n, n * n)
+    x = np.linalg.solve(op, b.reshape(*b.shape[:-2], n * n, 1))
+    return x.reshape(b.shape)
 
 
-def radial_derivative_z(data: ImpedanceData, rho: float) -> np.ndarray:
-    """Radial derivative zdot = (d/dt)|_{t=1} z(t xi).
+def radial_derivative_z(z: np.ndarray, q: np.ndarray, rho: float) -> np.ndarray:
+    """Radial derivative zdot = (d/dt)|_{t=1} z(t xi) of the impedance z with factor q.
 
     zdot - z solves (iq)*(zdot - z) + (zdot - z)(iq) = 2 rho Id and is
     therefore positive definite; in particular det z is strictly increasing
-    through its zero along each radial line.
+    through its zero along each radial line.  Broadcasts over a leading row
+    axis of z and q.
     """
-    x = sylvester_solve(1j * data.q, 2.0 * rho * np.eye(3, dtype=complex))
-    return data.z + x
+    x = sylvester_solve(1j * q, np.broadcast_to(2.0 * rho * np.eye(3), np.shape(q)))
+    return z + x
 
 
-def solve_zminus(q: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_zminus(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the subprincipal-impedance relation z_minus q - q* z_minus = rhs.
 
     The right-hand side carries boundary curvature and material-gradient data
     assembled by the caller.  With A = i q this is A* X + X A = i rhs, solved
     by `sylvester_solve`; the separation it requires holds because spec(q)
-    and spec(q*) lie in opposite half-planes.  `a` (the normal acoustic
-    tensor) only sets the physical scale of the ingredients and is accepted
-    for interface symmetry with z = i(a q + a1).
+    and spec(q*) lie in opposite half-planes.
     """
     return sylvester_solve(1j * np.asarray(q), 1j * np.asarray(rhs))

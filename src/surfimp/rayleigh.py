@@ -5,18 +5,21 @@ crosses zero at most once, transversally; the crossing speed c_r is the
 Rayleigh speed, strictly below the limiting speed c_lim at the boundary of
 the elliptic region.
 
-One vectorized engine (batched companion eigensolves) finds every root: it
-walks each ray down from just below c_lim until det z changes sign, polishes
-the bracket with Chandrupatla's method, and post-processes the row (kernel,
-residuals, radial slope).  A single point is a batch of one and takes its
-c_lim the same way as a scan row: the smallest eigenvalue of c(e + sigma nu)
-on a 97-node sigma grid, in closed form, picks brackets that safeguarded
-Newton steps refine, with derivatives from one batched eigh per round
-(Hellmann-Feynman).  Each estimate is certified at the walk start: a row
-whose pencil is not elliptic there takes its c_lim from the ellipticity
-bisection of `limiting_speed`.  Every det z row passes spectral_factor's
-guard or is re-factored by spectral_factor.  Scans parallelize over
-directions via RAYLEIGH_THREADS.
+One vectorized engine (batched companion eigensolves) finds every root.
+Below c_lim the eigenvalues of z fall as the speed rises and at most one of
+them is not positive, so the root is the zero of the lowest eigenvalue of z:
+safeguarded Newton steps, with its speed derivative from the radial
+derivative zdot, converge on it inside the bracket [1e-3, 1 - 1e-6] c_lim,
+and the row is post-processed (kernel, residuals, radial slope).  A single
+point is a batch of one and takes its c_lim the same way as a scan row: the
+smallest eigenvalue of c(e + sigma nu) on a 97-node sigma grid, in closed
+form, picks brackets that safeguarded Newton steps refine, with derivatives
+from one batched eigh per round (Hellmann-Feynman).  Each estimate is
+certified at the root bracket's upper end: a row whose pencil is not
+elliptic there takes its c_lim from the ellipticity bisection of
+`limiting_speed`.  Every impedance row passes spectral_factor's guard or is
+re-factored by spectral_factor.  Scans parallelize over directions via
+RAYLEIGH_THREADS.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import polyfactor
 from .material import Material, SurfaceFrame, acoustic_tensor, validate_stiffness
-from .impedance import riccati_residual
+from .impedance import radial_derivative_z, riccati_residual
 from .polyfactor import (
     QuadraticPencil,
     build_pencil,
@@ -43,12 +46,11 @@ from .polyfactor import (
 
 C_LIM_RTOL = 1e-10
 ROOT_RTOL = 1e-12
-WALK_FACTOR = 0.99
-WALK_MAX_STEPS = 2000
 C_FLOOR_FRACTION = 1e-3
 START_OFFSET = 1e-6
 _GAP_RTOL = 1e-8
 _NEWTON_FTOL = 1e-13
+_ROOT_MAX_ROUNDS = 100
 _GRID_NODES = 97
 _GRID_BLOCK = 512
 KERNEL_PHASE_CUTOFF = 1e-6
@@ -115,10 +117,10 @@ def limiting_speed(mat: Material, frame: SurfaceFrame) -> float:
 def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     """Root of det z(tangent / c) on (0, c_lim), with kernel and radial slope.
 
-    Runs the scan pipeline on a batch of one, c_lim included: walk down
-    from (1 - 1e-6) c_lim in geometric steps of 0.99 until the determinant
-    changes sign, then polish to relative 1e-12.  No sign change
-    above the floor 1e-3 c_lim reports exists=False.
+    Runs the scan pipeline on a batch of one, c_lim included: Newton steps
+    on the lowest eigenvalue of z, inside the bracket [1e-3, 1 - 1e-6] c_lim,
+    until a step falls to relative 1e-12.  A row whose lowest eigenvalue
+    does not change sign across that bracket reports exists=False.
     """
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
@@ -197,11 +199,9 @@ class _Engine:
         f' = v0.M'v0 and f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).
         f'' is nan where the lowest gap is degenerate (below _GAP_RTOL lam_max).
         """
-        if rows is None:
-            c_ee, mid = pre["c_ee"], pre["mid"]
-        else:
-            c_ee, mid = pre["c_ee"][rows], pre["mid"][rows]
+        sel = slice(None) if rows is None else rows
         if not derivs:
+            c_ee, mid = pre["c_ee"][sel], pre["mid"][sel]
             s2 = sigma * sigma
             m00, m11, m22, m01, m02, m12 = (
                 c_ee[:, i, j, None] + sigma * mid[:, i, j, None] + s2 * self.a[i, j]
@@ -217,10 +217,16 @@ class _Engine:
                 f = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
             return np.where(p > 0.0, f, q)
         s = sigma[:, None, None]
-        mats = c_ee + s * mid + (s * s) * self.a[None, :, :]
+        # built in place from row copies, so that a whole Newton batch holds
+        # few (m, 3, 3) temporaries at once
+        mats = s * pre["mid"][sel]
+        mats += pre["c_ee"][sel]
+        mats += (s * s) * self.a
         lam, vec = np.linalg.eigh(mats)
+        mats = 2.0 * s * self.a
+        mats += pre["mid"][sel]
         v0 = vec[:, :, 0]
-        coupling = np.einsum("mik,mij,mj->mk", vec, mid + 2.0 * s * self.a[None, :, :], v0)
+        coupling = np.einsum("mik,mij,mj->mk", vec, mats, v0)
         gap = lam[:, 1:] - lam[:, :1]
         ok = gap[:, 0] > _GAP_RTOL * lam[:, 2]
         curv = 2.0 * np.einsum("mi,ij,mj->m", v0, self.a, v0)
@@ -236,32 +242,32 @@ class _Engine:
         The closed-form grid values (in blocks of _GRID_BLOCK rows, to bound
         the temporaries) pick the best and the runner-up brackets, which
         safeguarded Newton steps refine (_newton_min); c_lim comes from the
-        Newton (eigh) values alone.  Each estimate is certified at the walk
-        start: a row whose pencil is not elliptic there was overshot and
-        takes c_lim from limiting_speed.  A row whose minimum is not
-        positive raises BracketError.
+        Newton (eigh) values alone.  Each estimate is certified at the root
+        bracket's upper end (1 - START_OFFSET) c_lim: a row whose pencil is
+        not elliptic there was overshot and takes c_lim from limiting_speed.
+        A row whose minimum is not positive raises BracketError.
         """
         grid = self.grid
         m = pre["dirs"].shape[0]
-        vals = np.empty((m, grid.size))
-        for b in range(0, m, _GRID_BLOCK):
-            block = slice(b, min(b + _GRID_BLOCK, m))
-            vals[block] = self._eigmin_along(pre, grid[None, :], rows=block)
-        best = np.argmin(vals, axis=1)
-        # refine the best and runner-up grid minima; eig crossings can hide a
-        # second local valley between grid nodes
-        masked = vals.copy()
         cols = np.arange(grid.size)
-        near = np.abs(cols[None, :] - best[:, None]) <= 2
-        masked[near] = np.inf
-        second = np.argmin(masked, axis=1)
+        nodes = np.empty(2 * m, dtype=int)
+        start = np.empty(2 * m, dtype=int)
+        for b in range(0, m, _GRID_BLOCK):
+            e = min(b + _GRID_BLOCK, m)
+            vals = self._eigmin_along(pre, grid[None, :], rows=slice(b, e))
+            best = np.argmin(vals, axis=1)
+            # refine the best and runner-up grid minima; eig crossings can
+            # hide a second local valley between grid nodes
+            second = np.argmin(np.where(np.abs(cols - best[:, None]) <= 2, np.inf, vals), axis=1)
+            # start at the lowest of the bracket's three grid nodes: a
+            # runner-up on the slope of the best valley starts at an end
+            # whose f' points out of the bracket, and leaves after one round
+            padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
+            for half, pick in ((0, best), (m, second)):
+                window = np.take_along_axis(padded, pick[:, None] + np.arange(3), axis=1)
+                nodes[half + b:half + e] = pick
+                start[half + b:half + e] = pick - 1 + np.argmin(window, axis=1)
         rows = np.tile(np.arange(m), 2)
-        nodes = np.concatenate([best, second])
-        # start at the lowest of the bracket's three grid nodes: a runner-up
-        # on the slope of the best valley starts at an end whose f' points
-        # out of the bracket, and leaves after one round
-        padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
-        start = nodes - 1 + np.argmin(padded[rows[:, None], nodes[:, None] + np.arange(3)], axis=1)
         h = grid[1] - grid[0]
         fmin = self._newton_min(pre, rows, grid[nodes] - h, grid[nodes] + h, grid[start])
         fmin = np.minimum(fmin[:m], fmin[m:])
@@ -363,99 +369,6 @@ class _Engine:
         return np.linalg.det(z).real
 
 
-def _bracket_walk(engine: _Engine, pre: dict, c_lim: np.ndarray):
-    """Walk each ray down from just below c_lim until det z changes sign."""
-    m = c_lim.shape[0]
-    floor = C_FLOOR_FRACTION * c_lim
-    c_cur = (1.0 - START_OFFSET) * c_lim
-    g_cur = engine.detz(pre, c_cur)
-    lo = np.full(m, np.nan)
-    hi = np.full(m, np.nan)
-    glo = np.empty(m)
-    ghi = np.empty(m)
-    active = np.ones(m, dtype=bool)
-    for _ in range(WALK_MAX_STEPS):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        c_next = WALK_FACTOR * c_cur[idx]
-        stop = c_next < floor[idx]
-        active[idx[stop]] = False
-        idx, c_next = idx[~stop], c_next[~stop]
-        if idx.size == 0:
-            continue
-        g_next = engine.detz(pre, c_next, rows=idx)
-        crossed = g_cur[idx] * g_next <= 0.0
-        hit = idx[crossed]
-        lo[hit] = c_next[crossed]
-        glo[hit] = g_next[crossed]
-        hi[hit] = c_cur[hit]
-        ghi[hit] = g_cur[hit]
-        active[hit] = False
-        rest = idx[~crossed]
-        c_cur[rest] = c_next[~crossed]
-        g_cur[rest] = g_next[~crossed]
-    exists = ~np.isnan(lo)
-    return exists, lo, glo, hi, ghi
-
-
-def _chandrupatla(engine: _Engine, pre: dict, rows, lo, flo, hi, fhi, max_iter=90):
-    """Vectorized bracketing root polish (inverse-quadratic + bisection).
-
-    Same guarantees as Brent: the bracket never widens and shrinks at least
-    geometrically; converges to relative 1e-12 on the speed.
-    """
-    a = lo.copy()
-    fa = flo.copy()
-    b = hi.copy()
-    fb = fhi.copy()
-    c = hi.copy()
-    fc = fhi.copy()
-    t = np.full(a.shape, 0.5)
-    root = np.where(np.abs(fa) < np.abs(fb), a, b)
-    live = np.ones(a.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        if not np.any(live):
-            break
-        xt = a[live] + t[live] * (b[live] - a[live])
-        ft = engine.detz(pre, xt, rows=rows[live])
-        same = np.sign(ft) == np.sign(fa[live])
-        li = np.nonzero(live)[0]
-        # same sign as a: a <- xt, c <- old a ; else shift (b,c) <- (a, b)
-        si = li[same]
-        oi = li[~same]
-        c[si] = a[si]
-        fc[si] = fa[si]
-        c[oi] = b[oi]
-        fc[oi] = fb[oi]
-        b[oi] = a[oi]
-        fb[oi] = fa[oi]
-        a[li] = xt
-        fa[li] = ft
-        better_a = np.abs(fa[li]) < np.abs(fb[li])
-        root[li] = np.where(better_a, a[li], b[li])
-        tol = 2.0 * ROOT_RTOL * np.abs(root[li]) + 1e-300
-        tlim = tol / np.abs(b[li] - c[li])
-        done = tlim > 0.5
-        done |= fa[li] == 0.0
-        live[li[done]] = False
-        li = li[~done]
-        tol = tol[~done]
-        if li.size == 0:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (a[li] - b[li]) / (c[li] - b[li])
-            phi = (fa[li] - fb[li]) / (fc[li] - fb[li])
-            use_iqi = (phi * phi < xi) & ((1 - phi) ** 2 < 1 - xi)
-            t_iqi = (fa[li] / (fb[li] - fa[li])) * (fc[li] / (fb[li] - fc[li])) + (
-                (c[li] - a[li]) / (b[li] - a[li])
-            ) * (fa[li] / (fc[li] - fa[li])) * (fb[li] / (fc[li] - fb[li]))
-        tnew = np.where(use_iqi & np.isfinite(t_iqi), t_iqi, 0.5)
-        tl = tol / np.abs(b[li] - c[li])
-        t[li] = np.clip(tnew, tl, 1.0 - tl)
-    return root
-
-
 def csv_row(theta: float, pt: RayleighPoint) -> str:
     """One line of the scan CSV (SCAN_CSV_HEADER columns) for a point."""
     fields = [f"{theta:.17g}", f"{pt.c_lim:.17g}"]
@@ -548,21 +461,50 @@ def tangent_basis(nu: np.ndarray):
 
 
 def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
-    """Rayleigh roots below c_lim for every row: walk, polish, post-process.
+    """Rayleigh roots below c_lim for every row, then kernel, residuals, slope.
 
-    Returns the DirectionScan columns from c_lim to res_riccati.
+    Below c_lim the eigenvalues of z fall as c rises and at most one is not
+    positive, so the root is the one zero of f(c) = lambda_min z(e / c).  A
+    root exists when f <= 0 at the start (1 - START_OFFSET) c_lim and f > 0
+    at the floor C_FLOOR_FRACTION c_lim.  Safeguarded Newton steps with
+    f' = -u0* zdot u0 / c start at 0.95 c_lim inside that bracket; a row
+    stops when its step falls to ROOT_RTOL c.  Returns the DirectionScan
+    columns from c_lim to res_riccati.
     """
-    exists, lo, glo, hi, ghi = _bracket_walk(engine, pre, c_lim)
     m = c_lim.shape[0]
+    lo = C_FLOOR_FRACTION * c_lim
+    hi = (1.0 - START_OFFSET) * c_lim
+    z = engine.impedance_at(pre, np.concatenate([hi, lo]), rows=np.tile(np.arange(m), 2))[3]
+    f = np.linalg.eigvalsh(z)[:, 0]
+    exists = (f[:m] <= 0.0) & (f[m:] > 0.0)
+    rows = np.flatnonzero(exists)
+    lo, hi = lo[rows], hi[rows]
+    x = 0.95 * c_lim[rows]
+    live = np.arange(rows.size)
+    for _ in range(_ROOT_MAX_ROUNDS):
+        if live.size == 0:
+            break
+        xl = x[live]
+        q, _, _, z = engine.impedance_at(pre, xl, rows=rows[live])
+        w, u = np.linalg.eigh(z)
+        f, u0 = w[:, 0], u[:, :, 0]
+        d1 = -np.einsum("mi,mij,mj->m", u0.conj(), radial_derivative_z(z, q, engine.rho), u0).real / xl
+        lo[live] = np.where(f > 0.0, xl, lo[live])
+        hi[live] = np.where(f > 0.0, hi[live], xl)
+        step = f / d1
+        done = np.abs(step) <= ROOT_RTOL * xl
+        xn = xl - step
+        xn = np.where(done | ((xn > lo[live]) & (xn < hi[live])), xn, 0.5 * (lo[live] + hi[live]))
+        x[live] = xn
+        live = live[~done]
     c_r = np.full(m, np.nan)
     slope = np.full(m, np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
     res_kernel = np.full(m, np.nan)
     res_riccati = np.full(m, np.nan)
-    rows = np.nonzero(exists)[0]
     if rows.size:
-        c_r[rows] = _chandrupatla(engine, pre, rows, lo[rows], glo[rows], hi[rows], ghi[rows])
-        q, a1, a2, z = engine.impedance_at(pre, c_r[rows], rows=rows, residuals=True)
+        c_r[rows] = x
+        q, a1, a2, z = engine.impedance_at(pre, x, rows=rows, residuals=True)
         w, u = np.linalg.eigh(z)
         kmin = np.argmin(np.abs(w), axis=1)
         v = np.take_along_axis(u, kmin[:, None, None], axis=2)[:, :, 0]
@@ -578,17 +520,10 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
         znorm = np.linalg.norm(z, axis=(1, 2))
         res_kernel[rows] = np.linalg.norm((z @ v[:, :, None])[:, :, 0], axis=1) / znorm
         res_riccati[rows] = riccati_residual(z, engine.pencil(a1, a2))
-        # radial slope of det z via the Sylvester-derived radial derivative
-        iq = 1j * q
-        eye = np.eye(3)
-        op = (np.einsum("mij,kl->mikjl", iq.conj().transpose(0, 2, 1), eye)
-              + np.einsum("ij,mkl->mikjl", eye, iq.transpose(0, 2, 1))).reshape(-1, 9, 9)
-        rhs = np.broadcast_to((2.0 * engine.rho * eye).reshape(9, 1), (rows.size, 9, 1)).astype(complex)
-        x = np.linalg.solve(op, rhs).reshape(-1, 3, 3)
-        zdot = z + x
+        # radial slope of det z: tr(adj(z) zdot)
         cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
         adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
-        slope[rows] = np.einsum("mij,mji->m", adj, zdot).real
+        slope[rows] = np.einsum("mij,mji->m", adj, radial_derivative_z(z, q, engine.rho)).real
     return c_lim, exists, c_r, slope, kernels, res_kernel, res_riccati
 
 

@@ -38,7 +38,7 @@ from .isotropic import (
 from .material import GPA, SurfaceFrame
 from .polyfactor import build_pencil, factor_integral, spectral_factor
 from .presets import isotropic_material, poisson_solid, synthetic_anisotropic
-from .rayleigh import _Engine, limiting_speed, rayleigh_point
+from .rayleigh import _Engine, rayleigh_point
 
 RAYLEIGH_RATIO_LAM_EQ_MU = 0.91940168676196612  # sqrt of the cubic root at u = 1/3
 
@@ -159,7 +159,9 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
     for mat in mats:
         for _ in range(per_mat):
             frame = random_frame(rng)
-            speed = rng.uniform(0.05, 0.95) * limiting_speed(mat, frame)
+            engine = _Engine(mat, frame.nu)
+            c_lim = engine.limiting_speeds(engine.prepare(frame.tangent[None, :]))[0]
+            speed = rng.uniform(0.05, 0.95) * c_lim
             p = build_pencil(mat, frame, 1.0 / speed)
             sf = spectral_factor(p)
             intf = factor_integral(p, check=False)
@@ -169,7 +171,7 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
                             sf.residual_factorization, d.barnett_lothe)
             worst_herm = max(worst_herm, d.hermiticity)
             worst_q = max(worst_q, np.linalg.norm(sf.q - intf.q) / np.linalg.norm(sf.q))
-            zdot = radial_derivative_z(data, mat.density)
+            zdot = radial_derivative_z(data.z, data.q, mat.density)
             ok = (d.re_z_positive_definite
                   and np.linalg.eigvalsh(zdot - data.z)[0] > 0.0
                   and d.nonpositive_eigenvalues <= 1)

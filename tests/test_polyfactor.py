@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surfimp.impedance import riccati_residual
+from surfimp.impedance import radial_derivative_z, riccati_residual
 from surfimp.material import SurfaceFrame, acoustic_tensor
 from surfimp.polyfactor import (
     NonEllipticError,
@@ -167,11 +167,14 @@ def test_residuals_broadcast_over_rows(aniso, rng):
     solvency, factor_max = factor_residual_rows(stacked, qs)
     zs = 1j * (stacked.a @ qs + stacked.a1)
     riccati = riccati_residual(zs, stacked)
+    zdots = radial_derivative_z(zs, qs, aniso.density)
     for k, p in enumerate(pencils):
         res = factor_residuals(p, qs[k])
         assert solvency[k] == pytest.approx(res.solvency, rel=1e-6, abs=1e-14)
         assert factor_max[k] == pytest.approx(res.factor_max, rel=1e-6, abs=1e-14)
         assert riccati[k] == pytest.approx(riccati_residual(zs[k], p), rel=1e-6, abs=1e-14)
+        np.testing.assert_allclose(zdots[k], radial_derivative_z(zs[k], qs[k], aniso.density),
+                                   rtol=1e-12, atol=1e-12 * np.linalg.norm(zdots[k]))
 
 
 def test_residuals_invariant_under_direction_flip(aniso, rng):

@@ -253,6 +253,24 @@ def test_scan_c_lim_finds_valley_beside_best(monkeypatch):
         assert scan.c_lim[k] == pytest.approx(ref, rel=1e-9)
 
 
+def test_lowest_impedance_eigenvalue_decreases_along_rays():
+    # the premise of the Newton root: below c_lim the lowest eigenvalue of
+    # z(e / c) falls strictly as c rises, from 1e-3 c_lim to 1 - 1e-6 c_lim
+    rng = np.random.default_rng(47)
+    mats = [synthetic_anisotropic(int(rng.integers(1 << 30)), strength=s) for s in (0.35, 0.7, 0.9)]
+    mats.append(isotropic_material(*rng.uniform(1.0, 100.0, 2), rng.uniform(1000.0, 8000.0)))
+    fractions = 1.0 - np.geomspace(1.0 - 1e-3, 1e-6, 40)
+    for mat in mats:
+        nu = _unit(rng.standard_normal(3))
+        engine = rayleigh._Engine(mat, nu)
+        pre = engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 8)))
+        c_lim = engine.limiting_speeds(pre)
+        speeds = (c_lim[:, None] * fractions).ravel()
+        z = engine.impedance_at(pre, speeds, rows=np.repeat(np.arange(8), fractions.size))[3]
+        lam_min = np.linalg.eigvalsh(z)[:, 0].reshape(8, fractions.size)
+        assert np.all(np.diff(lam_min, axis=1) < 0.0)
+
+
 def test_slope_matches_finite_difference(aniso, rng):
     # slope is d/dt det z(t xi) at t = 1 on the variety, xi = tangent / c_r
     frame = random_frame(rng)

@@ -85,6 +85,20 @@ def test_existence_failure_csv_rows(e1_failing_scan):
     assert all(field == "" for field in row[3:])
 
 
+def test_roots_hugging_c_lim(e1_failing_material):
+    # 720 directions: six rows have no root, and the others include roots
+    # within about 1.3e-6 of c_lim; det z changes sign across each c_r
+    scan = scan_directions(e1_failing_material, NU, 720)
+    assert np.count_nonzero(~scan.exists) == 6
+    rows = np.flatnonzero(scan.exists)
+    assert np.max(scan.c_r[rows] / scan.c_lim[rows]) > 1.0 - 1e-5
+    engine = rayleigh._Engine(e1_failing_material, NU)
+    pre = engine.prepare(scan.directions)
+    above = engine.detz(pre, (1.0 + 1e-9) * scan.c_r[rows], rows=rows)
+    below = engine.detz(pre, (1.0 - 1e-9) * scan.c_r[rows], rows=rows)
+    assert np.all(above < 0.0) and np.all(below > 0.0)
+
+
 def test_holonomy_requires_e1(e1_failing_material):
     with pytest.raises(BracketError):
         kernel_phase_holonomy(e1_failing_material, NU, 12)
@@ -140,7 +154,7 @@ def test_non_elliptic_material_raises_bracket_error():
 
 def test_scan_certifies_overshot_c_lim():
     # the grid c_lim estimate overshoots the elliptic boundary on rows 15 and
-    # 39; uncaught, the walk starts outside it and finds a spurious root
+    # 39; uncaught, the root search starts outside it and finds a spurious root
     mat = synthetic_anisotropic(750559955, strength=0.7)
     nu = np.array([0.275124880014095, 0.6878899119845973, 0.6716500349043787])
     nu /= np.linalg.norm(nu)
