@@ -38,7 +38,6 @@ from .rayleigh import (
     RayleighPoint,
     eval_p,
     kernel_phase_holonomy,
-    limiting_speed,
     rayleigh_point,
     scan_directions,
 )

@@ -298,14 +298,6 @@ class CurvatureData:
             dn_rho=float(dn.get("rho", 0.0)),
         )
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "s22": self.s22,
-            "trS": self.trS,
-            "grad_t": {"lambda": self.grad_lambda_t, "mu": self.grad_mu_t, "rho": self.grad_rho_t},
-            "dn": {"lambda": self.dn_lambda, "mu": self.dn_mu, "rho": self.dn_rho},
-        }, indent=2, sort_keys=True)
-
 
 def build_Y(st: IsoSurfaceState, curv: CurvatureData, derivs: IsoDerivatives | None = None):
     """The three curvature/gradient source matrices of the subprincipal solve.

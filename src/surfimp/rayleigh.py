@@ -15,9 +15,10 @@ point is a batch of one and takes its c_lim the same way as a scan row: the
 smallest eigenvalue of c(e + sigma nu) on a 97-node sigma grid, in closed
 form, picks brackets that safeguarded Newton steps refine, with derivatives
 from one batched eigh per round (Hellmann-Feynman).  Each estimate is
-certified at the root bracket's upper end: a row whose pencil is not
-elliptic there takes its c_lim from the ellipticity bisection of
-`limiting_speed`.  Every impedance row passes spectral_factor's guard or is
+certified at the root bracket's upper end: a row whose pencil has a nearly
+real root s there lies above a valley the grid missed, at sigma = Re(s) c,
+and the same Newton steps refine that valley before the row is certified
+again.  Every impedance row passes spectral_factor's guard or is
 re-factored by spectral_factor.  Scans parallelize over directions via
 RAYLEIGH_THREADS.
 """
@@ -37,14 +38,11 @@ from .material import Material, SurfaceFrame, acoustic_tensor, validate_stiffnes
 from .impedance import radial_derivative_z, riccati_residual
 from .polyfactor import (
     QuadraticPencil,
-    build_pencil,
     factor_residual_rows,
-    is_elliptic,
     spectral_factor,
     spectral_margin,
 )
 
-C_LIM_RTOL = 1e-10
 ROOT_RTOL = 1e-12
 C_FLOOR_FRACTION = 1e-3
 START_OFFSET = 1e-6
@@ -63,7 +61,7 @@ SCAN_CSV_HEADER = (
 
 
 class BracketError(RuntimeError):
-    """No valid ellipticity bracket; the material is not strongly elliptic."""
+    """The material is not strongly elliptic, or a c_lim cannot be certified."""
 
 
 class SamplingInadequacyError(RuntimeError):
@@ -82,36 +80,6 @@ class RayleighPoint:
     slope: float | None = None
     res_kernel: float | None = None
     res_riccati: float | None = None
-
-
-def limiting_speed(mat: Material, frame: SurfaceFrame) -> float:
-    """Largest speed c with an elliptic pencil at xi = tangent / c.
-
-    Bisection on the ellipticity predicate to relative 1e-10.  The upper
-    bracket sqrt(max Kelvin eigenvalue / rho) bounds every body-wave speed,
-    so the pencil there is never elliptic.  The predicate demands a spectral
-    margin above ELLIPTICITY_MARGIN, which the pencil loses just before the
-    true c_lim, so the result sits low by a gap that grows with the speed:
-    up to about 6e-9 relative at 11 km/s.  Points and scans take c_lim from
-    _Engine.limiting_speeds; this bisection is their certified fallback and
-    a test oracle.
-    """
-    c0 = math.sqrt(np.linalg.eigvalsh(mat.stiffness.mandel())[-1] / mat.density)
-    lo = 1e-6 * c0
-    if not is_elliptic(build_pencil(mat, frame, 1.0 / lo)).elliptic:
-        raise BracketError(
-            "pencil not elliptic even at tiny speed; material is not strongly convex"
-        )
-    hi = c0
-    if is_elliptic(build_pencil(mat, frame, 1.0 / hi)).elliptic:
-        raise BracketError("upper bracket unexpectedly elliptic")
-    while (hi - lo) / hi > C_LIM_RTOL:
-        mid = 0.5 * (lo + hi)
-        if is_elliptic(build_pencil(mat, frame, 1.0 / mid)).elliptic:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
@@ -164,7 +132,6 @@ class _Engine:
         lam_max = float(np.linalg.eigvalsh(mat.stiffness.mandel())[-1])
         sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
         self.grid = np.linspace(-sigma_max, sigma_max, _GRID_NODES)
-        self.mat = mat
         self.c4 = mat.tensor()
         self.rho = mat.density
         self.nu = np.asarray(nu, dtype=float)
@@ -243,9 +210,13 @@ class _Engine:
         the temporaries) pick the best and the runner-up brackets, which
         safeguarded Newton steps refine (_newton_min); c_lim comes from the
         Newton (eigh) values alone.  Each estimate is certified at the root
-        bracket's upper end (1 - START_OFFSET) c_lim: a row whose pencil is
-        not elliptic there was overshot and takes c_lim from limiting_speed.
-        A row whose minimum is not positive raises BracketError.
+        bracket's upper end (1 - START_OFFSET) c_lim, where the pencil must
+        keep a spectral margin above ELLIPTICITY_MARGIN.  A row that fails
+        has a nearly real root s, so the grid missed a valley near
+        sigma = Re(s) c: Newton steps refine the bracket of one grid step on
+        either side of it, and the row is certified again.  BracketError is
+        raised when a minimum is not positive, or when a round does not
+        strictly lower a failing row's minimum.
         """
         grid = self.grid
         m = pre["dirs"].shape[0]
@@ -271,14 +242,26 @@ class _Engine:
         h = grid[1] - grid[0]
         fmin = self._newton_min(pre, rows, grid[nodes] - h, grid[nodes] + h, grid[start])
         fmin = np.minimum(fmin[:m], fmin[m:])
-        if not np.all(fmin > 0.0):
-            raise BracketError("c(e + sigma nu) is not positive definite along some direction; "
-                               "material is not strongly elliptic")
-        c_lim = np.sqrt(fmin / self.rho)
-        vals = np.linalg.eigvals(self._companion(pre, (1.0 - START_OFFSET) * c_lim)[0])
-        for k in np.flatnonzero(~(spectral_margin(vals) > polyfactor.ELLIPTICITY_MARGIN)):
-            c_lim[k] = limiting_speed(self.mat, SurfaceFrame(self.nu, pre["dirs"][k]))
-        return c_lim
+        rows = np.arange(m)
+        while True:
+            if not np.all(fmin[rows] > 0.0):
+                raise BracketError("c(e + sigma nu) is not positive definite along some direction; "
+                                   "material is not strongly elliptic")
+            c = (1.0 - START_OFFSET) * np.sqrt(fmin[rows] / self.rho)
+            vals = np.linalg.eigvals(self._companion(pre, c, rows)[0])
+            margin = spectral_margin(vals[:, :, None])  # per root
+            bad = ~(np.min(margin, axis=1) > polyfactor.ELLIPTICITY_MARGIN)
+            if not np.any(bad):
+                return np.sqrt(fmin / self.rho)
+            # c^2 f(s) = c(e + sigma nu) - rho c^2 at sigma = s c, so the
+            # nearly real root marks a valley below the estimate
+            rows, c = rows[bad], c[bad]
+            sigma = vals[bad, np.argmin(margin[bad], axis=1)].real * c
+            f = self._newton_min(pre, rows, sigma - h, sigma + h, sigma)
+            if not np.all(f < fmin[rows]):
+                raise BracketError("c_lim not certified: refining the valley below the estimate "
+                                   "did not lower it")
+            fmin[rows] = f
 
     def _newton_min(self, pre, rows, lo, hi, x, max_rounds=60):
         """Smallest f seen on each bracket [lo, hi] by safeguarded Newton on f'.

@@ -1,9 +1,69 @@
+import mpmath
 import numpy as np
 import pytest
 
+import surfimp.rayleigh as rayleigh
 from surfimp.material import Material, SurfaceFrame, isotropic_stiffness
 from surfimp.presets import isotropic_material, poisson_solid, synthetic_anisotropic
 from surfimp.selftest import frame_rotation, random_frame  # noqa: F401  (shared by the test modules)
+
+
+def count_newton_min(monkeypatch) -> list:
+    """Record the rows of every _Engine._newton_min call; one per c_lim batch
+    refines the grid brackets, each further call is a recertification round."""
+    calls = []
+    newton_min = rayleigh._Engine._newton_min
+    monkeypatch.setattr(rayleigh._Engine, "_newton_min",
+                        lambda self, pre, rows, *a, **kw: calls.append(rows) or newton_min(self, pre, rows, *a, **kw))
+    return calls
+
+
+REFERENCE_NODES = 4001
+REFERENCE_DPS = 30
+
+
+def c_lim_reference(mat, nu, e, grid) -> float:
+    """c_lim along tangent e from 30-digit eigenvalues (mpmath).
+
+    rho c_lim^2 = min over sigma of lam_min M(sigma), M = c(e + sigma nu).
+    Every local minimum of lam_min on a REFERENCE_NODES-node float grid over
+    [grid[0], grid[-1]] seeds a bisection, between the seed's neighbouring
+    nodes, on the sign of the Hellmann-Feynman derivative v0.M'(sigma) v0;
+    the smallest value found is the minimum.
+    """
+    with mpmath.workdps(REFERENCE_DPS):
+        c4 = mpmath.matrix(mat.tensor().reshape(9, 9).tolist())
+
+        def contract(u, w):  # c(u, w)_ik = C_ijkl u_j w_l
+            return mpmath.matrix([[mpmath.fsum(c4[3 * i + j, 3 * k + l] * u[j] * w[l]
+                                               for j in range(3) for l in range(3))
+                                   for k in range(3)] for i in range(3)])
+
+        e, nu = [mpmath.mpf(x) for x in e], [mpmath.mpf(x) for x in nu]
+        c_ee, mid, a = contract(e, e), contract(e, nu) + contract(nu, e), contract(nu, nu)
+
+        def lowest(sigma):
+            vals, vecs = mpmath.eigsy(c_ee + sigma * mid + sigma**2 * a)
+            v0 = vecs[:, 0]
+            return vals[0], (v0.T * (mid + 2 * sigma * a) * v0)[0]
+
+        sigmas = np.linspace(grid[0], grid[-1], REFERENCE_NODES)
+        s = sigmas[:, None, None]
+        c_ee_f, mid_f, a_f = (np.array(m.tolist(), dtype=float) for m in (c_ee, mid, a))
+        lam = np.linalg.eigvalsh(c_ee_f + s * mid_f + s * s * a_f)[:, 0]
+        seeds = [i for i in range(1, sigmas.size - 1) if lam[i] <= min(lam[i - 1], lam[i + 1])]
+        best = mpmath.inf
+        tol = mpmath.mpf("1e-12")
+        for i in seeds:
+            lo, hi = mpmath.mpf(sigmas[i - 1]), mpmath.mpf(sigmas[i + 1])
+            while hi - lo > tol * (1 + abs(lo)):
+                x = (lo + hi) / 2
+                if lowest(x)[1] < 0:
+                    lo = x
+                else:
+                    hi = x
+            best = min(best, lowest((lo + hi) / 2)[0], lowest(mpmath.mpf(sigmas[i]))[0])
+        return float(mpmath.sqrt(best / mat.density))
 
 
 @pytest.fixture

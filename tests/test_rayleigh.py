@@ -10,7 +10,6 @@ from surfimp.rayleigh import (
     SCAN_CSV_HEADER,
     eval_p,
     kernel_phase_holonomy,
-    limiting_speed,
     rayleigh_point,
     scan_directions,
     tangent_basis,
@@ -19,22 +18,23 @@ from surfimp.isotropic import iso_kernel_vector, rayleigh_cubic_root
 from surfimp.presets import isotropic_material, synthetic_anisotropic
 from surfimp.selftest import richardson
 
-from conftest import frame_rotation, random_frame
+from conftest import c_lim_reference, count_newton_min, frame_rotation, random_frame
 
 RAYLEIGH_RATIO_LAM_EQ_MU = 0.91940168676196612
 
 
 def test_limiting_speed_isotropic(soft_iso, std_frame):
     cs = math.sqrt(1.0e9 / 1000.0)
-    assert limiting_speed(soft_iso, std_frame) == pytest.approx(cs, rel=1e-9)
+    assert abs(rayleigh_point(soft_iso, std_frame).c_lim - cs) <= 1e-12 * cs
 
 
 def test_limiting_speed_even(aniso, rng):
-    frame = random_frame(rng)
-    flipped = SurfaceFrame(frame.nu, -frame.tangent)
-    a = limiting_speed(aniso, frame)
-    b = limiting_speed(aniso, flipped)
-    assert a == pytest.approx(b, rel=1e-9)
+    # rows k and k + 24 of a 48-direction scan have opposite tangents
+    mats = [aniso] + [synthetic_anisotropic(int(rng.integers(1 << 30)), strength=0.9)
+                      for _ in range(20)]
+    for mat in mats:
+        c_lim = scan_directions(mat, random_frame(rng).nu, 48).c_lim
+        assert np.all(np.abs(c_lim[:24] - c_lim[24:]) <= 1e-12 * c_lim[24:])
 
 
 def test_rayleigh_point_poisson_ratio(poisson):
@@ -220,37 +220,68 @@ def test_point_solves_non_convex_elliptic_material():
 
 
 def test_scan_c_lim_matches_limiting_speed():
-    # limiting_speed's ellipticity margin puts it below the minimum of eig_min
-    # by a gap that grows with the speed (about 1e-9 near 3 km/s); the
-    # isotropic scan is held to c_s itself
+    # the scan's c_lim against the 30-digit reference; isotropic scans are
+    # held to c_s itself, and on a fast medium (c_s = 11 km/s) so is the
+    # reference
     rng = np.random.default_rng(37)
     for strength in (0.35, 0.7, 0.9):
         mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
         nu = _unit(rng.standard_normal(3))
         scan = scan_directions(mat, nu, 12)
+        grid = rayleigh._Engine(mat, nu).grid
         for k in range(12):
-            ref = limiting_speed(mat, SurfaceFrame(nu, scan.directions[k]))
-            assert scan.c_lim[k] == pytest.approx(ref, rel=1e-9)
+            ref = c_lim_reference(mat, nu, scan.directions[k], grid)
+            assert abs(scan.c_lim[k] - ref) <= 1e-12 * ref
     mat = isotropic_material(30.0, 12.0, 2500.0)
     scan = scan_directions(mat, _unit(rng.standard_normal(3)), 32)
     cs = math.sqrt(12.0e9 / 2500.0)
     assert np.all(np.abs(scan.c_lim - cs) <= 1e-12 * cs)
+    mat = isotropic_material(100.0, 310.0, 2500.0)
+    nu = _unit(rng.standard_normal(3))
+    scan = scan_directions(mat, nu, 8)
+    grid = rayleigh._Engine(mat, nu).grid
+    cs = math.sqrt(310.0e9 / 2500.0)
+    for k in (0, 3):
+        ref = c_lim_reference(mat, nu, scan.directions[k], grid)
+        assert abs(ref - cs) <= 1e-15 * cs
+        assert abs(scan.c_lim[k] - ref) <= 1e-12 * ref
 
 
 def test_scan_c_lim_finds_valley_beside_best(monkeypatch):
     # rows 11 and 35: the deepest valley of eig_min lies between the grid
     # node two past the best node and the runner-up node; refining it from
-    # the runner-up bracket avoids the limiting_speed fallback
+    # the runner-up bracket needs no recertification round
     mat = synthetic_anisotropic(642159816, strength=0.7)
     nu = _unit(np.array([-0.0642, -0.9910, 0.1177]))
-    reference = rayleigh.limiting_speed
-    fallbacks = []
-    monkeypatch.setattr(rayleigh, "limiting_speed", lambda *a: fallbacks.append(a) or reference(*a))
+    calls = count_newton_min(monkeypatch)
     scan = scan_directions(mat, nu, 48)
-    assert fallbacks == []
+    assert len(calls) == 1
+    grid = rayleigh._Engine(mat, nu).grid
     for k in (11, 35):
-        ref = reference(mat, SurfaceFrame(nu, scan.directions[k]))
-        assert scan.c_lim[k] == pytest.approx(ref, rel=1e-9)
+        ref = c_lim_reference(mat, nu, scan.directions[k], grid)
+        assert abs(scan.c_lim[k] - ref) <= 1e-12 * ref
+
+
+def test_c_lim_recertifies_coarse_grids(monkeypatch):
+    # a 9- or 5-node grid misses valleys; the certificate's nearly real root
+    # seeds the Newton refinement of each, and the scans match 97 nodes
+    rng = np.random.default_rng(53)
+    cases = []
+    for _ in range(20):
+        mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=0.9)
+        nu = _unit(rng.standard_normal(3))
+        cases.append((mat, nu, scan_directions(mat, nu, 48)))
+    calls = count_newton_min(monkeypatch)
+    for nodes in (9, 5):
+        monkeypatch.setattr(rayleigh, "_GRID_NODES", nodes)
+        calls.clear()
+        for mat, nu, ref in cases:
+            scan = scan_directions(mat, nu, 48)
+            assert np.array_equal(scan.exists, ref.exists)
+            assert np.all(np.abs(scan.c_lim - ref.c_lim) <= 1e-13 * ref.c_lim)
+            assert np.all(np.abs(scan.c_r - ref.c_r)[ref.exists] <= 1e-12 * ref.c_r[ref.exists])
+        # one call per scan refines the grid brackets; more are rounds
+        assert len(calls) > len(cases)
 
 
 def test_lowest_impedance_eigenvalue_decreases_along_rays():

@@ -19,13 +19,12 @@ from surfimp.rayleigh import (
     BracketError,
     eval_p,
     kernel_phase_holonomy,
-    limiting_speed,
     rayleigh_point,
     scan_directions,
     tangent_basis,
 )
 
-from conftest import random_frame
+from conftest import c_lim_reference, count_newton_min
 
 NU = np.array([0.0, 0.0, 1.0])
 
@@ -152,13 +151,16 @@ def test_non_elliptic_material_raises_bracket_error():
         scan_directions(mat, NU, 8)
 
 
-def test_scan_certifies_overshot_c_lim():
+def test_scan_certifies_overshot_c_lim(monkeypatch):
     # the grid c_lim estimate overshoots the elliptic boundary on rows 15 and
     # 39; uncaught, the root search starts outside it and finds a spurious root
     mat = synthetic_anisotropic(750559955, strength=0.7)
     nu = np.array([0.275124880014095, 0.6878899119845973, 0.6716500349043787])
     nu /= np.linalg.norm(nu)
+    rounds = count_newton_min(monkeypatch)
     scan = scan_directions(mat, nu, 48)
+    assert len(rounds) >= 2
+    grid = rayleigh._Engine(mat, nu).grid
     for k in (15, 39):
         frame = SurfaceFrame(nu, scan.directions[k])
         pt = rayleigh_point(mat, frame)
@@ -166,7 +168,26 @@ def test_scan_certifies_overshot_c_lim():
         assert scan.res_riccati[k] <= 1e-8
         assert pt.c_r == pytest.approx(1891.646, abs=1e-3)
         assert scan.c_r[k] == pytest.approx(pt.c_r, rel=1e-10)
-        assert scan.c_lim[k] == pytest.approx(limiting_speed(mat, frame), rel=1e-8)
+        ref = c_lim_reference(mat, nu, scan.directions[k], grid)
+        assert abs(scan.c_lim[k] - ref) <= 1e-12 * ref
+
+
+def test_uncertifiable_c_lim_raises_bracket_error(monkeypatch, capsys, tmp_path):
+    # no spectrum keeps a margin of 1: each round's Newton minimum stops
+    # falling and the certification gives up
+    monkeypatch.setattr(polyfactor, "ELLIPTICITY_MARGIN", 1.0)
+    mat = synthetic_anisotropic(1)
+    with pytest.raises(BracketError):
+        scan_directions(mat, NU, 8)
+    with pytest.raises(BracketError):
+        rayleigh_point(mat, SurfaceFrame(NU, np.array([1.0, 0.0, 0.0])))
+    mat_file = tmp_path / "aniso.json"
+    mat_file.write_text(material_to_json(mat))
+    code = main(["scan", "--material", str(mat_file), "--normal", "0,0,1", "--count", "8"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_engine_guard_falls_back_to_integral_route(monkeypatch):
