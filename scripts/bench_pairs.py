@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, summarised in BENCH_<label>.json.
+
+Example:
+    python3 scripts/bench_pairs.py --label pr8 --workload scan_coarse --seed 0 --pairs 10
+
+Run from the root of a source checkout.  The change side is this checkout's
+working tree; the parent side is a temporary `git worktree` of --parent
+(default HEAD), or an existing checkout given by --parent-dir.  Each pair
+runs `python3 perfbench/run.py --workload W --seed S --trace 0` once per
+side, each in a fresh interpreter, and pairs alternate which side runs
+first.  The file gets, per workload and seed, every run of the end-to-end
+metrics with their medians and quartiles (statistics.quantiles, n=4), the
+pairs in which the change was lower, and the failed-operation counts.
+Entries for other workloads or seeds already in the file are kept.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("op_p50_ms", "setup_s", "peak_rss_mb")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(result JSON, env record) of one benchmark run in a fresh interpreter."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, check=True, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.splitlines()
+    env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
+    return json.loads(lines[-1]), env
+
+
+def side_summary(runs: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else (runs[0],) * 3
+    return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+
+
+def summarise(workload: str, seed: int, results: dict) -> dict:
+    """One BENCH workload entry from the per-side lists of run results."""
+    entry = {"workload": workload, "seed": seed, "pairs": len(results["change"]),
+             "failed": {"parent": sum(r["failed"] for r in results["parent"]),
+                        "change": sum(r["failed"] for r in results["change"]),
+                        "attempted_change": sum(r["attempted"] for r in results["change"])}}
+    for name in METRICS:
+        per_side = {side: [r["metrics"][name]["value"] for r in results[side]]
+                    for side in ("parent", "change")}
+        lower = sum(c < p for p, c in zip(per_side["parent"], per_side["change"]))
+        parent, change = side_summary(per_side["parent"]), side_summary(per_side["change"])
+        entry[name] = {"unit": results["change"][0]["metrics"][name]["unit"],
+                       "parent": parent, "change": change,
+                       "change_lower_in": f"{lower}/{len(per_side['change'])}",
+                       "median_change_frac": change["median"] / parent["median"] - 1.0}
+    return entry
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
+                          text=True).stdout.strip()
+
+
+def run_pairs(parent: Path, args) -> tuple[list, dict]:
+    entries, env = [], {}
+    for workload in args.workload:
+        for seed in args.seed:
+            results = {"parent": [], "change": []}
+            for k in range(args.pairs):
+                order = (("parent", parent), ("change", ROOT))
+                for side, checkout in order if k % 2 == 0 else order[::-1]:
+                    result, env = run_once(checkout, workload, seed, args.seconds)
+                    results[side].append(result)
+                    p50 = result["metrics"]["op_p50_ms"]["value"]
+                    print(f"{workload} seed {seed} pair {k + 1}/{args.pairs} {side}: "
+                          f"op_p50_ms {p50:.4g}, failed {result['failed']}", file=sys.stderr)
+            entries.append(summarise(workload, seed, results))
+    return entries, env
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json at the root")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seed", type=int, action="append", help="default 0; repeatable")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    ap.add_argument("--parent-dir", type=Path,
+                    help="existing checkout of --parent, used instead of a temporary worktree")
+    args = ap.parse_args()
+    args.seed = args.seed or [0]
+    parent_commit = git("rev-parse", "--short", args.parent)
+    if args.parent_dir is not None:
+        entries, env = run_pairs(args.parent_dir.resolve(), args)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp) / "parent"
+            git("worktree", "add", "--detach", str(tree), args.parent)
+            try:
+                entries, env = run_pairs(tree, args)
+            finally:
+                git("worktree", "remove", "--force", str(tree))
+
+    out = ROOT / f"BENCH_{args.label}.json"
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    done = {(e["workload"], e["seed"]) for e in entries}
+    kept = [e for e in doc.get("workloads", []) if (e["workload"], e["seed"]) not in done]
+    doc.update({
+        "command": "python3 perfbench/run.py --workload <w> --seed <s> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "parent_commit": parent_commit,
+        "order": "pairs alternate which side runs first",
+        "quartiles": "statistics.quantiles(runs, n=4)",
+        "workloads": kept + entries,
+        "host": env,
+    })
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,9 @@ from .isotropic import (
     iso_state_on_sigma,
     subprincipal_p,
 )
+from .impedance import SpectralSeparationError
 from .material import isotropic_stiffness
+from .polyfactor import EigenSolverError, FactorizationError, NonEllipticError, QuadratureError
 from .rayleigh import (
     BracketError,
     SCAN_CSV_HEADER,
@@ -40,6 +42,10 @@ EXIT_EXISTENCE = 3
 RES_KERNEL_TOL = 1e-7
 RES_RICCATI_TOL = 1e-8
 TWO_ROUTE_TOL = 1e-9
+
+# what the root engine raises when a factor, a quadrature or a c_lim fails
+_NUMERICAL_ERRORS = (BracketError, EigenSolverError, FactorizationError, NonEllipticError,
+                     QuadratureError, SpectralSeparationError)
 
 
 def _complex_pair(x: complex):
@@ -121,7 +127,7 @@ def cmd_rayleigh(args) -> int:
         return _fail(str(exc), EXIT_INPUT)
     try:
         pt = rayleigh_point(mat, frame)
-    except BracketError as exc:
+    except _NUMERICAL_ERRORS as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
     if args.csv:
         sys.stdout.write(SCAN_CSV_HEADER + "\n" + csv_row(0.0, pt))
@@ -158,7 +164,7 @@ def cmd_scan(args) -> int:
     with out or contextlib.nullcontext():
         try:
             scan = scan_directions(mat, normal, args.count, threads=threads)
-        except BracketError as exc:
+        except _NUMERICAL_ERRORS as exc:
             return _fail(str(exc), EXIT_NUMERICAL)
         if out:
             out.write(scan.to_csv())

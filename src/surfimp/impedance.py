@@ -108,7 +108,7 @@ def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor, f0: np.ndarray | No
     return ImpedanceData(z=z, q=sf.q, f0=f0, diagnostics=diag)
 
 
-def sylvester_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sylvester_solve(a: np.ndarray, b: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
     """Solve A* X + X A = B by the dense Kronecker system.
 
     Broadcasts over a leading row axis of A and B.  Requires the spectra of
@@ -116,11 +116,14 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lower half-plane the separation is automatic and the integral
     representation X = int_0^inf exp(-rA)* B exp(-rA) dr applies, so
     Hermitian positive definite B yields Hermitian positive definite X.
+    The separation is checked on lam, the eigenvalues of A (shape
+    A.shape[:-1]) when the caller already has them, else on eigvals(A).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     n = a.shape[-1]
-    lam = np.linalg.eigvals(a)
+    if lam is None:
+        lam = np.linalg.eigvals(a)
     sep = np.min(np.abs(lam[..., :, None] + lam.conj()[..., None, :]), axis=(-2, -1))
     bad = sep <= SEPARATION_TOL * np.linalg.norm(a, axis=(-2, -1))
     if np.any(bad):
@@ -137,15 +140,18 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def radial_derivative_z(z: np.ndarray, q: np.ndarray, rho: float) -> np.ndarray:
+def radial_derivative_z(z: np.ndarray, q: np.ndarray, rho: float,
+                        s: np.ndarray | None = None) -> np.ndarray:
     """Radial derivative zdot = (d/dt)|_{t=1} z(t xi) of the impedance z with factor q.
 
     zdot - z solves (iq)*(zdot - z) + (zdot - z)(iq) = 2 rho Id and is
     therefore positive definite; in particular det z is strictly increasing
     through its zero along each radial line.  Broadcasts over a leading row
-    axis of z and q.
+    axis of z and q.  s, the eigenvalues of q when the caller has them,
+    gives sylvester_solve the spectrum i s of iq for its separation check.
     """
-    x = sylvester_solve(1j * q, np.broadcast_to(2.0 * rho * np.eye(3), np.shape(q)))
+    lam = None if s is None else 1j * np.asarray(s)
+    x = sylvester_solve(1j * q, np.broadcast_to(2.0 * rho * np.eye(3), np.shape(q)), lam)
     return z + x
 
 

@@ -10,6 +10,7 @@ over the real line (derivative-free, robust fallback and cross-check).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -208,9 +209,14 @@ def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
     return solvency, worst
 
 
+# leggauss(n) eigensolves a dense n x n Jacobi matrix (seconds at 4096
+# nodes); each doubling level needs the same rule on all three panels
+_leggauss = functools.lru_cache(maxsize=None)(leggauss)
+
+
 def _tan_panel(scale: float, theta_lo: float, theta_hi: float, n: int):
     """Gauss-Legendre nodes/weights for s = scale * tan(theta) on one panel."""
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (theta_hi - theta_lo)
     theta = theta_lo + half * (x + 1.0)
     tan = np.tan(theta)

@@ -7,10 +7,13 @@ the elliptic region.
 
 One vectorized engine (batched companion eigensolves) finds every root.
 Below c_lim the eigenvalues of z fall as the speed rises and at most one of
-them is not positive, so the root is the zero of the lowest eigenvalue of z:
-safeguarded Newton steps, with its speed derivative from the radial
-derivative zdot, converge on it inside the bracket [1e-3, 1 - 1e-6] c_lim,
-and the row is post-processed (kernel, residuals, radial slope).  A single
+them is not positive, so the root is the zero of g(c) = c lambda_min z(e / c),
+which has the sign of the lowest eigenvalue and falls with
+dg/dc = -u0* X u0, X = zdot - z positive definite (zdot the radial
+derivative).  Safeguarded Newton steps on g as a function of
+t = sqrt(1 - c / c_lim), in which the square-root branch of z at c_lim is
+smooth, converge on it inside the bracket [1e-3, 1 - 1e-6] c_lim, and the
+row is post-processed (kernel, residuals, radial slope).  A single
 point is a batch of one and takes its c_lim the same way as a scan row: the
 smallest eigenvalue of c(e + sigma nu) on a 97-node sigma grid, in closed
 form, picks brackets that safeguarded Newton steps refine, with derivatives
@@ -86,9 +89,10 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     """Root of det z(tangent / c) on (0, c_lim), with kernel and radial slope.
 
     Runs the scan pipeline on a batch of one, c_lim included: Newton steps
-    on the lowest eigenvalue of z, inside the bracket [1e-3, 1 - 1e-6] c_lim,
-    until a step falls to relative 1e-12.  A row whose lowest eigenvalue
-    does not change sign across that bracket reports exists=False.
+    on c times the lowest eigenvalue of z, in t = sqrt(1 - c / c_lim), from
+    0.95 c_lim inside the bracket [1e-3, 1 - 1e-6] c_lim, until a step falls
+    to relative 1e-12.  A row whose lowest eigenvalue does not change sign
+    across that bracket reports exists=False.
     """
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
@@ -312,7 +316,7 @@ class _Engine:
         return comp, a1, a2
 
     def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None, residuals=False):
-        """Batched q, a1, a2, z (Hermitian part) at xi = e / c for given rows.
+        """Batched q, a1, a2, z (Hermitian part) and spec(q) at xi = e / c for given rows.
 
         Each row's eigen-route q must pass spectral_factor's guard: exactly
         three eigenvalues with Im s < 0, a spectral margin above
@@ -320,7 +324,7 @@ class _Engine:
         (this Frobenius product never sits below cond_2).  With residuals
         set, the factor_residuals bounds must also hold.  A failing row is
         re-factored by spectral_factor, which raises when neither of its
-        routes succeeds.
+        routes succeeds, and its spec(q) is then eigvals of the new q.
         """
         comp, a1, a2 = self._companion(pre, speeds, rows)
         vals, vecs = np.linalg.eig(comp)
@@ -343,12 +347,13 @@ class _Engine:
             ok &= np.maximum(solvency, factor_max) <= polyfactor.RESIDUAL_TOL
         for k in np.flatnonzero(~ok):
             q[k] = spectral_factor(self.pencil(a1[k], a2[k])).q
+            s3[k] = np.linalg.eigvals(q[k])
         z = 1j * (self.a[None] @ q + a1)
         z = 0.5 * (z + z.conj().transpose(0, 2, 1))
-        return q, a1, a2, z
+        return q, a1, a2, z, s3
 
     def detz(self, pre: dict, speeds: np.ndarray, rows=None) -> np.ndarray:
-        _, _, _, z = self.impedance_at(pre, speeds, rows)
+        z = self.impedance_at(pre, speeds, rows)[3]
         return np.linalg.det(z).real
 
 
@@ -449,10 +454,14 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
     positive, so the root is the one zero of f(c) = lambda_min z(e / c).  A
     root exists when f <= 0 at the start (1 - START_OFFSET) c_lim and f > 0
-    at the floor C_FLOOR_FRACTION c_lim.  Safeguarded Newton steps with
-    f' = -u0* zdot u0 / c start at 0.95 c_lim inside that bracket; a row
-    stops when its step falls to ROOT_RTOL c.  Returns the DirectionScan
-    columns from c_lim to res_riccati.
+    at the floor C_FLOOR_FRACTION c_lim.  Safeguarded Newton steps on
+    g = c f, which has the sign of f and dg/dc = -u0* X u0 with
+    X = zdot - z from the Sylvester solve, run in t = sqrt(1 - c / c_lim):
+    they start at 0.95 c_lim inside that bracket, a step that leaves it is
+    replaced by the bracket's midpoint in c, and a row stops when its step
+    falls to ROOT_RTOL c.  Each round's separation check reads spec(q) from
+    impedance_at.  Returns the DirectionScan columns from c_lim to
+    res_riccati.
     """
     m = c_lim.shape[0]
     lo = C_FLOOR_FRACTION * c_lim
@@ -462,23 +471,31 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     exists = (f[:m] <= 0.0) & (f[m:] > 0.0)
     rows = np.flatnonzero(exists)
     lo, hi = lo[rows], hi[rows]
-    x = 0.95 * c_lim[rows]
+    top = c_lim[rows]
+    x = 0.95 * top
     live = np.arange(rows.size)
     for _ in range(_ROOT_MAX_ROUNDS):
         if live.size == 0:
             break
         xl = x[live]
-        q, _, _, z = engine.impedance_at(pre, xl, rows=rows[live])
+        q, _, _, z, s = engine.impedance_at(pre, xl, rows=rows[live])
         w, u = np.linalg.eigh(z)
         f, u0 = w[:, 0], u[:, :, 0]
-        d1 = -np.einsum("mi,mij,mj->m", u0.conj(), radial_derivative_z(z, q, engine.rho), u0).real / xl
+        zdot = radial_derivative_z(z, q, engine.rho, s)
+        # g = c f has dg/dc = f - u0* zdot u0 = -u0* X u0, with X = zdot - z
+        xuu = np.einsum("mi,mij,mj->m", u0.conj(), zdot, u0).real - f
         lo[live] = np.where(f > 0.0, xl, lo[live])
         hi[live] = np.where(f > 0.0, hi[live], xl)
-        step = f / d1
+        # Newton on g in t = sqrt(1 - c / c_lim), t <- t - g / (2 t c_lim u0* X u0),
+        # moves c by d (1 - d / (4 (c_lim - c))), with d = g / u0* X u0 the
+        # Newton step on g in c; the new t is positive when d < 2 (c_lim - c)
+        d = xl * f / xuu
+        gap = top[live] - xl
+        step = d * (1.0 - d / (4.0 * gap))
         done = np.abs(step) <= ROOT_RTOL * xl
-        xn = xl - step
-        xn = np.where(done | ((xn > lo[live]) & (xn < hi[live])), xn, 0.5 * (lo[live] + hi[live]))
-        x[live] = xn
+        xn = xl + step
+        inside = (d < 2.0 * gap) & (xn > lo[live]) & (xn < hi[live])
+        x[live] = np.where(done | inside, xn, 0.5 * (lo[live] + hi[live]))
         live = live[~done]
     c_r = np.full(m, np.nan)
     slope = np.full(m, np.nan)
@@ -487,7 +504,7 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     res_riccati = np.full(m, np.nan)
     if rows.size:
         c_r[rows] = x
-        q, a1, a2, z = engine.impedance_at(pre, x, rows=rows, residuals=True)
+        q, a1, a2, z, s = engine.impedance_at(pre, x, rows=rows, residuals=True)
         w, u = np.linalg.eigh(z)
         kmin = np.argmin(np.abs(w), axis=1)
         v = np.take_along_axis(u, kmin[:, None, None], axis=2)[:, :, 0]
@@ -506,7 +523,7 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
         # radial slope of det z: tr(adj(z) zdot)
         cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
         adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
-        slope[rows] = np.einsum("mij,mji->m", adj, radial_derivative_z(z, q, engine.rho)).real
+        slope[rows] = np.einsum("mij,mji->m", adj, radial_derivative_z(z, q, engine.rho, s)).real
     return c_lim, exists, c_r, slope, kernels, res_kernel, res_riccati
 
 

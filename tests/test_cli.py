@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import surfimp.cli as cli
+from surfimp import polyfactor
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL, main
 from surfimp.material import material_to_json
 from surfimp.presets import synthetic_anisotropic
@@ -251,3 +252,23 @@ def test_selftest_strict_shrinks_margins(capsys):
     for name, c in base.items():
         if c["margin"] is not None:
             assert strict[name]["margin"] == pytest.approx(0.01 * c["margin"], rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"),
+    ("scan", "--normal", "0,0,1", "--count", "8"),
+])
+def test_factor_failures_exit_2(capsys, tmp_path, monkeypatch, argv):
+    # with every eigenvector basis rejected, the integral route cannot
+    # converge near c_lim: a QuadratureError ends in exit 2, not a traceback
+    path = tmp_path / "poisson.json"
+    path.write_text(json.dumps({
+        "name": "poisson", "density_kg_m3": 2700.0,
+        "isotropic": {"lambda_gpa": 30.0, "mu_gpa": 30.0},
+    }))
+    monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
+    code, out, err = run(capsys, argv[0], "--material", str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

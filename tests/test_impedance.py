@@ -124,6 +124,8 @@ def test_sylvester_integral_oracle(rng):
         oracle, _ = quad_vec(lambda r: expm(-r * a).conj().T @ b @ expm(-r * a),
                              0.0, 80.0, epsabs=1e-12, epsrel=1e-12)
         assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-7
+        # a supplied spectrum only replaces the eigvals of the separation check
+        np.testing.assert_array_equal(sylvester_solve(a, b, np.linalg.eigvals(a)), x)
 
 
 def test_sylvester_separation_error():
@@ -186,5 +188,12 @@ def test_corrupted_factor_raises_hermiticity_failure(unit_iso, std_frame):
 
 
 def test_solve_zminus_separation_error():
+    q = np.eye(3, dtype=complex)
     with pytest.raises(SpectralSeparationError):
-        solve_zminus(np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+        solve_zminus(q, np.eye(3, dtype=complex))
+    # the same check on a supplied spectrum
+    s = np.linalg.eigvals(q)
+    with pytest.raises(SpectralSeparationError):
+        sylvester_solve(1j * q, 1j * np.eye(3, dtype=complex), 1j * s)
+    with pytest.raises(SpectralSeparationError):
+        radial_derivative_z(np.zeros((3, 3), dtype=complex), q, 1.0, s)

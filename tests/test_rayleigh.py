@@ -286,7 +286,8 @@ def test_c_lim_recertifies_coarse_grids(monkeypatch):
 
 def test_lowest_impedance_eigenvalue_decreases_along_rays():
     # the premise of the Newton root: below c_lim the lowest eigenvalue of
-    # z(e / c) falls strictly as c rises, from 1e-3 c_lim to 1 - 1e-6 c_lim
+    # z(e / c), and c times it, fall strictly as c rises, from 1e-3 c_lim to
+    # 1 - 1e-6 c_lim
     rng = np.random.default_rng(47)
     mats = [synthetic_anisotropic(int(rng.integers(1 << 30)), strength=s) for s in (0.35, 0.7, 0.9)]
     mats.append(isotropic_material(*rng.uniform(1.0, 100.0, 2), rng.uniform(1000.0, 8000.0)))
@@ -297,9 +298,32 @@ def test_lowest_impedance_eigenvalue_decreases_along_rays():
         pre = engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 8)))
         c_lim = engine.limiting_speeds(pre)
         speeds = (c_lim[:, None] * fractions).ravel()
-        z = engine.impedance_at(pre, speeds, rows=np.repeat(np.arange(8), fractions.size))[3]
+        q, a1, a2, z, s = engine.impedance_at(pre, speeds, rows=np.repeat(np.arange(8), fractions.size))
         lam_min = np.linalg.eigvalsh(z)[:, 0].reshape(8, fractions.size)
         assert np.all(np.diff(lam_min, axis=1) < 0.0)
+        assert np.all(np.diff(speeds.reshape(8, fractions.size) * lam_min, axis=1) < 0.0)
+
+
+def test_root_newton_rows_per_direction(monkeypatch):
+    # the Newton steps on c lambda_min z in t = sqrt(1 - c / c_lim) take few
+    # impedance rows per direction: existence (2), the rounds, and the root
+    rows = []
+    impedance_at = rayleigh._Engine.impedance_at
+
+    def counted(self, pre, speeds, *args, **kwargs):
+        rows.append(speeds.size)
+        return impedance_at(self, pre, speeds, *args, **kwargs)
+
+    monkeypatch.setattr(rayleigh._Engine, "impedance_at", counted)
+    scan_directions(synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0]), 720)
+    assert sum(rows) <= 7.25 * 720
+    rows.clear()
+    rng = np.random.default_rng(59)
+    for strength in (0.35, 0.7, 0.9):
+        for _ in range(4):
+            mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
+            scan_directions(mat, _unit(rng.standard_normal(3)), 48)
+    assert sum(rows) <= 7.25 * 12 * 48
 
 
 def test_slope_matches_finite_difference(aniso, rng):

@@ -10,6 +10,7 @@ import pytest
 import surfimp.polyfactor as polyfactor
 import surfimp.rayleigh as rayleigh
 from surfimp.cli import main
+from surfimp.impedance import radial_derivative_z
 from surfimp.isotropic import rayleigh_cubic_root
 from surfimp.material import SurfaceFrame, material_to_json
 from surfimp.polyfactor import build_pencil, spectral_factor
@@ -212,9 +213,15 @@ def test_engine_guard_falls_back_to_integral_route(monkeypatch):
 
     monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
     monkeypatch.setattr(polyfactor, "factor_integral", counted)
-    fallback = engine.detz(pre, speeds, rows=rows)
+    q, _, _, z, s = engine.impedance_at(pre, speeds, rows=rows)
+    fallback = np.linalg.det(z).real
     assert len(integrals) == speeds.size
     assert np.all(np.abs(fallback - reference) <= 1e-8 * np.abs(reference))
+    # each re-factored row reports the spectrum of its new q
+    spec = np.sort(np.linalg.eigvals(q), axis=1)
+    assert np.all(np.abs(np.sort(s, axis=1) - spec) <= 1e-12 * np.abs(spec))
+    zdot = radial_derivative_z(z, q, engine.rho)
+    assert np.all(np.abs(radial_derivative_z(z, q, engine.rho, s) - zdot) <= 1e-12 * np.abs(zdot).max())
 
 
 def test_scan_off_axis_normal(aniso):
