@@ -11,8 +11,10 @@ runs `python3 perfbench/run.py --workload W --seed S --trace 0` once per
 side, each in a fresh interpreter, and pairs alternate which side runs
 first.  The file gets, per workload and seed, every run of the end-to-end
 metrics with their medians and quartiles (statistics.quantiles, n=4), the
-pairs in which the change was lower, and the failed-operation counts.
-Entries for other workloads or seeds already in the file are kept.
+pairs in which the change was lower, the failed-operation counts, and how
+many runs per side reported correct outputs.  Entries for other workloads or
+seeds already in the file are kept.  Exits 1, after writing the file, when a
+run of this invocation reported incorrect outputs or failed operations.
 """
 
 import argparse
@@ -47,7 +49,9 @@ def summarise(workload: str, seed: int, results: dict) -> dict:
     entry = {"workload": workload, "seed": seed, "pairs": len(results["change"]),
              "failed": {"parent": sum(r["failed"] for r in results["parent"]),
                         "change": sum(r["failed"] for r in results["change"]),
-                        "attempted_change": sum(r["attempted"] for r in results["change"])}}
+                        "attempted_change": sum(r["attempted"] for r in results["change"])},
+             "correct": {side: sum(r["correct"] is True for r in results[side])
+                         for side in ("parent", "change")}}
     for name in METRICS:
         per_side = {side: [r["metrics"][name]["value"] for r in results[side]]
                     for side in ("parent", "change")}
@@ -121,6 +125,13 @@ def main() -> int:
     })
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    broken = [f"{e['workload']} seed {e['seed']} {side}"
+              for e in entries for side in ("parent", "change")
+              if e["correct"][side] < e["pairs"] or e["failed"][side] > 0]
+    if broken:
+        print("error: incorrect outputs or failed operations: " + ", ".join(broken),
+              file=sys.stderr)
+        return 1
     return 0
 
 

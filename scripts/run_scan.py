@@ -9,11 +9,12 @@ material JSON instead.
 
 import argparse
 import sys
+from pathlib import Path
 import time
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from surfimp.material import parse_material
 from surfimp.presets import synthetic_anisotropic

@@ -9,8 +9,9 @@ prints both assembly routes.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from surfimp.isotropic import CurvatureData, iso_state_on_sigma, subprincipal_p
 

@@ -57,6 +57,8 @@ def _matrix_pairs(m: np.ndarray):
 
 
 def _emit(payload: dict) -> None:
+    # strict JSON: a NaN or infinite value is written as null
+    payload = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in payload.items()}
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -139,8 +141,8 @@ def cmd_rayleigh(args) -> int:
 
 
 def _check_residuals(res_kernel: float, res_riccati: float) -> int:
-    """EXIT_NUMERICAL, with a message, when a residual exceeds its tolerance."""
-    if res_kernel > RES_KERNEL_TOL or res_riccati > RES_RICCATI_TOL:
+    """EXIT_NUMERICAL, with a message, when a residual exceeds its tolerance or is NaN."""
+    if not (res_kernel <= RES_KERNEL_TOL and res_riccati <= RES_RICCATI_TOL):
         return _fail(
             f"residuals exceed tolerance: kernel {res_kernel:.3e}, "
             f"riccati {res_riccati:.3e}",
@@ -173,8 +175,8 @@ def cmd_scan(args) -> int:
         "e1_satisfied": bool(scan.e1_satisfied),
         "c_r_min": float(np.nanmin(scan.c_r)) if found else None,
         "c_r_max": float(np.nanmax(scan.c_r)) if found else None,
-        "res_kernel_max": float(np.nanmax(scan.res_kernel)) if found else None,
-        "res_riccati_max": float(np.nanmax(scan.res_riccati)) if found else None,
+        "res_kernel_max": float(np.max(scan.res_kernel[scan.exists])) if found else None,
+        "res_riccati_max": float(np.max(scan.res_riccati[scan.exists])) if found else None,
         "holonomy_phase": scan.holonomy_phase,
     }
     _emit(summary)

@@ -5,25 +5,22 @@ crosses zero at most once, transversally; the crossing speed c_r is the
 Rayleigh speed, strictly below the limiting speed c_lim at the boundary of
 the elliptic region.
 
-One vectorized engine (batched companion eigensolves) finds every root.
-Below c_lim the eigenvalues of z fall as the speed rises and at most one of
-them is not positive, so the root is the zero of g(c) = c lambda_min z(e / c),
-which has the sign of the lowest eigenvalue and falls with
-dg/dc = -u0* X u0, X = zdot - z positive definite (zdot the radial
-derivative).  Safeguarded Newton steps on g as a function of
-t = sqrt(1 - c / c_lim), in which the square-root branch of z at c_lim is
-smooth, converge on it inside the bracket [1e-3, 1 - 1e-6] c_lim, and the
-row is post-processed (kernel, residuals, radial slope).  A single
-point is a batch of one and takes its c_lim the same way as a scan row: the
-smallest eigenvalue of c(e + sigma nu) on a 97-node sigma grid, in closed
-form, picks brackets that safeguarded Newton steps refine, with derivatives
-from one batched eigh per round (Hellmann-Feynman).  Each estimate is
-certified at the root bracket's upper end: a row whose pencil has a nearly
-real root s there lies above a valley the grid missed, at sigma = Re(s) c,
-and the same Newton steps refine that valley before the row is certified
-again.  Every impedance row passes spectral_factor's guard or is
-re-factored by spectral_factor.  Scans parallelize over directions via
-RAYLEIGH_THREADS.
+One vectorized engine finds every root; a single point is a batch of one.
+c_lim comes from the smallest eigenvalue of c(e + sigma nu) over sigma: a
+closed-form 97-node grid picks brackets that safeguarded Newton steps refine
+(Hellmann-Feynman derivatives from one batched eigh per round).  The
+companion eigensolve at the root bracket's upper end certifies it; a nearly
+real root s there marks a valley the grid missed, at sigma = Re(s) c, which
+is refined before the row is certified again.  Below c_lim the root is the
+zero of g(c) = c lambda_min z(e / c), which falls with dg/dc = -u0* X u0,
+X = zdot - z positive definite (zdot the radial derivative); safeguarded
+Newton steps on g in t = sqrt(1 - c / c_lim), where the square-root branch
+of z at c_lim is smooth, converge inside the bracket [1e-3, 1 - 1e-6] c_lim.
+Each speed is eigensolved once: the certifying eigensolve also serves the
+existence test, and c_r is the speed of the last Newton round, whose
+evaluation gives the kernel, residuals and radial slope.  Every impedance
+row passes spectral_factor's guard or is re-factored by spectral_factor.
+Scans parallelize over directions via RAYLEIGH_THREADS.
 """
 
 from __future__ import annotations
@@ -89,10 +86,10 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     """Root of det z(tangent / c) on (0, c_lim), with kernel and radial slope.
 
     Runs the scan pipeline on a batch of one, c_lim included: Newton steps
-    on c times the lowest eigenvalue of z, in t = sqrt(1 - c / c_lim), from
-    0.95 c_lim inside the bracket [1e-3, 1 - 1e-6] c_lim, until a step falls
-    to relative 1e-12.  A row whose lowest eigenvalue does not change sign
-    across that bracket reports exists=False.
+    on c lambda_min z in t = sqrt(1 - c / c_lim) from 0.95 c_lim, inside
+    [1e-3, 1 - 1e-6] c_lim.  c_r is the last iterate, whose step falls to
+    relative 1e-12 and whose evaluation gives the kernel, slope and residuals.
+    exists=False when lambda_min z keeps its sign across that bracket.
     """
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
@@ -218,9 +215,10 @@ class _Engine:
         keep a spectral margin above ELLIPTICITY_MARGIN.  A row that fails
         has a nearly real root s, so the grid missed a valley near
         sigma = Re(s) c: Newton steps refine the bracket of one grid step on
-        either side of it, and the row is certified again.  BracketError is
-        raised when a minimum is not positive, or when a round does not
-        strictly lower a failing row's minimum.
+        either side of it, and the row is certified again.  Each row's last
+        certifying eigensolve is left in pre for _solve_rows' existence test.
+        BracketError is raised when a minimum is not positive, or when a round
+        does not strictly lower a failing row's minimum.
         """
         grid = self.grid
         m = pre["dirs"].shape[0]
@@ -252,7 +250,13 @@ class _Engine:
                 raise BracketError("c(e + sigma nu) is not positive definite along some direction; "
                                    "material is not strongly elliptic")
             c = (1.0 - START_OFFSET) * np.sqrt(fmin[rows] / self.rho)
-            vals = np.linalg.eigvals(self._companion(pre, c, rows)[0])
+            eig = self._eig(pre, c, rows)
+            if rows.size == m:
+                pre["c_lim_eig"] = eig
+            else:
+                for whole, part in zip(pre["c_lim_eig"], eig):
+                    whole[rows] = part
+            vals = eig[0]
             margin = spectral_margin(vals[:, :, None])  # per root
             bad = ~(np.min(margin, axis=1) > polyfactor.ELLIPTICITY_MARGIN)
             if not np.any(bad):
@@ -297,26 +301,20 @@ class _Engine:
             live = live[~done]
         return fmin
 
-    def _companion(self, pre: dict, speeds: np.ndarray, rows=None):
-        """Companion matrices of a^{-1} f at xi = e / c, with a1 and a2."""
-        if rows is None:
-            c_ee, c_ne = pre["c_ee"], pre["c_ne"]
-        else:
-            c_ee, c_ne = pre["c_ee"][rows], pre["c_ne"][rows]
-        m = c_ee.shape[0]
+    def _eig(self, pre: dict, speeds: np.ndarray, rows=None):
+        """Eigenpairs of the companion matrices of a^{-1} f at xi = e / c, with a1 and a2."""
+        sel = slice(None) if rows is None else rows
         inv_c = 1.0 / speeds
-        a1 = c_ne * inv_c[:, None, None]
-        a2 = c_ee * (inv_c * inv_c)[:, None, None]
-        b1 = a1 + a1.transpose(0, 2, 1)
-        cc = a2 - self.rho * np.eye(3)[None, :, :]
-        comp = np.zeros((m, 6, 6))
+        a1 = pre["c_ne"][sel] * inv_c[:, None, None]
+        a2 = pre["c_ee"][sel] * (inv_c * inv_c)[:, None, None]
+        comp = np.zeros((speeds.size, 6, 6))
         comp[:, :3, 3:] = np.eye(3)
-        comp[:, 3:, :3] = -self.a_inv[None] @ cc
-        comp[:, 3:, 3:] = -self.a_inv[None] @ b1
-        return comp, a1, a2
+        comp[:, 3:, :3] = -self.a_inv[None] @ (a2 - self.rho * np.eye(3))
+        comp[:, 3:, 3:] = -self.a_inv[None] @ (a1 + a1.transpose(0, 2, 1))
+        return (*np.linalg.eig(comp), a1, a2)
 
-    def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None, residuals=False):
-        """Batched q, a1, a2, z (Hermitian part) and spec(q) at xi = e / c for given rows.
+    def _factor(self, vals, vecs, a1, a2, residuals=False):
+        """q, a1, a2, z (Hermitian part) and spec(q) from companion eigenpairs.
 
         Each row's eigen-route q must pass spectral_factor's guard: exactly
         three eigenvalues with Im s < 0, a spectral margin above
@@ -326,8 +324,6 @@ class _Engine:
         re-factored by spectral_factor, which raises when neither of its
         routes succeeds, and its spec(q) is then eigvals of the new q.
         """
-        comp, a1, a2 = self._companion(pre, speeds, rows)
-        vals, vecs = np.linalg.eig(comp)
         order = np.argsort(vals.imag, axis=1)[:, :3]
         idx = np.arange(len(vals))[:, None]
         s3 = vals[idx, order]
@@ -343,14 +339,25 @@ class _Engine:
               & (spectral_margin(vals) > polyfactor.ELLIPTICITY_MARGIN)
               & (cond_sq <= polyfactor.COND_LIMIT ** 2))
         if residuals:
-            solvency, factor_max = factor_residual_rows(self.pencil(a1, a2), q)
-            ok &= np.maximum(solvency, factor_max) <= polyfactor.RESIDUAL_TOL
-        for k in np.flatnonzero(~ok):
+            ok &= ~self._unfactored(q, a1, a2)
+        return self._refactor(q, a1, a2, s3, ~ok)
+
+    def _unfactored(self, q, a1, a2) -> np.ndarray:
+        """Rows whose q breaks the factor_residuals bounds (RESIDUAL_TOL)."""
+        solvency, factor_max = factor_residual_rows(self.pencil(a1, a2), q)
+        return ~(np.maximum(solvency, factor_max) <= polyfactor.RESIDUAL_TOL)
+
+    def _refactor(self, q, a1, a2, s3, bad):
+        """q, a1, a2, z and spec(q) once spectral_factor has re-factored the rows in bad."""
+        for k in np.flatnonzero(bad):
             q[k] = spectral_factor(self.pencil(a1[k], a2[k])).q
             s3[k] = np.linalg.eigvals(q[k])
         z = 1j * (self.a[None] @ q + a1)
-        z = 0.5 * (z + z.conj().transpose(0, 2, 1))
-        return q, a1, a2, z, s3
+        return q, a1, a2, 0.5 * (z + z.conj().transpose(0, 2, 1)), s3
+
+    def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None, residuals=False):
+        """Batched q, a1, a2, z (Hermitian part) and spec(q) at xi = e / c: _eig, then _factor."""
+        return self._factor(*self._eig(pre, speeds, rows), residuals)
 
     def detz(self, pre: dict, speeds: np.ndarray, rows=None) -> np.ndarray:
         z = self.impedance_at(pre, speeds, rows)[3]
@@ -453,32 +460,35 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
 
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
     positive, so the root is the one zero of f(c) = lambda_min z(e / c).  A
-    root exists when f <= 0 at the start (1 - START_OFFSET) c_lim and f > 0
-    at the floor C_FLOOR_FRACTION c_lim.  Safeguarded Newton steps on
-    g = c f, which has the sign of f and dg/dc = -u0* X u0 with
-    X = zdot - z from the Sylvester solve, run in t = sqrt(1 - c / c_lim):
-    they start at 0.95 c_lim inside that bracket, a step that leaves it is
-    replaced by the bracket's midpoint in c, and a row stops when its step
-    falls to ROOT_RTOL c.  Each round's separation check reads spec(q) from
-    impedance_at.  Returns the DirectionScan columns from c_lim to
-    res_riccati.
+    root exists when f <= 0 at the start (1 - START_OFFSET) c_lim, read from
+    the eigensolve that certified c_lim (left in pre), and f > 0 at the floor
+    C_FLOOR_FRACTION c_lim.  Safeguarded Newton steps on g = c f, which has
+    the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the Sylvester
+    solve, run in t = sqrt(1 - c / c_lim) from 0.95 c_lim; a step that leaves
+    the bracket is replaced by its midpoint in c.  The round whose step falls
+    to ROOT_RTOL c gives c_r, its own speed, and the kernel, slope and
+    residuals (_post).  Each round's separation check reads spec(q) from
+    impedance_at.  Returns the DirectionScan columns from c_lim to res_riccati.
     """
     m = c_lim.shape[0]
     lo = C_FLOOR_FRACTION * c_lim
     hi = (1.0 - START_OFFSET) * c_lim
-    z = engine.impedance_at(pre, np.concatenate([hi, lo]), rows=np.tile(np.arange(m), 2))[3]
-    f = np.linalg.eigvalsh(z)[:, 0]
-    exists = (f[:m] <= 0.0) & (f[m:] > 0.0)
+    f_hi = np.linalg.eigvalsh(engine._factor(*pre.pop("c_lim_eig"))[3])[:, 0]
+    f_lo = np.linalg.eigvalsh(engine.impedance_at(pre, lo)[3])[:, 0]
+    exists = (f_hi <= 0.0) & (f_lo > 0.0)
+    c_r, slope, res_kernel, res_riccati = np.full((4, m), np.nan)
+    kernels = np.full((m, 3), np.nan, dtype=complex)
     rows = np.flatnonzero(exists)
     lo, hi = lo[rows], hi[rows]
     top = c_lim[rows]
     x = 0.95 * top
     live = np.arange(rows.size)
-    for _ in range(_ROOT_MAX_ROUNDS):
+    finished = []
+    for it in range(_ROOT_MAX_ROUNDS):
         if live.size == 0:
             break
         xl = x[live]
-        q, _, _, z, s = engine.impedance_at(pre, xl, rows=rows[live])
+        q, a1, a2, z, s = engine.impedance_at(pre, xl, rows=rows[live])
         w, u = np.linalg.eigh(z)
         f, u0 = w[:, 0], u[:, :, 0]
         zdot = radial_derivative_z(z, q, engine.rho, s)
@@ -492,39 +502,42 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
         d = xl * f / xuu
         gap = top[live] - xl
         step = d * (1.0 - d / (4.0 * gap))
-        done = np.abs(step) <= ROOT_RTOL * xl
         xn = xl + step
         inside = (d < 2.0 * gap) & (xn > lo[live]) & (xn < hi[live])
-        x[live] = np.where(done | inside, xn, 0.5 * (lo[live] + hi[live]))
+        x[live] = np.where(inside, xn, 0.5 * (lo[live] + hi[live]))
+        # the round whose step falls to ROOT_RTOL c is the row's evaluation at
+        # c_r; rows are post-processed together, as _post costs much per call
+        done = (np.abs(step) <= ROOT_RTOL * xl) | (it == _ROOT_MAX_ROUNDS - 1)
+        finished.append([r[done] for r in (rows[live], xl, q, a1, a2, z, s, w, u, zdot)])
         live = live[~done]
-    c_r = np.full(m, np.nan)
-    slope = np.full(m, np.nan)
-    kernels = np.full((m, 3), np.nan, dtype=complex)
-    res_kernel = np.full(m, np.nan)
-    res_riccati = np.full(m, np.nan)
     if rows.size:
-        c_r[rows] = x
-        q, a1, a2, z, s = engine.impedance_at(pre, x, rows=rows, residuals=True)
-        w, u = np.linalg.eigh(z)
-        kmin = np.argmin(np.abs(w), axis=1)
-        v = np.take_along_axis(u, kmin[:, None, None], axis=2)[:, :, 0]
-        # phase rule: tangent component real positive unless tiny, else the
-        # largest-magnitude component
-        comp = np.einsum("mi,mi->m", v, pre["dirs"][rows].astype(complex))
-        small = np.abs(comp) <= KERNEL_PHASE_CUTOFF
-        if np.any(small):
-            jmax = np.argmax(np.abs(v[small]), axis=1)
-            comp[small] = v[small, jmax]
-        v = v * (comp.conj() / np.abs(comp))[:, None]
-        kernels[rows] = v
-        znorm = np.linalg.norm(z, axis=(1, 2))
-        res_kernel[rows] = np.linalg.norm((z @ v[:, :, None])[:, :, 0], axis=1) / znorm
-        res_riccati[rows] = riccati_residual(z, engine.pencil(a1, a2))
-        # radial slope of det z: tr(adj(z) zdot)
-        cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
-        adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
-        slope[rows] = np.einsum("mij,mji->m", adj, radial_derivative_z(z, q, engine.rho, s)).real
+        k, c, *state = (np.concatenate(col) for col in zip(*finished))
+        c_r[k] = c
+        kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre["dirs"][k], *state)
     return c_lim, exists, c_r, slope, kernels, res_kernel, res_riccati
+
+
+def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
+    """Kernel, slope and residuals at the roots; q breaking factor_residuals is re-factored."""
+    bad = engine._unfactored(q, a1, a2)
+    if np.any(bad):
+        q, _, _, z, s = engine._refactor(q, a1, a2, s, bad)
+        w[bad], u[bad] = np.linalg.eigh(z[bad])
+        zdot[bad] = radial_derivative_z(z[bad], q[bad], engine.rho, s[bad])
+    kmin = np.argmin(np.abs(w), axis=1)
+    v = np.take_along_axis(u, kmin[:, None, None], axis=2)[:, :, 0]
+    # phase rule: tangent component real positive unless tiny, else the
+    # largest-magnitude component
+    comp = np.einsum("mi,mi->m", v, dirs.astype(complex))
+    small = np.abs(comp) <= KERNEL_PHASE_CUTOFF
+    comp[small] = v[small, np.argmax(np.abs(v[small]), axis=1)]
+    v = v * (comp.conj() / np.abs(comp))[:, None]
+    res_kernel = np.linalg.norm((z @ v[:, :, None])[:, :, 0], axis=1) / np.linalg.norm(z, axis=(1, 2))
+    # radial slope of det z: tr(adj(z) zdot)
+    cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
+    adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    slope = np.einsum("mij,mji->m", adj, zdot).real
+    return v, slope, res_kernel, riccati_residual(z, engine.pencil(a1, a2))
 
 
 def _scan_chunk(engine: _Engine, dirs: np.ndarray):

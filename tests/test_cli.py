@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import surfimp.cli as cli
+import surfimp.rayleigh as rayleigh
 from surfimp import polyfactor
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL, main
 from surfimp.material import material_to_json
@@ -272,3 +273,18 @@ def test_factor_failures_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"),
+    ("scan", "--normal", "0,0,1", "--count", "8"),
+])
+def test_nan_residual_exits_2(capsys, iso_file, monkeypatch, argv):
+    # a NaN residual on a row with a root breaches its tolerance, and the
+    # JSON on stdout stays strict: null, not NaN
+    monkeypatch.setattr(rayleigh, "riccati_residual", lambda z, p: np.full(len(z), np.nan))
+    code, out, err = run(capsys, argv[0], "--material", iso_file, *argv[1:])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+    assert doc["res_riccati" if argv[0] == "rayleigh" else "res_riccati_max"] is None

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import surfimp.rayleigh as rayleigh
+from surfimp.impedance import radial_derivative_z, riccati_residual
 from surfimp.material import SurfaceFrame, validate_stiffness
 from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.rayleigh import (
@@ -325,6 +327,89 @@ def test_root_newton_rows_per_direction(monkeypatch):
             scan_directions(mat, _unit(rng.standard_normal(3)), 48)
     assert sum(rows) <= 7.25 * 12 * 48
 
+
+def test_companion_rows_per_direction(monkeypatch):
+    # each speed of a row is eigensolved once: the eigensolve that certifies
+    # c_lim also serves the existence test, and the last Newton round is the
+    # evaluation at c_r; every companion row is counted, certification too
+    rows = []
+    eig = rayleigh._Engine._eig
+
+    def counted(self, pre, speeds, *args, **kwargs):
+        rows.append(speeds.size)
+        return eig(self, pre, speeds, *args, **kwargs)
+
+    monkeypatch.setattr(rayleigh._Engine, "_eig", counted)
+    scan_directions(synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0]), 720)
+    assert sum(rows) <= 6.5 * 720
+    for seed in (59, 1, 4, 5):
+        rows.clear()
+        rng = np.random.default_rng(seed)
+        for strength in (0.35, 0.7, 0.9):
+            for _ in range(4):
+                mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
+                scan_directions(mat, _unit(rng.standard_normal(3)), 48)
+        assert sum(rows) <= 6.5 * 12 * 48, seed
+
+
+def _root_evaluation_step(mat, nu, scan):
+    # evaluating again at c_r, with the factor-residual bounds, must give the
+    # scan's kernel, residuals and slope; returns the Newton step at c_r
+    rows = np.flatnonzero(scan.exists)
+    assert rows.size
+    engine = rayleigh._Engine(mat, nu)
+    pre = engine.prepare(scan.directions)
+    c_r, c_lim = scan.c_r[rows], scan.c_lim[rows]
+    q, a1, a2, z, s = engine.impedance_at(pre, c_r, rows, residuals=True)
+    w, u = np.linalg.eigh(z)
+    kernel = scan.kernels[rows]
+    v = u[np.arange(rows.size), :, np.argmin(np.abs(w), axis=1)]
+    phase = np.einsum("mi,mi->m", v.conj(), kernel)
+    assert np.max(np.abs(v * (phase / np.abs(phase))[:, None] - kernel)) <= 1e-12
+    res_kernel = (np.linalg.norm(np.einsum("mij,mj->mi", z, kernel), axis=1)
+                  / np.linalg.norm(z, axis=(1, 2)))
+    assert np.max(np.abs(res_kernel - scan.res_kernel[rows])) <= 1e-12
+    res_riccati = riccati_residual(z, engine.pencil(a1, a2))
+    assert np.max(np.abs(res_riccati - scan.res_riccati[rows])) <= 1e-12
+    zdot = radial_derivative_z(z, q, mat.density, s)
+    cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
+    slope = np.einsum("mik,mk,mjk,mji->m", u, cof, u.conj(), zdot).real
+    assert np.all(np.abs(slope - scan.slope[rows]) <= 1e-12 * np.abs(slope))
+    f, u0 = w[:, 0], u[:, :, 0]
+    d = c_r * f / (np.einsum("mi,mij,mj->m", u0.conj(), zdot, u0).real - f)
+    return d * (1.0 - d / (4.0 * (c_lim - c_r)))
+
+
+def test_scan_root_is_its_evaluation(poisson, rng):
+    # c_r is the speed of the last Newton round, whose evaluation gives the
+    # kernel, residuals and slope, and whose step is within ROOT_RTOL
+    for mat in (synthetic_anisotropic(int(rng.integers(1 << 30)), strength=0.9), poisson):
+        nu = _unit(rng.standard_normal(3))
+        scan = scan_directions(mat, nu, 48)
+        step = _root_evaluation_step(mat, nu, scan)
+        assert np.all(np.abs(step) <= rayleigh.ROOT_RTOL * scan.c_r[scan.exists])
+
+
+def test_root_factor_residual_breach_refactors_the_row(aniso, monkeypatch):
+    # a root whose q breaks the factor-residual bounds is re-factored by
+    # spectral_factor, and its kernel, slope and residuals follow the new q;
+    # the new q is that of a pencil with rho raised by 1e-6, so that any
+    # quantity left from the old q shows
+    nu = _unit(np.array([0.3, -0.2, 1.0]))
+    reference = scan_directions(aniso, nu, 8)
+    factored = []
+
+    def perturbed(p, spectral=rayleigh.spectral_factor):
+        factored.append(p)
+        return spectral(dataclasses.replace(p, rho=p.rho * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(rayleigh._Engine, "_unfactored", lambda self, q, a1, a2: np.ones(len(q), bool))
+    monkeypatch.setattr(rayleigh, "spectral_factor", perturbed)
+    scan = scan_directions(aniso, nu, 8)
+    assert len(factored) == np.count_nonzero(reference.exists) > 0
+    np.testing.assert_array_equal(scan.c_r, reference.c_r)
+    assert np.min(scan.res_riccati[reference.exists]) > 1e-8
+    _root_evaluation_step(aniso, nu, scan)
 
 def test_slope_matches_finite_difference(aniso, rng):
     # slope is d/dt det z(t xi) at t = 1 on the variety, xi = tangent / c_r
