@@ -242,7 +242,8 @@ def cmd_subprincipal(args) -> int:
         "w2": [_complex_pair(x) for x in br.w2],
     }
     _emit(payload)
-    if abs(br.psub_direct - br.psub_assembled) > TWO_ROUTE_TOL * (1.0 + abs(br.psub_direct)):
+    gap = abs(br.psub_direct - br.psub_assembled)
+    if not gap <= TWO_ROUTE_TOL * (1.0 + abs(br.psub_direct)):  # a NaN route fails too
         return _fail(
             f"two-route disagreement: direct {br.psub_direct!r} vs assembled "
             f"{br.psub_assembled!r}",

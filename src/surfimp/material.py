@@ -17,6 +17,11 @@ GPA = 1.0e9
 
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
+# Voigt index of the pair (i, j), symmetric in i and j; its inverse, the
+# (i, j) rows of VOIGT_PAIRS, reads a Voigt matrix back out of C^{ijkl}
+_VOIGT_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+_VOIGT_PAIR_IJ = np.array(VOIGT_PAIRS).T
+
 # Kelvin/Mandel weights: sqrt(2) on the shear pairs makes the 6x6 matrix
 # represent C as a quadratic form on symmetric tensors (tensor inner product).
 _MANDEL_W = np.diag([1.0, 1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0), math.sqrt(2.0)])
@@ -62,12 +67,7 @@ class StiffnessTensor:
 
     def tensor(self) -> np.ndarray:
         """Full C^{ijkl} with minor symmetries restored from the Voigt packing."""
-        c = np.empty((3, 3, 3, 3))
-        for a, (i, j) in enumerate(VOIGT_PAIRS):
-            for b, (k, l) in enumerate(VOIGT_PAIRS):
-                v = self.voigt[a, b]
-                c[i, j, k, l] = c[j, i, k, l] = c[i, j, l, k] = c[j, i, l, k] = v
-        return c
+        return self.voigt[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX]
 
     def mandel(self) -> np.ndarray:
         """Kelvin/Mandel-weighted 6x6; its spectrum is the tensor spectrum."""
@@ -84,11 +84,9 @@ class StiffnessTensor:
 
 
 def stiffness_from_tensor(c: np.ndarray) -> StiffnessTensor:
-    v = np.empty((6, 6))
-    for a, (i, j) in enumerate(VOIGT_PAIRS):
-        for b, (k, l) in enumerate(VOIGT_PAIRS):
-            v[a, b] = c[i, j, k, l]
-    return StiffnessTensor(v)
+    """Voigt packing of C^{ijkl}, read at the pairs of VOIGT_PAIRS."""
+    i, j = _VOIGT_PAIR_IJ
+    return StiffnessTensor(np.asarray(c, dtype=float)[i[:, None], j[:, None], i, j])
 
 
 def isotropic_stiffness(lam: float, mu: float) -> StiffnessTensor:
@@ -208,6 +206,7 @@ class StiffnessReport:
 
 
 N_ELLIPTICITY_SAMPLES = 50
+_ELLIPTICITY_DIRS = _readonly(fibonacci_sphere(N_ELLIPTICITY_SAMPLES))
 
 
 def validate_stiffness(stiffness: StiffnessTensor) -> StiffnessReport:
@@ -218,8 +217,7 @@ def validate_stiffness(stiffness: StiffnessTensor) -> StiffnessReport:
     bounds c(eta) >= delta |eta|^2 from below (up to sampling).
     """
     c4 = stiffness.tensor()
-    dirs = fibonacci_sphere(N_ELLIPTICITY_SAMPLES)
-    acoustic = np.einsum("ijkl,mj,ml->mik", c4, dirs, dirs)
+    acoustic = np.einsum("ijkl,mj,ml->mik", c4, _ELLIPTICITY_DIRS, _ELLIPTICITY_DIRS)
     acoustic = 0.5 * (acoustic + acoustic.transpose(0, 2, 1))
     delta = float(np.min(np.linalg.eigvalsh(acoustic)))
     eigs = stiffness.voigt_eigenvalues

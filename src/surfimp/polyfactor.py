@@ -24,6 +24,8 @@ RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e8
 QUAD_RELTOL = 1e-10
 QUAD_MAX_NODES = 4096
+# sample speeds of the factorization residual, in units of sqrt(|c| / |a|)
+_RESIDUAL_SPEEDS = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
 
 
 class NonEllipticError(ValueError):
@@ -191,22 +193,22 @@ def factor_residuals(p: QuadraticPencil, q: np.ndarray) -> FactorResiduals:
 def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
     """factor_residuals over a leading row axis of q, a1 and a2.
 
-    Returns the (solvency, factor_max) arrays, one entry per row.
+    Returns the (solvency, factor_max) arrays, one entry per row.  The
+    factorization gap is f(s) - (s-q*) a (s-q) = s (b + a q + q* a) + c - q* a q,
+    evaluated at the five speeds at once.
     """
     def norm(x):
         return np.linalg.norm(x, axis=(-2, -1))
 
-    solvency = norm(p.a @ q @ q + p.b @ q + p.c) / norm(p.a2)
-    scale = np.sqrt(norm(p.c) / norm(p.a))[..., None, None]
-    q_adj = np.swapaxes(q.conj(), -1, -2)
-    eye = np.eye(3)
-    worst = 0.0
-    for s in (-3.0, -1.0, 0.0, 1.0, 3.0):
-        s = s * scale
-        lhs = p(s)
-        rhs = (s * eye - q_adj) @ p.a @ (s * eye - q)
-        worst = np.maximum(worst, norm(lhs - rhs) / norm(lhs))
-    return solvency, worst
+    a, b, c = p.a, p.b, p.c
+    solvency = norm(a @ q @ q + b @ q + c) / norm(p.a2)
+    q_adj_a = np.swapaxes(q.conj(), -1, -2) @ a
+    lin = (b + a @ q + q_adj_a)[..., None, :, :]
+    const = (c - q_adj_a @ q)[..., None, :, :]
+    s = (_RESIDUAL_SPEEDS * np.sqrt(norm(c) / norm(a))[..., None])[..., None, None]
+    a, b, c = a[..., None, :, :], b[..., None, :, :], c[..., None, :, :]
+    f = a * s * s + b * s + c
+    return solvency, np.max(norm(s * lin + const) / norm(f), axis=-1)
 
 
 # leggauss(n) eigensolves a dense n x n Jacobi matrix (seconds at 4096

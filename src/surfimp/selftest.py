@@ -10,7 +10,8 @@ and takes the draw count as an argument.  `run_selftest` (the `surfimp
 selftest` command) and the release gate `tests/test_acceptance.py` call the
 same functions with their own seeds and counts, and each applies its own
 tolerances.  Results are plain data; payload bytes depend only on the seed
-and the build.
+and the build.  SciPy is imported inside `_check_sylvester` only, so
+importing this module (and `surfimp.cli`) loads no SciPy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
 
 from .impedance import impedance_tensor, radial_derivative_z, sylvester_solve
 from .isotropic import (
@@ -284,6 +283,10 @@ def _check_derivatives(seed: int, states: int) -> float:
 
 def _check_sylvester(seed: int, systems: int) -> float:
     """Worst relative gap of sylvester_solve against its exponential integral."""
+    # imported here, its only user, so that importing surfimp loads no SciPy
+    from scipy.integrate import quad_vec
+    from scipy.linalg import expm
+
     rng = np.random.default_rng([seed, 8])
     worst = 0.0
     for _ in range(systems):

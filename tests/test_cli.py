@@ -1,4 +1,9 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +60,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, since this session has imported SciPy already
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys, surfimp, surfimp.cli, surfimp.selftest; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_validate_ok(capsys, iso_file):
@@ -232,6 +247,19 @@ def test_subprincipal_rejects_anisotropic(capsys, aniso_file, curv_file):
                        "--curvature", curv_file, "--xi-dir", "1,0,0")
     assert code == 1
     assert "anisotropic subprincipal unsupported" in err
+
+
+def test_subprincipal_nan_route_exits_2(capsys, iso_file, curv_file, monkeypatch):
+    # a NaN route fails the two-route check, and the JSON stays strict
+    real = cli.subprincipal_p
+    monkeypatch.setattr(cli, "subprincipal_p",
+                        lambda st, curv: dataclasses.replace(real(st, curv), psub_direct=np.nan))
+    code, out, err = run(capsys, "subprincipal", "--material", iso_file,
+                         "--curvature", curv_file, "--xi-dir", "1,0,0")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+    assert doc["psub_direct"] is None
 
 
 def test_selftest_deterministic(capsys):

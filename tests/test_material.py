@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfimp.material import (
+    VOIGT_PAIRS,
     Material,
     MaterialError,
     StiffnessTensor,
@@ -135,6 +136,24 @@ def test_voigt_tensor_roundtrip(aniso):
     c4 = aniso.stiffness.tensor()
     back = stiffness_from_tensor(c4)
     np.testing.assert_allclose(back.voigt, aniso.stiffness.voigt, rtol=1e-15)
+
+
+def test_tensor_symmetries_and_loop_reference(rng):
+    # the fancy-indexed tensor() against a loop over the Voigt pairs
+    for _ in range(20):
+        v = rng.standard_normal((6, 6))
+        stiff = StiffnessTensor(v + v.T)
+        c4 = stiff.tensor()
+        ref = np.empty((3, 3, 3, 3))
+        for a, (i, j) in enumerate(VOIGT_PAIRS):
+            for b, (k, l) in enumerate(VOIGT_PAIRS):
+                v_ab = stiff.voigt[a, b]
+                ref[i, j, k, l] = ref[j, i, k, l] = ref[i, j, l, k] = ref[j, i, l, k] = v_ab
+        assert np.array_equal(c4, ref)
+        assert np.array_equal(c4, c4.transpose(1, 0, 2, 3))  # minor symmetries
+        assert np.array_equal(c4, c4.transpose(0, 1, 3, 2))
+        assert np.array_equal(c4, c4.transpose(2, 3, 0, 1))  # major symmetry
+        assert np.array_equal(stiffness_from_tensor(c4).voigt, stiff.voigt)
 
 
 def test_parse_isotropic_record():

@@ -177,6 +177,27 @@ def test_residuals_broadcast_over_rows(aniso, rng):
                                    rtol=1e-12, atol=1e-12 * np.linalg.norm(zdots[k]))
 
 
+def test_factor_residual_rows_match_explicit_gap(aniso, rng):
+    # the expanded gap s (b + a q + q* a) + c - q* a q against
+    # |f(s) - (s - q*) a (s - q)| / |f(s)| formed at each of the five speeds
+    frame = random_frame(rng)
+    pencils = [build_pencil(aniso, frame, x) for x in (4e-4, 8e-4, 1.6e-3)]
+    stacked = QuadraticPencil(a=pencils[0].a, a1=np.stack([p.a1 for p in pencils]),
+                              a2=np.stack([p.a2 for p in pencils]), rho=aniso.density)
+    exact = np.stack([spectral_factor(p).q for p in pencils])
+    bump = 1e-3 * np.linalg.norm(exact, axis=(1, 2))[:, None, None] * rng.standard_normal((3, 3, 3))
+    for qs in (exact, exact + bump):
+        _, factor_max = factor_residual_rows(stacked, qs)
+        assert factor_max.shape == (3,)
+        for k, p in enumerate(pencils):
+            scale = math.sqrt(np.linalg.norm(p.c) / np.linalg.norm(p.a))
+            q_adj = qs[k].conj().T
+            ref = max(np.linalg.norm(p(s) - (s * np.eye(3) - q_adj) @ p.a @ (s * np.eye(3) - qs[k]))
+                      / np.linalg.norm(p(s)) for s in scale * np.array([-3.0, -1.0, 0.0, 1.0, 3.0]))
+            # exact q leaves rounding noise (~1e-15) on both sides: abs floor
+            assert factor_max[k] == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+
 def test_residuals_invariant_under_direction_flip(aniso, rng):
     frame = random_frame(rng)
     flipped = SurfaceFrame(frame.nu, -frame.tangent)
