@@ -22,7 +22,6 @@ from .polyfactor import (
     factor_integral,
     factor_residuals,
     is_elliptic,
-    pencil_spectrum,
     spectral_factor,
 )
 from .impedance import (
@@ -37,7 +36,6 @@ from .rayleigh import (
     DirectionScan,
     RayleighPoint,
     eval_p,
-    kernel_phase_holonomy,
     rayleigh_point,
     scan_directions,
 )

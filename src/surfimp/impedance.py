@@ -41,17 +41,6 @@ class ImpedanceDiagnostics:
     re_z_positive_definite: bool
     nonpositive_eigenvalues: int  # of z itself; uniqueness needs <= 1
 
-    def to_dict(self) -> dict:
-        return {
-            "hermiticity": self.hermiticity,
-            "riccati": self.riccati,
-            "barnett_lothe": self.barnett_lothe,
-            "solvency": self.solvency,
-            "re_z_min_eigenvalue": self.re_z_min_eigenvalue,
-            "re_z_positive_definite": self.re_z_positive_definite,
-            "nonpositive_eigenvalues": self.nonpositive_eigenvalues,
-        }
-
 
 @dataclass(frozen=True)
 class ImpedanceData:

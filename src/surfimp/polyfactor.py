@@ -6,13 +6,16 @@ Two independent routes compute q: collecting the decaying eigenpairs of the
 companion linearization (fast, primary), and a contour-free integral
 representation a q f0 = -pi i Id + f1 built from quadrature of f(s)^{-1}
 over the real line (derivative-free, robust fallback and cross-check).
+The eigen route has one batched implementation, companion_eig then
+factor_from_eig, whose guard every eigen-route q passes, in a batch of one
+(spectral_factor) or of many (the Rayleigh scan engine).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -83,31 +86,10 @@ def build_pencil(mat: Material, frame: SurfaceFrame, xi_mag: float) -> Quadratic
     a = acoustic_tensor(c4, frame.nu)
     a = 0.5 * (a + a.T)
     if np.linalg.eigvalsh(a)[0] <= 0.0:
-        raise ValueError("c(nu) is not positive definite; material is not strongly convex")
+        raise ValueError("c(nu) is not positive definite; material is not strongly elliptic")
     a1 = acoustic_tensor(c4, frame.nu, xi)
     a2 = acoustic_tensor(c4, xi)
     return QuadraticPencil(a=a, a1=a1, a2=0.5 * (a2 + a2.T), rho=mat.density)
-
-
-def companion_matrix(p: QuadraticPencil) -> np.ndarray:
-    """First companion form of a^{-1} f(s); a is positive definite so this is stable."""
-    top = np.hstack([np.zeros((3, 3)), np.eye(3)])
-    bottom = -np.linalg.solve(p.a, np.hstack([p.c, p.b]))
-    return np.vstack([top, bottom])
-
-
-@dataclass(frozen=True)
-class PencilSpectrum:
-    """Six eigenpairs of the pencil; values sorted by imaginary part."""
-
-    values: np.ndarray       # (6,) complex
-    vectors: np.ndarray      # (3, 6) complex, unit columns
-    residuals: np.ndarray    # (6,) relative residuals |f(s)v| / (|f(s)| |v|)
-
-    @property
-    def margin(self) -> float:
-        """min |Im s| / (1 + |s|) over the spectrum."""
-        return float(spectral_margin(self.values))
 
 
 def spectral_margin(values: np.ndarray):
@@ -115,32 +97,46 @@ def spectral_margin(values: np.ndarray):
     return np.min(np.abs(values.imag) / (1.0 + np.abs(values)), axis=-1)
 
 
-def pencil_spectrum(p: QuadraticPencil) -> PencilSpectrum:
-    """Eigenpairs of f via the companion linearization.
+def companion_eig(a_inv: np.ndarray, a1: np.ndarray, a2: np.ndarray, rho: float):
+    """Eigenpairs of the first companion forms of a^{-1} f, one per row of a1, a2.
 
-    For an elliptic pencil exactly three eigenvalues have Im s < 0 (the
-    decaying partial waves).
+    Returns (values, vectors) of shapes (m, 6) and (m, 6, 6); the top half
+    of each eigenvector is the pencil's.  a is positive definite, so the
+    companion form is stable.
     """
+    comp = np.zeros((a1.shape[0], 6, 6))
+    comp[:, :3, 3:] = np.eye(3)
+    comp[:, 3:, :3] = -a_inv @ (a2 - rho * np.eye(3))
+    comp[:, 3:, 3:] = -a_inv @ (a1 + np.swapaxes(a1, -1, -2))
     try:
-        vals, vecs = np.linalg.eig(companion_matrix(p))
+        return np.linalg.eig(comp)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"companion eigensolver failed: {exc}") from exc
-    order = np.argsort(vals.imag, kind="stable")
-    vals = vals[order]
-    v = vecs[:3, order]
-    norms = np.linalg.norm(v, axis=0)
-    # An eigenvector with vanishing top half can only occur for s = 0, which
-    # needs singular a2 - rho; fall back to the bottom half in that case.
-    bad = norms < 1e-12
-    if np.any(bad):
-        v[:, bad] = vecs[3:, order][:, bad]
-        norms = np.linalg.norm(v, axis=0)
-    v = v / norms
-    res = np.array(
-        [np.linalg.norm(p(s) @ v[:, k]) / max(np.linalg.norm(p(s)), 1e-300)
-         for k, s in enumerate(vals)]
-    )
-    return PencilSpectrum(values=vals, vectors=v, residuals=res)
+
+
+def factor_from_eig(vals: np.ndarray, vecs: np.ndarray):
+    """q, spec(q) and the eigen-route guard per row from companion eigenpairs.
+
+    q V = V diag(s) on the three lowest roots.  A row passes the guard when
+    exactly three roots have Im s < 0, the spectral margin exceeds
+    ELLIPTICITY_MARGIN, and |V|_F |V^-1|_F <= COND_LIMIT on unit columns
+    (this Frobenius product never sits below cond_2).
+    """
+    order = np.argsort(vals.imag, axis=1)[:, :3]
+    idx = np.arange(len(vals))[:, None]
+    s3 = vals[idx, order]
+    v = vecs[idx, :3, order].transpose(0, 2, 1)
+    v_inv = np.linalg.inv(v)
+    q = (v * s3[:, None, :]) @ v_inv
+    # V D^-1 has unit columns for D = diag(|v_j|), so its cond_2 is at
+    # most |V D^-1|_F |D V^-1|_F = sqrt(3) |D V^-1|_F
+    cond_sq = 3.0 * np.einsum("mij,mjk->m", np.abs(v) ** 2, np.abs(v_inv) ** 2)
+    # a real matrix has a conjugation-closed spectrum: when the three
+    # lowest roots lie below the real axis, exactly three do
+    ok = ((s3[:, 2].imag < 0.0)
+          & (spectral_margin(vals) > ELLIPTICITY_MARGIN)
+          & (cond_sq <= COND_LIMIT ** 2))
+    return q, s3, ok
 
 
 @dataclass(frozen=True)
@@ -153,10 +149,14 @@ def is_elliptic(p: QuadraticPencil) -> EllipticityResult:
     """f(s) positive definite for all real s, with a relative spectral margin.
 
     Equivalent check: the pencil spectrum stays off the real axis (margin
-    above 1e-8) and f(0) is positive definite.
+    above ELLIPTICITY_MARGIN) and f(0) is positive definite.
     """
-    spec = pencil_spectrum(p)
-    margin = spec.margin
+    return _ellipticity(p, companion_eig(np.linalg.inv(p.a), p.a1[None], p.a2[None], p.rho)[0])
+
+
+def _ellipticity(p: QuadraticPencil, vals: np.ndarray) -> EllipticityResult:
+    """is_elliptic from the (1, 6) eigenvalues of the pencil's companion form."""
+    margin = float(spectral_margin(vals[0]))
     f0_pd = bool(np.linalg.eigvalsh(0.5 * (p.c + p.c.T))[0] > 0.0)
     return EllipticityResult(elliptic=bool(margin > ELLIPTICITY_MARGIN) and f0_pd, margin=margin)
 
@@ -170,7 +170,6 @@ class SpectralFactor:
     residual_solvency: float
     residual_factorization: float
     spectral_margin: float
-    eigvec_condition: float = field(default=float("nan"), compare=False)
 
 
 @dataclass(frozen=True)
@@ -294,28 +293,20 @@ def factor_integral(p: QuadraticPencil, check: bool = True) -> IntegralFactor:
 def spectral_factor(p: QuadraticPencil) -> SpectralFactor:
     """Unique q with f(s) = (s - q*) a (s - q) and spec(q) in Im < 0.
 
-    Primary route: q V = V diag(S) on the three decaying eigenpairs.  Falls
-    back to the integral representation when the eigenvector basis is
-    ill-conditioned (cond > 1e8) or the residuals miss 1e-8.
+    One companion eigensolve gives the ellipticity test and the primary
+    route, q V = V diag(S) on the three decaying eigenpairs, which must pass
+    factor_from_eig's guard and the residual bound RESIDUAL_TOL.  Otherwise
+    q comes from the integral representation.
     """
-    ell = is_elliptic(p)
+    vals, vecs = companion_eig(np.linalg.inv(p.a), p.a1[None], p.a2[None], p.rho)
+    ell = _ellipticity(p, vals)
     if not ell.elliptic:
         raise NonEllipticError(f"pencil is not elliptic (margin {ell.margin:.3e})")
-    spec = pencil_spectrum(p)
-    neg = spec.values.imag < 0.0
     method = "eigen"
-    cond = float("inf")
-    q = None
-    if np.count_nonzero(neg) == 3:
-        v = spec.vectors[:, neg]
-        s = spec.values[neg]
-        cond = float(np.linalg.cond(v))
-        if cond <= COND_LIMIT:
-            q = (v * s[None, :]) @ np.linalg.inv(v)
-            res = factor_residuals(p, q)
-            if max(res.solvency, res.factor_max) > RESIDUAL_TOL:
-                q = None
-    if q is None:
+    q, _, ok = factor_from_eig(vals, vecs)
+    q = q[0]
+    res = factor_residuals(p, q)
+    if not ok[0] or max(res.solvency, res.factor_max) > RESIDUAL_TOL:
         method = "integral"
         q = factor_integral(p, check=False).q
         res = factor_residuals(p, q)
@@ -330,5 +321,4 @@ def spectral_factor(p: QuadraticPencil) -> SpectralFactor:
         residual_solvency=res.solvency,
         residual_factorization=res.factor_max,
         spectral_margin=ell.margin,
-        eigvec_condition=cond,
     )

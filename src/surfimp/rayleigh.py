@@ -19,7 +19,8 @@ of z at c_lim is smooth, converge inside the bracket [1e-3, 1 - 1e-6] c_lim.
 Each speed is eigensolved once: the certifying eigensolve also serves the
 existence test, and c_r is the speed of the last Newton round, whose
 evaluation gives the kernel, residuals and radial slope.  Every impedance
-row passes spectral_factor's guard or is re-factored by spectral_factor.
+row passes the eigen-route guard of polyfactor.factor_from_eig or is
+re-factored by spectral_factor.
 Scans parallelize over directions via RAYLEIGH_THREADS.
 """
 
@@ -38,6 +39,8 @@ from .material import Material, SurfaceFrame, acoustic_tensor, validate_stiffnes
 from .impedance import radial_derivative_z, riccati_residual
 from .polyfactor import (
     QuadraticPencil,
+    companion_eig,
+    factor_from_eig,
     factor_residual_rows,
     spectral_factor,
     spectral_margin,
@@ -52,7 +55,6 @@ _ROOT_MAX_ROUNDS = 100
 _GRID_NODES = 97
 _GRID_BLOCK = 512
 KERNEL_PHASE_CUTOFF = 1e-6
-HOLONOMY_OVERLAP = 0.9
 
 SCAN_CSV_HEADER = (
     "theta_rad,c_lim_mps,exists,c_r_mps,slope,"
@@ -62,10 +64,6 @@ SCAN_CSV_HEADER = (
 
 class BracketError(RuntimeError):
     """The material is not strongly elliptic, or a c_lim cannot be certified."""
-
-
-class SamplingInadequacyError(RuntimeError):
-    """Kernel transport gaps persist at high direction counts."""
 
 
 @dataclass(frozen=True)
@@ -307,37 +305,19 @@ class _Engine:
         inv_c = 1.0 / speeds
         a1 = pre["c_ne"][sel] * inv_c[:, None, None]
         a2 = pre["c_ee"][sel] * (inv_c * inv_c)[:, None, None]
-        comp = np.zeros((speeds.size, 6, 6))
-        comp[:, :3, 3:] = np.eye(3)
-        comp[:, 3:, :3] = -self.a_inv[None] @ (a2 - self.rho * np.eye(3))
-        comp[:, 3:, 3:] = -self.a_inv[None] @ (a1 + a1.transpose(0, 2, 1))
-        return (*np.linalg.eig(comp), a1, a2)
+        return (*companion_eig(self.a_inv, a1, a2, self.rho), a1, a2)
 
     def _factor(self, vals, vecs, a1, a2, residuals=False):
         """q, a1, a2, z (Hermitian part) and spec(q) from companion eigenpairs.
 
-        Each row's eigen-route q must pass spectral_factor's guard: exactly
-        three eigenvalues with Im s < 0, a spectral margin above
-        ELLIPTICITY_MARGIN, and |V|_F |V^-1|_F <= COND_LIMIT on unit columns
-        (this Frobenius product never sits below cond_2).  With residuals
-        set, the factor_residuals bounds must also hold.  A failing row is
-        re-factored by spectral_factor, which raises when neither of its
-        routes succeeds, and its spec(q) is then eigvals of the new q.
+        Each row's eigen-route q must pass polyfactor.factor_from_eig's
+        guard (three decaying roots, spectral margin, eigenvector
+        conditioning) and, with residuals set, the factor_residuals bounds.
+        A failing row is re-factored by spectral_factor, which raises when
+        neither of its routes succeeds, and its spec(q) is then eigvals of
+        the new q.
         """
-        order = np.argsort(vals.imag, axis=1)[:, :3]
-        idx = np.arange(len(vals))[:, None]
-        s3 = vals[idx, order]
-        v = vecs[idx, :3, order].transpose(0, 2, 1)
-        v_inv = np.linalg.inv(v)
-        q = (v * s3[:, None, :]) @ v_inv
-        # V D^-1 has unit columns for D = diag(|v_j|), so its cond_2 is at
-        # most |V D^-1|_F |D V^-1|_F = sqrt(3) |D V^-1|_F
-        cond_sq = 3.0 * np.einsum("mij,mjk->m", np.abs(v) ** 2, np.abs(v_inv) ** 2)
-        # a real matrix has a conjugation-closed spectrum: when the three
-        # lowest roots lie below the real axis, exactly three do
-        ok = ((s3[:, 2].imag < 0.0)
-              & (spectral_margin(vals) > polyfactor.ELLIPTICITY_MARGIN)
-              & (cond_sq <= polyfactor.COND_LIMIT ** 2))
+        q, s3, ok = factor_from_eig(vals, vecs)
         if residuals:
             ok &= ~self._unfactored(q, a1, a2)
         return self._refactor(q, a1, a2, s3, ~ok)
@@ -377,23 +357,6 @@ def csv_row(theta: float, pt: RayleighPoint) -> str:
     return ",".join(fields) + "\n"
 
 
-def _transport(kernels: np.ndarray) -> tuple[float, float]:
-    """Carry the kernel phase once around the closed loop of rows.
-
-    Returns the phase mismatch on closing the loop and the smallest step
-    overlap |<w, v_next>|; the mismatch is nan when a step overlap vanishes.
-    """
-    w = kernels[0]
-    worst = math.inf
-    for nxt in (*kernels[1:], kernels[0]):
-        d = complex(np.vdot(w, nxt))
-        worst = min(worst, abs(d))
-        if d == 0.0:
-            return math.nan, 0.0
-        w = nxt * (d.conjugate() / abs(d))
-    return float(np.angle(np.vdot(kernels[0], w))), worst
-
-
 @dataclass(frozen=True)
 class DirectionScan:
     """Per-direction Rayleigh data over a circle of tangents."""
@@ -414,11 +377,21 @@ class DirectionScan:
 
     @property
     def holonomy_phase(self) -> float | None:
-        """Closing phase of the kernel transport; None without E1 or at a zero overlap."""
+        """Phase mismatch on carrying the kernel once around the closed loop of rows.
+
+        Zero (mod sampling error) is necessary for the kernel bundle over the
+        circle to admit a global phase choice.  None without E1 or where a
+        step overlap <w, v_next> vanishes.
+        """
         if not self.e1_satisfied:
             return None
-        phase, _ = _transport(self.kernels)
-        return None if math.isnan(phase) else phase
+        w = self.kernels[0]
+        for nxt in (*self.kernels[1:], self.kernels[0]):
+            d = complex(np.vdot(w, nxt))
+            if d == 0.0:
+                return None
+            w = nxt * (d.conjugate() / abs(d))
+        return float(np.angle(np.vdot(self.kernels[0], w)))
 
     def point(self, k: int) -> RayleighPoint:
         """Row k as a RayleighPoint."""
@@ -579,32 +552,3 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
             parts = list(pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]]), bounds))
     columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
     return DirectionScan(thetas, *columns, directions=dirs)
-
-
-@dataclass(frozen=True)
-class HolonomyResult:
-    total_phase: float
-    max_gap: float
-    n: int
-
-
-def kernel_phase_holonomy(mat: Material, nu, n: int, threads: int | None = None) -> HolonomyResult:
-    """Transport the kernel section around the direction circle.
-
-    total_phase is the argument mismatch after closing the loop; zero (mod
-    sampling error) is necessary for the kernel bundle over this circle to
-    admit a global phase choice.  max_gap flags steps whose alignment overlap
-    drops below 0.9; persisting at n >= 1024 raises, as refinement should
-    restore continuity of a simple eigenvector.
-    """
-    scan = scan_directions(mat, nu, n, threads=threads)
-    if not scan.e1_satisfied:
-        raise BracketError("holonomy transport needs a Rayleigh root in every direction")
-    total, overlap = _transport(scan.kernels)
-    gap_flag = overlap < HOLONOMY_OVERLAP
-    max_gap = 2.0 * math.pi / n if gap_flag else 0.0
-    if gap_flag and n >= 1024:
-        raise SamplingInadequacyError(
-            f"kernel transport overlap below {HOLONOMY_OVERLAP} at n={n}"
-        )
-    return HolonomyResult(total_phase=total, max_gap=max_gap, n=n)

@@ -283,19 +283,34 @@ def test_selftest_strict_shrinks_margins(capsys):
             assert strict[name]["margin"] == pytest.approx(0.01 * c["margin"], rel=1e-9)
 
 
-@pytest.mark.parametrize("argv", [
-    ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"),
-    ("scan", "--normal", "0,0,1", "--count", "8"),
+def _failing_eig(_):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+_RAYLEIGH_ARGV = ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0")
+_SCAN_ARGV = ("scan", "--normal", "0,0,1", "--count", "8")
+
+
+@pytest.mark.parametrize("argv, fault", [
+    pytest.param(_RAYLEIGH_ARGV, "cond_limit", id="argv0"),
+    pytest.param(_SCAN_ARGV, "cond_limit", id="argv1"),
+    pytest.param(_RAYLEIGH_ARGV, "eig", id="argv0-eig"),
+    pytest.param(_SCAN_ARGV, "eig", id="argv1-eig"),
 ])
-def test_factor_failures_exit_2(capsys, tmp_path, monkeypatch, argv):
-    # with every eigenvector basis rejected, the integral route cannot
-    # converge near c_lim: a QuadratureError ends in exit 2, not a traceback
+def test_factor_failures_exit_2(capsys, tmp_path, monkeypatch, argv, fault):
+    # cond_limit: with every eigenvector basis rejected, the integral route
+    # cannot converge near c_lim, and its QuadratureError ends in exit 2.
+    # eig: a companion eigensolver failure ends in exit 2 as well.  Neither
+    # ends in a traceback.
     path = tmp_path / "poisson.json"
     path.write_text(json.dumps({
         "name": "poisson", "density_kg_m3": 2700.0,
         "isotropic": {"lambda_gpa": 30.0, "mu_gpa": 30.0},
     }))
-    monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
+    if fault == "cond_limit":
+        monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
+    else:
+        monkeypatch.setattr(np.linalg, "eig", _failing_eig)
     code, out, err = run(capsys, argv[0], "--material", str(path), *argv[1:])
     assert code == 2
     assert out == ""

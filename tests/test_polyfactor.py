@@ -9,14 +9,14 @@ from surfimp.polyfactor import (
     NonEllipticError,
     QuadraticPencil,
     build_pencil,
+    companion_eig,
     factor_integral,
     factor_residual_rows,
     factor_residuals,
     is_elliptic,
-    pencil_spectrum,
     spectral_factor,
 )
-from surfimp.presets import random_isotropic, synthetic_anisotropic
+from surfimp.presets import isotropic_material, random_isotropic, synthetic_anisotropic
 
 from conftest import frame_rotation, random_frame
 
@@ -49,6 +49,11 @@ def test_build_pencil_scaling(unit_iso, std_frame):
     np.testing.assert_allclose(p2.a, p1.a, rtol=1e-15)
 
 
+def test_build_pencil_rejects_indefinite_normal_block(std_frame):
+    with pytest.raises(ValueError, match="not strongly elliptic"):
+        build_pencil(isotropic_material(2.0, -1.0, 1000.0), std_frame, 2.0)
+
+
 def test_ellipticity_isotropic_threshold(unit_iso, std_frame):
     # c_s = 1: elliptic iff |xi| > 1
     assert is_elliptic(unit_pencil(unit_iso, std_frame, 2.0)).elliptic
@@ -63,10 +68,15 @@ def test_ellipticity_symmetric(aniso, rng):
                 == is_elliptic(build_pencil(aniso, flipped, ximag)).elliptic)
 
 
-def test_pencil_spectrum_isotropic_branches(unit_iso, std_frame):
+def test_companion_eig_isotropic_branches(unit_iso, std_frame):
     ximag = 2.0
     p = unit_pencil(unit_iso, std_frame, ximag)
-    spec = pencil_spectrum(p)
+    vals, vecs = companion_eig(np.linalg.inv(p.a), p.a1[None], p.a2[None], p.rho)
+    values = vals[0]
+    # the top half of a companion eigenvector is the pencil's; unit columns
+    vectors = vecs[0, :3] / np.linalg.norm(vecs[0, :3], axis=0)
+    residuals = [np.linalg.norm(p(s) @ vectors[:, k]) / np.linalg.norm(p(s))
+                 for k, s in enumerate(values)]
     # shear branches: mu(|xi|^2 + s^2) = rho -> s = -i sqrt(3); quadruple across signs
     s_shear = math.sqrt(ximag ** 2 - 1.0)
     # pressure: (lam+2mu)(|xi|^2+s^2) = rho -> s^2 = 1/4 - 4
@@ -75,18 +85,18 @@ def test_pencil_spectrum_isotropic_branches(unit_iso, std_frame):
         -1j * s_shear, -1j * s_shear, -1j * s_press,
         1j * s_shear, 1j * s_shear, 1j * s_press,
     ]))
-    np.testing.assert_allclose(np.sort_complex(spec.values), expected, atol=1e-10)
-    assert np.all(spec.residuals <= 1e-8)
+    np.testing.assert_allclose(np.sort_complex(values), expected, atol=1e-10)
+    assert np.all(np.array(residuals) <= 1e-8)
     # decaying pressure eigenvector is xi + s nu
-    k = int(np.argmin(np.abs(spec.values + 1j * s_press)))
-    v = spec.vectors[:, k]
+    k = int(np.argmin(np.abs(values + 1j * s_press)))
+    v = vectors[:, k]
     expect = ximag * std_frame.tangent - 1j * s_press * std_frame.nu
     expect = expect / np.linalg.norm(expect)
     phase = (v @ expect.conj()) / abs(v @ expect.conj())
     np.testing.assert_allclose(v, phase * expect, atol=1e-10)
     # out-of-plane shear eigenvector is orthogonal to xi and nu
-    shear_idx = [i for i in range(6) if abs(spec.values[i] + 1j * s_shear) < 1e-9]
-    perp_mass = [abs(spec.vectors[:, i] @ std_frame.perp) for i in shear_idx]
+    shear_idx = [i for i in range(6) if abs(values[i] + 1j * s_shear) < 1e-9]
+    perp_mass = [abs(vectors[:, i] @ std_frame.perp) for i in shear_idx]
     assert max(perp_mass) > 0.99
 
 
@@ -111,6 +121,20 @@ def test_spectral_factor_isotropic_blocks(unit_iso, std_frame):
     eigs = np.linalg.eigvals(sf.q)
     assert np.all(eigs.imag < 0)
     assert min(abs(eigs.imag) / (1 + abs(eigs))) >= sf.spectral_margin - 1e-12
+
+
+def test_spectral_factor_single_eigensolve(unit_iso, std_frame, monkeypatch):
+    # the ellipticity test and the eigen route read one companion eigensolve
+    calls = []
+    eig = np.linalg.eig
+
+    def counting(m):
+        calls.append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    assert spectral_factor(unit_pencil(unit_iso, std_frame, 2.0)).method == "eigen"
+    assert len(calls) == 1
 
 
 def test_spectral_factor_requires_elliptic(unit_iso, std_frame):
@@ -244,7 +268,7 @@ def test_eigen_solver_failure_is_distinct_error(unit_iso, std_frame, monkeypatch
     p = unit_pencil(unit_iso, std_frame, 2.0)
     monkeypatch.setattr(np.linalg, "eig", boom)
     with pytest.raises(EigenSolverError):
-        pencil_spectrum(p)
+        spectral_factor(p)
 
 
 def test_quadrature_nonconvergence_error(unit_iso, std_frame, monkeypatch):

@@ -11,7 +11,6 @@ from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.rayleigh import (
     SCAN_CSV_HEADER,
     eval_p,
-    kernel_phase_holonomy,
     rayleigh_point,
     scan_directions,
     tangent_basis,
@@ -454,11 +453,14 @@ def test_scan_env_threads(aniso, monkeypatch):
 
 
 def test_holonomy_isotropic_trivial(soft_iso):
-    res = kernel_phase_holonomy(soft_iso, np.array([0.0, 0.0, 1.0]), 64)
-    assert abs(res.total_phase) < 1e-6
-    res2 = kernel_phase_holonomy(soft_iso, np.array([0.0, 0.0, 1.0]), 128)
-    assert abs(res2.total_phase - res.total_phase) < 1e-6
-    assert res.max_gap == 0.0
+    nu = np.array([0.0, 0.0, 1.0])
+    scan = scan_directions(soft_iso, nu, 64)
+    phase = scan.holonomy_phase
+    assert abs(phase) < 1e-6
+    assert abs(scan_directions(soft_iso, nu, 128).holonomy_phase - phase) < 1e-6
+    # no transport gap: every consecutive kernel overlap stays at least 0.9
+    vs = scan.kernels
+    assert min(abs(np.vdot(vs[k], vs[(k + 1) % 64])) for k in range(64)) >= 0.9
 
 
 def test_holonomy_overlap_improves(aniso):

@@ -19,7 +19,6 @@ from surfimp.rayleigh import (
     SCAN_CSV_HEADER,
     BracketError,
     eval_p,
-    kernel_phase_holonomy,
     rayleigh_point,
     scan_directions,
     tangent_basis,
@@ -97,11 +96,6 @@ def test_roots_hugging_c_lim(e1_failing_material):
     above = engine.detz(pre, (1.0 + 1e-9) * scan.c_r[rows], rows=rows)
     below = engine.detz(pre, (1.0 - 1e-9) * scan.c_r[rows], rows=rows)
     assert np.all(above < 0.0) and np.all(below > 0.0)
-
-
-def test_holonomy_requires_e1(e1_failing_material):
-    with pytest.raises(BracketError):
-        kernel_phase_holonomy(e1_failing_material, NU, 12)
 
 
 def test_cli_exit_codes_on_existence_failure(e1_failing_material, tmp_path, capsys):
