@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
@@ -48,12 +49,9 @@ _NUMERICAL_ERRORS = (BracketError, EigenSolverError, FactorizationError, NonElli
                      QuadratureError, SpectralSeparationError)
 
 
-def _complex_pair(x: complex):
-    return [float(np.real(x)), float(np.imag(x))]
-
-
-def _matrix_pairs(m: np.ndarray):
-    return [[_complex_pair(x) for x in row] for row in np.asarray(m)]
+def _pairs(x):
+    """An array as nested [re, im] pairs of its entries; anything else passes through."""
+    return np.stack([x.real, x.imag], axis=-1).tolist() if isinstance(x, np.ndarray) else x
 
 
 def _emit(payload: dict) -> None:
@@ -92,7 +90,8 @@ def cmd_validate(args) -> int:
     except (OSError, MaterialError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     report = validate_stiffness(mat.stiffness)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
+    payload["voigt_eigenvalues"] = report.voigt_eigenvalues.tolist()
     payload["density_kg_m3"] = mat.density
     payload["density_positive"] = mat.density > 0
     payload["name"] = mat.name
@@ -112,7 +111,7 @@ def _point_payload(pt, frame: SurfaceFrame) -> dict:
         payload.update({
             "c_r_mps": pt.c_r,
             "slope": pt.slope,
-            "kernel": [_complex_pair(x) for x in pt.kernel],
+            "kernel": _pairs(pt.kernel),
             "res_kernel": pt.res_kernel,
             "res_riccati": pt.res_riccati,
         })
@@ -216,31 +215,14 @@ def cmd_subprincipal(args) -> int:
     lam, mu = params
     st = iso_state_on_sigma(lam, mu, mat.density)
     br = subprincipal_p(st, curv)
-    payload = {
+    payload = {f.name: _pairs(getattr(br, f.name)) for f in dataclasses.fields(br)}
+    payload.update({
         "xi_dir": [float(x) for x in xi_dir / np.linalg.norm(xi_dir)],
         "lam_pa": lam,
         "mu_pa": mu,
         "density_kg_m3": mat.density,
         "c_r_mps": st.c_r,
-        "psub_direct": br.psub_direct,
-        "psub_assembled": br.psub_assembled,
-        "re_zminus_vv": br.re_zminus_vv,
-        "im_trace": br.im_trace,
-        "gamma2_lambda0dot": br.gamma2_lambda0dot,
-        "N": br.N,
-        "X": _matrix_pairs(br.X),
-        "Y1": _matrix_pairs(br.Y1),
-        "Y2": _matrix_pairs(br.Y2),
-        "Y3": _matrix_pairs(br.Y3),
-        "K": _matrix_pairs(br.K),
-        "Kdot": _matrix_pairs(br.Kdot),
-        "Ks": _matrix_pairs(br.Ks),
-        "Kp": _matrix_pairs(br.Kp),
-        "M": _matrix_pairs(br.M),
-        "A": _matrix_pairs(br.A),
-        "w1": [_complex_pair(x) for x in br.w1],
-        "w2": [_complex_pair(x) for x in br.w2],
-    }
+    })
     _emit(payload)
     gap = abs(br.psub_direct - br.psub_assembled)
     if not gap <= TWO_ROUTE_TOL * (1.0 + abs(br.psub_direct)):  # a NaN route fails too

@@ -3,7 +3,8 @@ and small dense Sylvester solves.
 
 On the elliptic region z is Hermitian with positive definite real part; it
 satisfies the Riccati identity (z + i a1*) a^{-1} (z - i a1) = a2 - rho and
-the Barnett-Lothe relation Re z = pi f0^{-1}.  Both are exposed as relative
+the Barnett-Lothe relation Re z = pi f0^{-1}, with f0 the integral-route
+moment of `polyfactor.factor_integral`.  Both are exposed as relative
 residuals rather than assumptions.
 """
 
@@ -13,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyfactor import (
-    QuadraticPencil,
-    SpectralFactor,
-    FactorizationError,
-    factor_integral,
-)
+from .polyfactor import QuadraticPencil, SpectralFactor, FactorizationError
 
 HERMITICITY_FAIL = 1e-6
 NONPOSITIVE_EIG_TOL = 1e-9  # lambda <= tol * |z| counts as non-positive
@@ -35,9 +31,6 @@ class ImpedanceDiagnostics:
 
     hermiticity: float
     riccati: float
-    barnett_lothe: float
-    solvency: float
-    re_z_min_eigenvalue: float
     re_z_positive_definite: bool
     nonpositive_eigenvalues: int  # of z itself; uniqueness needs <= 1
 
@@ -48,7 +41,6 @@ class ImpedanceData:
 
     z: np.ndarray          # (3,3) complex, Hermitian part of i(aq + a1)
     q: np.ndarray
-    f0: np.ndarray
     diagnostics: ImpedanceDiagnostics
 
 
@@ -63,12 +55,18 @@ def riccati_residual(z: np.ndarray, p: QuadraticPencil) -> float | np.ndarray:
     return float(res) if res.ndim == 0 else res
 
 
-def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor, f0: np.ndarray | None = None) -> ImpedanceData:
+def barnett_lothe_residual(z: np.ndarray, f0: np.ndarray) -> float:
+    """|Re z - pi f0^{-1}| / |z|, with f0 from `polyfactor.factor_integral`."""
+    return float(np.linalg.norm(z.real - np.pi * np.linalg.inv(f0)) / np.linalg.norm(z))
+
+
+def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor) -> ImpedanceData:
     """Impedance z = i(a q + a1), Hermitian-symmetrized.
 
     The raw hermiticity defect is kept as a diagnostic; a defect above 1e-6
-    signals a broken factorization upstream and raises.  f0 is integrated by
-    quadrature when not supplied (it feeds the Barnett-Lothe residual).
+    signals a broken factorization upstream and raises.  The Barnett-Lothe
+    identity needs f0, which only the integral route computes: a caller
+    holding `factor_integral(p).f0` checks it with `barnett_lothe_residual`.
     """
     z_raw = 1j * (p.a @ sf.q + p.a1)
     scale = np.linalg.norm(z_raw)
@@ -79,22 +77,14 @@ def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor, f0: np.ndarray | No
             "spectral factorization is unreliable at this point"
         )
     z = 0.5 * (z_raw + z_raw.conj().T)
-    if f0 is None:
-        f0 = factor_integral(p, check=False).f0
     eig_z = np.linalg.eigvalsh(z)
-    re_eigs = np.linalg.eigvalsh(0.5 * (z.real + z.real.T))
     diag = ImpedanceDiagnostics(
         hermiticity=defect,
         riccati=riccati_residual(z, p),
-        barnett_lothe=float(
-            np.linalg.norm(z.real - np.pi * np.linalg.inv(f0)) / scale
-        ),
-        solvency=sf.residual_solvency,
-        re_z_min_eigenvalue=float(re_eigs[0]),
-        re_z_positive_definite=bool(re_eigs[0] > 0.0),
+        re_z_positive_definite=bool(np.linalg.eigvalsh(0.5 * (z.real + z.real.T))[0] > 0.0),
         nonpositive_eigenvalues=int(np.sum(eig_z <= NONPOSITIVE_EIG_TOL * scale)),
     )
-    return ImpedanceData(z=z, q=sf.q, f0=f0, diagnostics=diag)
+    return ImpedanceData(z=z, q=sf.q, diagnostics=diag)
 
 
 def sylvester_solve(a: np.ndarray, b: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:

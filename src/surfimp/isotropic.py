@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -278,16 +278,14 @@ class CurvatureData:
         return cls()
 
     def scaled(self, alpha: float) -> "CurvatureData":
-        return CurvatureData(*(alpha * x for x in (
-            self.s22, self.trS, self.grad_lambda_t, self.grad_mu_t,
-            self.grad_rho_t, self.dn_lambda, self.dn_mu, self.dn_rho)))
+        return CurvatureData(*(alpha * x for x in astuple(self)))
 
     @classmethod
     def from_json(cls, text: str) -> "CurvatureData":
         doc = json.loads(text)
         grad = doc.get("grad_t", {})
         dn = doc.get("dn", {})
-        return cls(
+        curv = cls(
             s22=float(doc.get("s22", 0.0)),
             trS=float(doc.get("trS", 0.0)),
             grad_lambda_t=float(grad.get("lambda", 0.0)),
@@ -297,6 +295,9 @@ class CurvatureData:
             dn_mu=float(dn.get("mu", 0.0)),
             dn_rho=float(dn.get("rho", 0.0)),
         )
+        if not all(math.isfinite(x) for x in astuple(curv)):
+            raise ValueError("curvature entries must be finite")
+        return curv
 
 
 def build_Y(st: IsoSurfaceState, curv: CurvatureData, derivs: IsoDerivatives | None = None):

@@ -55,6 +55,8 @@ class StiffnessTensor:
         v = np.asarray(self.voigt, dtype=float)
         if v.shape != (6, 6):
             raise MaterialError("schema", f"voigt matrix must be 6x6, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise MaterialError("nonfinite", "stiffness entries must be finite in Pa")
         scale = np.linalg.norm(v)
         defect = np.linalg.norm(v - v.T) / scale if scale > 0 else 0.0
         if defect > SYMMETRY_TOL:
@@ -107,6 +109,8 @@ class Material:
     name: str = ""
 
     def __post_init__(self):
+        if not math.isfinite(self.density):
+            raise MaterialError("nonfinite", f"density must be finite, got {self.density}")
         if not (self.density > 0.0):
             raise MaterialError("nonpositive_density", f"density must be > 0, got {self.density}")
 
@@ -194,16 +198,6 @@ class StiffnessReport:
     ellipticity_constant: float  # min over sampled unit eta of min eig c(eta)
     elliptic: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "symmetry_defect": self.symmetry_defect,
-            "voigt_eigenvalues": [float(x) for x in self.voigt_eigenvalues],
-            "min_voigt_eigenvalue": self.min_voigt_eigenvalue,
-            "convex": self.convex,
-            "ellipticity_constant": self.ellipticity_constant,
-            "elliptic": self.elliptic,
-        }
-
 
 N_ELLIPTICITY_SAMPLES = 50
 _ELLIPTICITY_DIRS = _readonly(fibonacci_sphere(N_ELLIPTICITY_SAMPLES))
@@ -271,8 +265,6 @@ def parse_material(text: str) -> Material:
     density = doc["density_kg_m3"]
     if not isinstance(density, (int, float)) or isinstance(density, bool):
         raise MaterialError("schema", "'density_kg_m3' must be a number")
-    if not density > 0:
-        raise MaterialError("nonpositive_density", f"nonpositive density {density}")
 
     if "isotropic" in doc:
         iso = doc["isotropic"]

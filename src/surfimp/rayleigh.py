@@ -307,19 +307,16 @@ class _Engine:
         a2 = pre["c_ee"][sel] * (inv_c * inv_c)[:, None, None]
         return (*companion_eig(self.a_inv, a1, a2, self.rho), a1, a2)
 
-    def _factor(self, vals, vecs, a1, a2, residuals=False):
+    def _factor(self, vals, vecs, a1, a2):
         """q, a1, a2, z (Hermitian part) and spec(q) from companion eigenpairs.
 
         Each row's eigen-route q must pass polyfactor.factor_from_eig's
         guard (three decaying roots, spectral margin, eigenvector
-        conditioning) and, with residuals set, the factor_residuals bounds.
-        A failing row is re-factored by spectral_factor, which raises when
-        neither of its routes succeeds, and its spec(q) is then eigvals of
-        the new q.
+        conditioning).  A failing row is re-factored by spectral_factor,
+        which raises when neither of its routes succeeds, and its spec(q)
+        is then eigvals of the new q.
         """
         q, s3, ok = factor_from_eig(vals, vecs)
-        if residuals:
-            ok &= ~self._unfactored(q, a1, a2)
         return self._refactor(q, a1, a2, s3, ~ok)
 
     def _unfactored(self, q, a1, a2) -> np.ndarray:
@@ -335,9 +332,9 @@ class _Engine:
         z = 1j * (self.a[None] @ q + a1)
         return q, a1, a2, 0.5 * (z + z.conj().transpose(0, 2, 1)), s3
 
-    def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None, residuals=False):
+    def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None):
         """Batched q, a1, a2, z (Hermitian part) and spec(q) at xi = e / c: _eig, then _factor."""
-        return self._factor(*self._eig(pre, speeds, rows), residuals)
+        return self._factor(*self._eig(pre, speeds, rows))
 
     def detz(self, pre: dict, speeds: np.ndarray, rows=None) -> np.ndarray:
         z = self.impedance_at(pre, speeds, rows)[3]

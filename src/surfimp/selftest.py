@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .impedance import impedance_tensor, radial_derivative_z, sylvester_solve
+from .impedance import barnett_lothe_residual, impedance_tensor, radial_derivative_z, sylvester_solve
 from .isotropic import (
     CurvatureData,
     iso_impedance_full,
@@ -146,7 +146,8 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
     """Identity residuals at elliptic points of one isotropic and three
     synthetic anisotropic materials.
 
-    Returns the worst Riccati/solvency/factorization/Barnett-Lothe residual,
+    Returns the worst Riccati/solvency/factorization/Barnett-Lothe residual
+    (f0 from the integral route, whose q the eigen route is compared with),
     the worst hermiticity defect, the number of points failing Re z > 0,
     zdot - z > 0 or uniqueness, and the worst eigen-vs-integral gap of q.
     """
@@ -164,10 +165,10 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
             p = build_pencil(mat, frame, 1.0 / speed)
             sf = spectral_factor(p)
             intf = factor_integral(p, check=False)
-            data = impedance_tensor(p, sf, f0=intf.f0)
+            data = impedance_tensor(p, sf)
             d = data.diagnostics
-            worst_res = max(worst_res, d.riccati, d.solvency,
-                            sf.residual_factorization, d.barnett_lothe)
+            worst_res = max(worst_res, d.riccati, sf.residual_solvency,
+                            sf.residual_factorization, barnett_lothe_residual(data.z, intf.f0))
             worst_herm = max(worst_herm, d.hermiticity)
             worst_q = max(worst_q, np.linalg.norm(sf.q - intf.q) / np.linalg.norm(sf.q))
             zdot = radial_derivative_z(data.z, data.q, mat.density)

@@ -205,6 +205,33 @@ def test_non_finite_or_zero_vectors_are_input_errors(capsys, iso_file, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_ISO_TEXT = '{"name": "m", "density_kg_m3": %s, "isotropic": {"lambda_gpa": %s, "mu_gpa": 1.0}}'
+_NAN_VOIGT = json.dumps({"name": "m", "density_kg_m3": 1000.0, "stiffness": {
+    "format": "voigt_gpa", "matrix": np.where(np.eye(6) == 1.0, np.nan, 0.0).tolist()}})
+
+
+@pytest.mark.parametrize("command, material, curvature", [
+    ("validate", _ISO_TEXT % ("Infinity", "2.0"), None),
+    ("rayleigh", _NAN_VOIGT, None),
+    ("validate", _ISO_TEXT % ("1000.0", "NaN"), None),
+    ("rayleigh", _ISO_TEXT % ("1000.0", "1e300"), None),  # overflows to inf in Pa
+    ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), '{"s22": NaN, "trS": 0.2}'),
+    ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), '{"s22": 0.1, "dn": {"mu": 1e400}}'),
+], ids=["inf-density", "nan-voigt", "nan-lambda", "huge-lambda", "nan-curvature", "huge-curvature"])
+def test_non_finite_input_numbers_are_input_errors(capsys, tmp_path, command, material, curvature):
+    # json reads NaN, Infinity and overflowing literals; the records reject them
+    mat_file, curv_file = tmp_path / "mat.json", tmp_path / "curv.json"
+    mat_file.write_text(material)
+    curv_file.write_text(curvature or "{}")
+    extra = {"validate": (), "rayleigh": ("--normal", "0,0,1", "--tangent", "1,0,0"),
+             "subprincipal": ("--curvature", str(curv_file), "--xi-dir", "1,0,0")}[command]
+    code, out, err = run(capsys, command, "--material", str(mat_file), *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_scan_unwritable_out_fails_before_the_scan(capsys, iso_file, tmp_path, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("the scan ran although --out cannot be written")

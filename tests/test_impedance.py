@@ -5,15 +5,17 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from surfimp import impedance
 from surfimp.impedance import (
     SpectralSeparationError,
+    barnett_lothe_residual,
     impedance_tensor,
     radial_derivative_z,
     solve_zminus,
     sylvester_solve,
 )
 from surfimp.material import SurfaceFrame
-from surfimp.polyfactor import build_pencil, spectral_factor
+from surfimp.polyfactor import build_pencil, factor_integral, spectral_factor
 from surfimp.presets import random_isotropic, synthetic_anisotropic
 
 from conftest import frame_rotation, random_frame
@@ -67,10 +69,22 @@ def test_identity_residuals_random_points():
             p, data = impedance_at(mat, frame, ximag)
             d = data.diagnostics
             assert d.riccati < 1e-8
-            assert d.barnett_lothe < 1e-8
+            assert barnett_lothe_residual(data.z, factor_integral(p).f0) < 1e-8
             assert d.hermiticity < 1e-9
             assert d.re_z_positive_definite
             assert d.nonpositive_eigenvalues <= 1
+
+
+def test_impedance_tensor_runs_no_quadrature(aniso, rng, monkeypatch):
+    # z needs the spectral factor only; the integral route's f0 is the
+    # caller's to pass to barnett_lothe_residual
+    calls = []
+    monkeypatch.setattr(impedance, "factor_integral",
+                        lambda *a, **k: calls.append(a) or factor_integral(*a, **k),
+                        raising=False)
+    p = build_pencil(aniso, random_frame(rng), 5e-4)
+    impedance_tensor(p, spectral_factor(p))
+    assert calls == []
 
 
 def test_z_positive_definite_deep_elliptic(soft_iso, std_frame):

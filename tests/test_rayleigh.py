@@ -359,7 +359,8 @@ def _root_evaluation_step(mat, nu, scan):
     engine = rayleigh._Engine(mat, nu)
     pre = engine.prepare(scan.directions)
     c_r, c_lim = scan.c_r[rows], scan.c_lim[rows]
-    q, a1, a2, z, s = engine.impedance_at(pre, c_r, rows, residuals=True)
+    q, a1, a2, z, s = engine.impedance_at(pre, c_r, rows)
+    q, a1, a2, z, s = engine._refactor(q, a1, a2, s, engine._unfactored(q, a1, a2))
     w, u = np.linalg.eigh(z)
     kernel = scan.kernels[rows]
     v = u[np.arange(rows.size), :, np.argmin(np.abs(w), axis=1)]
