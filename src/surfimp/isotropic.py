@@ -3,17 +3,20 @@
 Everything the general route computes numerically has an explicit expression
 here — the impedance blocks in the (nu, xi-hat) frame, the Rayleigh cubic,
 the kernel section — so this module doubles as the oracle for the anisotropic
-machinery.  It also implements the curvature-driven subprincipal correction
-of the scalar Rayleigh operator: boundary curvature and tangential/normal
-material gradients enter through three 2x2 matrices Y1, Y2, Y3, a Hermitian
-2x2 Sylvester solve, and two independently assembled scalar outputs that must
-agree.
+machinery.  Each closed form is written once: iso_blocks evaluates the forms
+that the subprincipal derivatives complex-step, so criterion 1 (block
+equivalence with the general route) certifies them.  It also implements the
+curvature-driven subprincipal correction of the scalar Rayleigh operator:
+boundary curvature and tangential/normal material gradients enter through
+three 2x2 matrices Y1, Y2, Y3, a Hermitian 2x2 Sylvester solve, and two
+independently assembled scalar outputs that must agree.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -82,6 +85,11 @@ class IsoSurfaceState:
         return 0.0 < self.t < 1.0
 
 
+def _b(t, ut):
+    """b = 1 - sqrt(1-ut) sqrt(1-t), cancellation-free; np.sqrt lets complex steps through."""
+    return (ut + t - ut * t) / (1.0 + np.sqrt(1.0 - ut) * np.sqrt(1.0 - t))
+
+
 def _state(lam, mu, rho, xi_mag, t) -> IsoSurfaceState:
     u = mu / (lam + 2.0 * mu)
     c_s = math.sqrt(mu / rho)
@@ -90,10 +98,7 @@ def _state(lam, mu, rho, xi_mag, t) -> IsoSurfaceState:
     c_r = c_s * math.sqrt(t_sigma)
     sigma_s = c_r / c_s
     sigma_p = c_r / c_p
-    if 0.0 < t < 1.0:
-        b = (u * t + t - u * t * t) / (1.0 + math.sqrt(1.0 - u * t) * math.sqrt(1.0 - t))
-    else:
-        b = math.nan  # outside the elliptic range; block formulas refuse it
+    b = _b(t, u * t) if 0.0 < t < 1.0 else math.nan  # block formulas refuse a non-elliptic t
     return IsoSurfaceState(
         lam=float(lam), mu=float(mu), rho=float(rho), xi_mag=float(xi_mag),
         t=float(t), u=float(u), b=float(b),
@@ -133,22 +138,18 @@ def _zeta_forms(lam, mu, rho, xi):
     """zeta_1, zeta_2, zeta_3 of the impedance block z11."""
     t = rho / (mu * xi * xi)
     ut = rho / ((lam + 2.0 * mu) * xi * xi)
-    st = np.sqrt(1.0 - t)
-    sut = np.sqrt(1.0 - ut)
-    b = (ut + t - ut * t) / (1.0 + sut * st)  # 1 - sqrt(1-ut) sqrt(1-t), cancellation-free
+    b = _b(t, ut)
     m = mu * xi / b
-    return m * t * st, m * (2.0 * b - t), m * t * sut
+    return m * t * np.sqrt(1.0 - t), m * (2.0 * b - t), m * t * np.sqrt(1.0 - ut)
 
 
 def _kappa_forms(cs, cp, xi):
     """kappa_11, kappa_12, kappa_21, kappa_22 of the decay-factor block (iq)_11."""
     t = 1.0 / (cs * cs * xi * xi)
     ut = 1.0 / (cp * cp * xi * xi)
-    st = np.sqrt(1.0 - t)
-    sut = np.sqrt(1.0 - ut)
-    b = (ut + t - ut * t) / (1.0 + sut * st)  # 1 - sqrt(1-ut) sqrt(1-t), cancellation-free
+    b = _b(t, ut)
     f = xi / b
-    return f * ut * st, f * (b - ut), f * (b - t), f * t * sut
+    return f * ut * np.sqrt(1.0 - t), f * (b - ut), f * (b - t), f * t * np.sqrt(1.0 - ut)
 
 
 def _kappa_matrix(k11, k12, k21, k22) -> np.ndarray:
@@ -174,28 +175,20 @@ def iso_blocks(st: IsoSurfaceState) -> IsoBlocks:
     t, ut, b, xi, mu = st.t, st.ut, st.b, st.xi_mag, st.mu
     sq_t = math.sqrt(1.0 - t)
     sq_ut = math.sqrt(1.0 - ut)
-    iq11 = np.array([[ut * sq_t, -1j * (b - ut)], [1j * (b - t), t * sq_ut]]) * (xi / b)
-    z11 = np.array([[t * sq_t, -1j * (2.0 * b - t)], [1j * (2.0 * b - t), t * sq_ut]]) * st.m
+    iq11 = _kappa_matrix(*_kappa_forms(st.c_s, st.c_p, xi))
+    z11 = _zeta_matrix(*_zeta_forms(st.lam, mu, st.rho, xi))
     detz11 = mu * mu * xi * xi / b * (4.0 * sq_t * sq_ut - (2.0 - t) ** 2)
     return IsoBlocks(iq11=iq11, z11=z11, detz11=float(detz11), z22_scalar=float(mu * xi * sq_t))
 
 
-def iso_iq_full(st: IsoSurfaceState) -> np.ndarray:
-    """Full 3x3 iq = diag(iq11, |xi| sqrt(1-t)) in the (nu, xi-hat, perp) frame."""
+def iso_full(st: IsoSurfaceState) -> tuple[np.ndarray, np.ndarray]:
+    """Full 3x3 iq = diag(iq11, |xi| sqrt(1-t)) and impedance z = diag(z11,
+    mu |xi| sqrt(1-t)) in the (nu, xi-hat, perp) frame."""
     blocks = iso_blocks(st)
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = blocks.iq11
-    out[2, 2] = st.xi_mag * math.sqrt(1.0 - st.t)
-    return out
-
-
-def iso_impedance_full(st: IsoSurfaceState) -> np.ndarray:
-    """Full 3x3 impedance diag(z11, mu |xi| sqrt(1-t)) in the frame basis."""
-    blocks = iso_blocks(st)
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = blocks.z11
-    out[2, 2] = blocks.z22_scalar
-    return out
+    iq, z = np.zeros((2, 3, 3), dtype=complex)
+    iq[:2, :2], iq[2, 2] = blocks.iq11, st.xi_mag * math.sqrt(1.0 - st.t)
+    z[:2, :2], z[2, 2] = blocks.z11, blocks.z22_scalar
+    return iq, z
 
 
 def iso_kernel_vector(t_on_sigma: float) -> np.ndarray:
@@ -283,21 +276,19 @@ class CurvatureData:
     @classmethod
     def from_json(cls, text: str) -> "CurvatureData":
         doc = json.loads(text)
-        grad = doc.get("grad_t", {})
-        dn = doc.get("dn", {})
-        curv = cls(
-            s22=float(doc.get("s22", 0.0)),
-            trS=float(doc.get("trS", 0.0)),
-            grad_lambda_t=float(grad.get("lambda", 0.0)),
-            grad_mu_t=float(grad.get("mu", 0.0)),
-            grad_rho_t=float(grad.get("rho", 0.0)),
-            dn_lambda=float(dn.get("lambda", 0.0)),
-            dn_mu=float(dn.get("mu", 0.0)),
-            dn_rho=float(dn.get("rho", 0.0)),
-        )
-        if not all(math.isfinite(x) for x in astuple(curv)):
+        if not isinstance(doc, dict):
+            raise ValueError("curvature record must be a JSON object")
+        grad, dn = doc.get("grad_t", {}), doc.get("dn", {})
+        if not (isinstance(grad, dict) and isinstance(dn, dict)):
+            raise ValueError("curvature 'grad_t' and 'dn' must be JSON objects")
+        # field order: s22, trS, grad_*_t, dn_* with * = lambda, mu, rho
+        values = [doc.get("s22", 0.0), doc.get("trS", 0.0),
+                  *(part.get(k, 0.0) for part in (grad, dn) for k in ("lambda", "mu", "rho"))]
+        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in values):
+            raise ValueError("curvature entries must be numbers")
+        if not all(abs(x) <= sys.float_info.max for x in values):  # NaN, inf, ints beyond floats
             raise ValueError("curvature entries must be finite")
-        return curv
+        return cls(*map(float, values))
 
 
 def build_Y(st: IsoSurfaceState, curv: CurvatureData, derivs: IsoDerivatives | None = None):

@@ -57,8 +57,9 @@ class StiffnessTensor:
             raise MaterialError("schema", f"voigt matrix must be 6x6, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise MaterialError("nonfinite", "stiffness entries must be finite in Pa")
-        scale = np.linalg.norm(v)
-        defect = np.linalg.norm(v - v.T) / scale if scale > 0 else 0.0
+        peak = np.abs(v).max()
+        w = v / peak if peak > 0 else v  # the norms of v itself overflow above ~1e154 Pa
+        defect = np.linalg.norm(w - w.T) / np.linalg.norm(w) if peak > 0 else 0.0
         if defect > SYMMETRY_TOL:
             raise MaterialError(
                 "asymmetric_stiffness",
@@ -262,15 +263,13 @@ def parse_material(text: str) -> Material:
         raise MaterialError("schema", "'name' must be a string")
     if "density_kg_m3" not in doc:
         raise MaterialError("schema", "missing 'density_kg_m3'")
-    density = doc["density_kg_m3"]
-    if not isinstance(density, (int, float)) or isinstance(density, bool):
-        raise MaterialError("schema", "'density_kg_m3' must be a number")
+    density = _number(doc, "density_kg_m3")
 
     if "isotropic" in doc:
         iso = doc["isotropic"]
         if not isinstance(iso, dict) or set(iso) != {"lambda_gpa", "mu_gpa"}:
             raise MaterialError("schema", "'isotropic' needs exactly lambda_gpa and mu_gpa")
-        stiff = isotropic_stiffness(float(iso["lambda_gpa"]) * GPA, float(iso["mu_gpa"]) * GPA)
+        stiff = isotropic_stiffness(_number(iso, "lambda_gpa") * GPA, _number(iso, "mu_gpa") * GPA)
     elif "stiffness" in doc:
         st = doc["stiffness"]
         if not isinstance(st, dict) or st.get("format") != "voigt_gpa":
@@ -284,7 +283,18 @@ def parse_material(text: str) -> Material:
         stiff = StiffnessTensor(matrix * GPA)
     else:
         raise MaterialError("schema", "need 'isotropic' or 'stiffness' section")
-    return Material(stiffness=stiff, density=float(density), name=name)
+    return Material(stiffness=stiff, density=density, name=name)
+
+
+def _number(doc: dict, key: str) -> float:
+    """doc[key] as a float; a JSON bool, null, string or container is a schema error."""
+    value = doc[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise MaterialError("schema", f"'{key}' must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise MaterialError("nonfinite", f"'{key}' must be finite") from exc
 
 
 def material_to_json(mat: Material) -> str:

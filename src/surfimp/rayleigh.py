@@ -52,6 +52,7 @@ START_OFFSET = 1e-6
 _GAP_RTOL = 1e-8
 _NEWTON_FTOL = 1e-13
 _ROOT_MAX_ROUNDS = 100
+_NEWTON_MIN_MAX_ROUNDS = 60
 _GRID_NODES = 97
 _GRID_BLOCK = 512
 KERNEL_PHASE_CUTOFF = 1e-6
@@ -269,7 +270,7 @@ class _Engine:
                                    "did not lower it")
             fmin[rows] = f
 
-    def _newton_min(self, pre, rows, lo, hi, x, max_rounds=60):
+    def _newton_min(self, pre, rows, lo, hi, x):
         """Smallest f seen on each bracket [lo, hi] by safeguarded Newton on f'.
 
         Starts from x in the bracket.  Each round
@@ -282,7 +283,7 @@ class _Engine:
         lo, hi, x = lo.copy(), hi.copy(), x.copy()
         fmin = np.full(rows.size, np.inf)
         live = np.arange(rows.size)
-        for _ in range(max_rounds):
+        for _ in range(_NEWTON_MIN_MAX_ROUNDS):
             if live.size == 0:
                 break
             f, d1, d2 = self._eigmin_along(pre, x[live], rows=rows[live], derivs=True).T

@@ -24,8 +24,7 @@ import numpy as np
 from .impedance import barnett_lothe_residual, impedance_tensor, radial_derivative_z, sylvester_solve
 from .isotropic import (
     CurvatureData,
-    iso_impedance_full,
-    iso_iq_full,
+    iso_full,
     iso_scalar_derivatives,
     iso_state,
     iso_state_on_sigma,
@@ -104,8 +103,9 @@ def _check_iso_blocks(seed: int, draws: int) -> float:
         data = impedance_tensor(p, spectral_factor(p))
         st = iso_state(lam * GPA, mu * GPA, rho, xi)
         rot = frame_rotation(frame)
-        z_err = np.linalg.norm(rot.T @ data.z @ rot - iso_impedance_full(st))
-        q_err = np.linalg.norm(rot.T @ data.q @ rot + 1j * iso_iq_full(st))
+        iq, z = iso_full(st)
+        z_err = np.linalg.norm(rot.T @ data.z @ rot - z)
+        q_err = np.linalg.norm(rot.T @ data.q @ rot + 1j * iq)
         worst = max(worst, z_err / np.linalg.norm(data.z), q_err / np.linalg.norm(data.q))
     return worst
 

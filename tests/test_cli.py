@@ -217,9 +217,20 @@ _NAN_VOIGT = json.dumps({"name": "m", "density_kg_m3": 1000.0, "stiffness": {
     ("rayleigh", _ISO_TEXT % ("1000.0", "1e300"), None),  # overflows to inf in Pa
     ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), '{"s22": NaN, "trS": 0.2}'),
     ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), '{"s22": 0.1, "dn": {"mu": 1e400}}'),
-], ids=["inf-density", "nan-voigt", "nan-lambda", "huge-lambda", "nan-curvature", "huge-curvature"])
+    ("rayleigh", _ISO_TEXT % ("1000.0", "null"), None),
+    ("validate", _ISO_TEXT % ("1000.0", '"x"'), None),
+    ("validate", _ISO_TEXT.replace('"mu_gpa": 1.0', '"mu_gpa": true') % ("1000.0", "2.0"), None),
+    ("validate", _ISO_TEXT % ("1" + "0" * 400, "2.0"), None),  # an int beyond the float range
+    ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), "[1, 2]"),
+    ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), '{"s22": 0.1, "grad_t": 5}'),
+    ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), '{"s22": null}'),
+    ("subprincipal", _ISO_TEXT % ("1000.0", "2.0"), '{"trS": 1%s}' % ("0" * 400)),
+], ids=["inf-density", "nan-voigt", "nan-lambda", "huge-lambda", "nan-curvature", "huge-curvature",
+        "null-lambda", "string-lambda", "bool-mu", "huge-int-density", "array-curvature",
+        "scalar-grad-curvature", "null-curvature", "huge-int-curvature"])
 def test_non_finite_input_numbers_are_input_errors(capsys, tmp_path, command, material, curvature):
-    # json reads NaN, Infinity and overflowing literals; the records reject them
+    # json reads NaN, Infinity, overflowing literals and values of any JSON
+    # type; the records accept only finite numbers where they expect one
     mat_file, curv_file = tmp_path / "mat.json", tmp_path / "curv.json"
     mat_file.write_text(material)
     curv_file.write_text(curvature or "{}")

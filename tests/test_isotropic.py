@@ -8,8 +8,7 @@ from surfimp.isotropic import (
     CurvatureData,
     build_Y,
     iso_blocks,
-    iso_impedance_full,
-    iso_iq_full,
+    iso_full,
     iso_kernel_vector,
     iso_scalar_derivatives,
     iso_state,
@@ -19,7 +18,7 @@ from surfimp.isotropic import (
     _zeta_forms,
 )
 from surfimp.polyfactor import NonEllipticError, build_pencil, spectral_factor
-from surfimp import selftest
+from surfimp import isotropic, selftest
 from surfimp.selftest import richardson
 
 from conftest import frame_rotation
@@ -87,6 +86,22 @@ def test_blocks_match_general_route():
     assert selftest._check_iso_blocks(8, 50) < 1e-10
 
 
+@pytest.mark.parametrize("forms, entry", [("_kappa_forms", k) for k in range(4)]
+                         + [("_zeta_forms", k) for k in range(3)])
+def test_block_check_sees_an_error_in_the_differentiated_forms(monkeypatch, forms, entry):
+    # the forms that iso_scalar_derivatives complex-steps are the ones
+    # criterion 1 compares with the general route, so a slip in one shows
+    original = getattr(isotropic, forms)
+
+    def perturbed(*args):
+        out = list(original(*args))
+        out[entry] = out[entry] * (1.0 + 1e-3)
+        return tuple(out)
+
+    monkeypatch.setattr(isotropic, forms, perturbed)
+    assert selftest._check_iso_blocks(8, 5) > 1e-6
+
+
 def test_kernel_vector_on_variety():
     st = iso_state_on_sigma(2.0e9, 1.0e9, 1000.0)
     t = st.t
@@ -96,7 +111,7 @@ def test_kernel_vector_on_variety():
     blocks = iso_blocks(st)
     assert abs(blocks.detz11) <= 1e-11 * np.linalg.norm(blocks.z11) ** 2
     v = iso_kernel_vector(t)
-    z = iso_impedance_full(st)
+    _, z = iso_full(st)
     assert np.linalg.norm(z @ v) <= 1e-9 * np.linalg.norm(z)
     assert v[1].imag == 0 and v[1].real > 0
 
@@ -260,7 +275,7 @@ def test_zminus_block_route_matches_hermitian_solve():
     y11 = 1j * (y1 + y2 - y3) - a2m_block
     y_full = np.zeros((3, 3), dtype=complex)
     y_full[:2, :2] = y11
-    q_full = -1j * iso_iq_full(st)
+    q_full = -1j * iso_full(st)[0]
     zm = solve_zminus(q_full, y_full)
     x_full = (zm + zm.conj().T)[:2, :2]
     np.testing.assert_allclose(x_full, br.X, rtol=1e-9, atol=1e-12 * np.linalg.norm(br.X))

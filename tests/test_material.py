@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,19 @@ def test_parse_error_codes():
     with pytest.raises(MaterialError) as err:
         parse_material(json.dumps({"name": "m", "density_kg_m3": 1.0,
                                    "stiffness": {"format": "voigt_gpa", "matrix": bad}}))
+    assert err.value.code == "asymmetric_stiffness"
+
+
+def test_symmetry_check_survives_overflowing_norms():
+    # above ~1e154 Pa the Frobenius norms of the matrix overflow to inf
+    big = np.eye(6) * 1e169
+    skew = big.copy()
+    skew[0, 1] = 1e169
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert StiffnessTensor(big).symmetry_defect == 0.0
+        with pytest.raises(MaterialError) as err:
+            StiffnessTensor(skew)
     assert err.value.code == "asymmetric_stiffness"
 
 
