@@ -213,7 +213,10 @@ def cmd_subprincipal(args) -> int:
     if params is None:
         return _fail("anisotropic subprincipal unsupported", EXIT_INPUT)
     lam, mu = params
-    st = iso_state_on_sigma(lam, mu, mat.density)
+    try:
+        st = iso_state_on_sigma(lam, mu, mat.density)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     br = subprincipal_p(st, curv)
     payload = {f.name: _pairs(getattr(br, f.name)) for f in dataclasses.fields(br)}
     payload.update({

@@ -33,10 +33,11 @@ def rayleigh_cubic_root(u: float) -> float:
 
     This is Rayleigh's cubic: (t-2)^4 = 16(1-t)(1-ut) divided by the spurious
     root at t = 0.  The root also zeroes 4 sqrt((1-t)(1-ut)) - (2-t)^2, and
-    c_r = c_s sqrt(t).
+    c_r = c_s sqrt(t).  With u = mu / (lam + 2 mu) in (0, 1), that is mu > 0
+    and lam > -mu, the cubic is -16(1-u) < 0 at t = 0 and 1 at t = 1.
     """
-    if not (0.0 < u < 0.5):
-        raise ValueError(f"u must lie in (0, 1/2), got {u}")
+    if not (0.0 < u < 1.0):
+        raise ValueError(f"u must lie in (0, 1), got {u}")
 
     def h(t):
         return t * t * t - 8.0 * t * t + (24.0 - 16.0 * u) * t - 16.0 * (1.0 - u)
@@ -110,10 +111,18 @@ def _state(lam, mu, rho, xi_mag, t) -> IsoSurfaceState:
     )
 
 
+def _require_domain(lam, mu, rho) -> None:
+    """ValueError unless mu > 0, lam > -mu and rho > 0: c_p > c_s, and a Rayleigh root exists."""
+    if not (mu > 0.0 and lam > -mu and rho > 0.0):
+        raise ValueError(f"isotropic closed forms need mu > 0, lam > -mu and rho > 0, "
+                         f"got lam = {lam!r} Pa, mu = {mu!r} Pa, rho = {rho!r} kg/m^3")
+
+
 def iso_state(lam: float, mu: float, rho: float, xi_mag: float) -> IsoSurfaceState:
     """State at tangential covector magnitude xi_mag (elliptic iff c_s xi > 1)."""
-    if min(lam, mu, rho, xi_mag) <= 0.0:
-        raise ValueError("lam, mu, rho, xi_mag must be positive")
+    _require_domain(lam, mu, rho)
+    if not xi_mag > 0.0:
+        raise ValueError(f"xi_mag must be positive, got {xi_mag!r}")
     t = rho / (mu * xi_mag * xi_mag)
     return _state(lam, mu, rho, xi_mag, t)
 
@@ -125,6 +134,7 @@ def iso_state_on_sigma(lam: float, mu: float, rho: float) -> IsoSurfaceState:
     |xi|; the subprincipal formulas contain removable singularities there and
     an exact-on-variety t avoids catastrophic cancellation.
     """
+    _require_domain(lam, mu, rho)
     u = mu / (lam + 2.0 * mu)
     t = rayleigh_cubic_root(u)
     c_r = math.sqrt(mu / rho) * math.sqrt(t)
@@ -224,7 +234,7 @@ def _complex_step(forms, args) -> np.ndarray:
     """Column j holds d forms / d args[j] as Im forms(x + ih) / h, exact to rounding."""
     columns = []
     for j, x in enumerate(args):
-        h = COMPLEX_STEP * abs(x)
+        h = COMPLEX_STEP * (abs(x) or 1.0)  # absolute where x = 0 (lam may be 0)
         stepped = [complex(a, h) if i == j else a for i, a in enumerate(args)]
         columns.append(np.imag(forms(*stepped)) / h)
     return np.column_stack(columns)

@@ -130,9 +130,10 @@ class SurfaceFrame:
     def __post_init__(self):
         nu = np.asarray(self.nu, dtype=float)
         tg = np.asarray(self.tangent, dtype=float)
-        if abs(np.linalg.norm(nu) - 1.0) > FRAME_TOL or abs(np.linalg.norm(tg) - 1.0) > FRAME_TOL:
-            raise MaterialError("frame", "frame vectors must be unit length")
-        if abs(float(nu @ tg)) > FRAME_TOL:
+        # written as not (... <= tol), so that a NaN entry fails the check
+        if not (abs(np.linalg.norm(nu) - 1.0) <= FRAME_TOL and abs(np.linalg.norm(tg) - 1.0) <= FRAME_TOL):
+            raise MaterialError("frame", "frame vectors must be finite and unit length")
+        if not abs(float(nu @ tg)) <= FRAME_TOL:
             raise MaterialError("frame", "frame vectors must be orthogonal")
         object.__setattr__(self, "nu", _readonly(nu))
         object.__setattr__(self, "tangent", _readonly(tg))
@@ -151,6 +152,8 @@ class SurfaceFrame:
         """
         n = np.asarray(normal, dtype=float)
         t = np.asarray(tangent, dtype=float)
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(t))):
+            raise MaterialError("frame", "frame vectors must be finite")
         nn = np.linalg.norm(n)
         tn = np.linalg.norm(t)
         if nn == 0.0 or tn == 0.0:

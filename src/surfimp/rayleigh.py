@@ -7,15 +7,16 @@ the elliptic region.
 
 One vectorized engine finds every root; a single point is a batch of one.
 c_lim comes from the smallest eigenvalue of c(e + sigma nu) over sigma: a
-closed-form 97-node grid picks brackets that safeguarded Newton steps refine
-(Hellmann-Feynman derivatives from one batched eigh per round).  The
-companion eigensolve at the root bracket's upper end certifies it; a nearly
-real root s there marks a valley the grid missed, at sigma = Re(s) c, which
-is refined before the row is certified again.  Below c_lim the root is the
-zero of g(c) = c lambda_min z(e / c), which falls with dg/dc = -u0* X u0,
-X = zdot - z positive definite (zdot the radial derivative); safeguarded
-Newton steps on g in t = sqrt(1 - c / c_lim), where the square-root branch
-of z at c_lim is smooth, converge inside the bracket [1e-3, 1 - 1e-6] c_lim.
+closed-form 97-node grid picks one bracket per direction, around its best
+node, that safeguarded Newton steps refine (Hellmann-Feynman derivatives from
+one batched eigh per round).  The companion eigensolve at the root bracket's
+upper end certifies it; a nearly real root s there marks a valley outside the
+bracket, at sigma = Re(s) c, which the same steps refine before the row is
+certified again.  Below c_lim the root is the zero of g(c) =
+c lambda_min z(e / c), which falls with dg/dc = -u0* X u0, X = zdot - z
+positive definite (zdot the radial derivative); safeguarded Newton steps on g
+in t = sqrt(1 - c / c_lim), where the square-root branch of z at c_lim is
+smooth, converge inside the bracket [1e-3, 1 - 1e-6] c_lim.
 Each speed is eigensolved once: the certifying eigensolve also serves the
 existence test, and c_r is the speed of the last Newton round, whose
 evaluation gives the kernel, residuals and radial slope.  Every impedance
@@ -207,48 +208,37 @@ class _Engine:
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
         The closed-form grid values (in blocks of _GRID_BLOCK rows, to bound
-        the temporaries) pick the best and the runner-up brackets, which
-        safeguarded Newton steps refine (_newton_min); c_lim comes from the
-        Newton (eigh) values alone.  Each estimate is certified at the root
-        bracket's upper end (1 - START_OFFSET) c_lim, where the pencil must
-        keep a spectral margin above ELLIPTICITY_MARGIN.  A row that fails
-        has a nearly real root s, so the grid missed a valley near
-        sigma = Re(s) c: Newton steps refine the bracket of one grid step on
-        either side of it, and the row is certified again.  Each row's last
+        the temporaries) pick each row's best node, and safeguarded Newton
+        steps refine the bracket of one grid step on either side of it
+        (_newton_min); c_lim comes from the Newton (eigh) values alone.  Each
+        estimate is certified at the root bracket's upper end
+        (1 - START_OFFSET) c_lim, where the pencil must keep a spectral margin
+        above ELLIPTICITY_MARGIN.  A row that fails has a nearly real root s,
+        so the grid missed a valley near sigma = Re(s) c: the same refinement
+        runs there, and the row is certified again.  Each row's last
         certifying eigensolve is left in pre for _solve_rows' existence test.
         BracketError is raised when a minimum is not positive, or when a round
         does not strictly lower a failing row's minimum.
         """
         grid = self.grid
         m = pre["dirs"].shape[0]
-        cols = np.arange(grid.size)
-        nodes = np.empty(2 * m, dtype=int)
-        start = np.empty(2 * m, dtype=int)
+        sigma = np.empty(m)
         for b in range(0, m, _GRID_BLOCK):
-            e = min(b + _GRID_BLOCK, m)
-            vals = self._eigmin_along(pre, grid[None, :], rows=slice(b, e))
-            best = np.argmin(vals, axis=1)
-            # refine the best and runner-up grid minima; eig crossings can
-            # hide a second local valley between grid nodes
-            second = np.argmin(np.where(np.abs(cols - best[:, None]) <= 2, np.inf, vals), axis=1)
-            # start at the lowest of the bracket's three grid nodes: a
-            # runner-up on the slope of the best valley starts at an end
-            # whose f' points out of the bracket, and leaves after one round
-            padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=np.inf)
-            for half, pick in ((0, best), (m, second)):
-                window = np.take_along_axis(padded, pick[:, None] + np.arange(3), axis=1)
-                nodes[half + b:half + e] = pick
-                start[half + b:half + e] = pick - 1 + np.argmin(window, axis=1)
-        rows = np.tile(np.arange(m), 2)
+            vals = self._eigmin_along(pre, grid[None, :], rows=slice(b, b + _GRID_BLOCK))
+            sigma[b:b + _GRID_BLOCK] = grid[np.argmin(vals, axis=1)]
         h = grid[1] - grid[0]
-        fmin = self._newton_min(pre, rows, grid[nodes] - h, grid[nodes] + h, grid[start])
-        fmin = np.minimum(fmin[:m], fmin[m:])
         rows = np.arange(m)
+        fmin = np.full(m, np.inf)
         while True:
-            if not np.all(fmin[rows] > 0.0):
+            f = self._newton_min(pre, rows, sigma, h)
+            if np.any(f >= fmin[rows]):
+                raise BracketError("c_lim not certified: refining the valley below the estimate "
+                                   "did not lower it")
+            if not np.all(f > 0.0):
                 raise BracketError("c(e + sigma nu) is not positive definite along some direction; "
                                    "material is not strongly elliptic")
-            c = (1.0 - START_OFFSET) * np.sqrt(fmin[rows] / self.rho)
+            fmin[rows] = f
+            c = (1.0 - START_OFFSET) * np.sqrt(f / self.rho)
             eig = self._eig(pre, c, rows)
             if rows.size == m:
                 pre["c_lim_eig"] = eig
@@ -264,23 +254,18 @@ class _Engine:
             # nearly real root marks a valley below the estimate
             rows, c = rows[bad], c[bad]
             sigma = vals[bad, np.argmin(margin[bad], axis=1)].real * c
-            f = self._newton_min(pre, rows, sigma - h, sigma + h, sigma)
-            if not np.all(f < fmin[rows]):
-                raise BracketError("c_lim not certified: refining the valley below the estimate "
-                                   "did not lower it")
-            fmin[rows] = f
 
-    def _newton_min(self, pre, rows, lo, hi, x):
-        """Smallest f seen on each bracket [lo, hi] by safeguarded Newton on f'.
+    def _newton_min(self, pre, rows, x, h):
+        """Smallest f seen on each bracket [x - h, x + h] by safeguarded Newton on f'.
 
-        Starts from x in the bracket.  Each round
-        evaluates f, f', f'' at every live row, shrinks the bracket to the
-        side where f' points downhill, and steps by Newton when f'' > 0 and
-        the step lands inside the bracket, else bisects.  A row stops when
-        the predicted decrease |f' step| falls to _NEWTON_FTOL f, so its
-        result does not depend on the other rows of its batch.
+        Starts from the centre x.  Each round evaluates f, f', f'' at every
+        live row, shrinks the bracket to the side where f' points downhill,
+        and steps by Newton when f'' > 0 and the step lands inside the
+        bracket, else bisects.  A row stops when the predicted decrease
+        |f' step| falls to _NEWTON_FTOL f, so its result does not depend on
+        the other rows of its batch.
         """
-        lo, hi, x = lo.copy(), hi.copy(), x.copy()
+        lo, hi, x = x - h, x + h, x.copy()
         fmin = np.full(rows.size, np.inf)
         live = np.arange(rows.size)
         for _ in range(_NEWTON_MIN_MAX_ROUNDS):
@@ -517,13 +502,14 @@ def _scan_chunk(engine: _Engine, dirs: np.ndarray):
 
 
 def resolve_threads(threads: int | None) -> int:
+    """Scan workers: threads, else RAYLEIGH_THREADS (default 1), in [1, os.cpu_count()]."""
     if threads is None:
         text = os.environ.get("RAYLEIGH_THREADS", "1")
         try:
             threads = int(text)
         except ValueError:
             raise ValueError(f"RAYLEIGH_THREADS must be an integer, got {text!r}") from None
-    return max(1, threads)
+    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> DirectionScan:
@@ -535,7 +521,10 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     if n < 4:
         raise ValueError("direction scan needs at least 4 directions")
     nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
+    norm = np.linalg.norm(nu)
+    if not 0.0 < norm < np.inf:
+        raise ValueError("the normal must be a nonzero vector with a finite norm")
+    nu = nu / norm
     e1, e2 = tangent_basis(nu)
     thetas = 2.0 * np.pi * np.arange(n) / n
     dirs = np.cos(thetas)[:, None] * e1[None, :] + np.sin(thetas)[:, None] * e2[None, :]

@@ -10,7 +10,8 @@ from surfimp.selftest import frame_rotation, random_frame  # noqa: F401  (shared
 
 def count_newton_min(monkeypatch) -> list:
     """Record the rows of every _Engine._newton_min call; one per c_lim batch
-    refines the grid brackets, each further call is a recertification round."""
+    refines each row's best grid bracket, each further call is a
+    recertification round of the rows the certificate rejected."""
     calls = []
     newton_min = rayleigh._Engine._newton_min
     monkeypatch.setattr(rayleigh._Engine, "_newton_min",

@@ -280,6 +280,23 @@ def test_subprincipal_linearity(capsys, iso_file, curv_file, tmp_path):
     assert json.loads(out)["psub_direct"] == pytest.approx(2.0 * base, rel=1e-9)
 
 
+@pytest.mark.parametrize("lam_gpa, code", [("0.0", 0), ("-0.9", 0), ("-1.0", 1), ("-1.5", 1)])
+def test_subprincipal_isotropic_domain(capsys, tmp_path, curv_file, lam_gpa, code):
+    # mu = 1 GPa: a Rayleigh root exists for lam > -mu, which rayleigh also
+    # solves; outside it the fit is an input error, not a traceback
+    mat_file = tmp_path / "mat.json"
+    mat_file.write_text(_ISO_TEXT % ("1000.0", lam_gpa))
+    got, out, err = run(capsys, "subprincipal", "--material", str(mat_file),
+                        "--curvature", curv_file, "--xi-dir", "1,0,0")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        doc = json.loads(out)
+        assert abs(doc["psub_direct"] - doc["psub_assembled"]) <= 1e-9 * (1.0 + abs(doc["psub_direct"]))
+
+
 def test_subprincipal_rejects_anisotropic(capsys, aniso_file, curv_file):
     code, _, err = run(capsys, "subprincipal", "--material", aniso_file,
                        "--curvature", curv_file, "--xi-dir", "1,0,0")

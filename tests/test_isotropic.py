@@ -18,6 +18,7 @@ from surfimp.isotropic import (
     _zeta_forms,
 )
 from surfimp.polyfactor import NonEllipticError, build_pencil, spectral_factor
+from surfimp.presets import isotropic_material
 from surfimp import isotropic, selftest
 from surfimp.selftest import richardson
 
@@ -59,9 +60,44 @@ def test_cubic_root_frozen_constants():
 
 def test_cubic_root_domain():
     with pytest.raises(ValueError):
-        rayleigh_cubic_root(0.6)
+        rayleigh_cubic_root(1.0)
     with pytest.raises(ValueError):
         rayleigh_cubic_root(0.0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, -0.3, -0.9, -0.99])
+def test_closed_forms_hold_down_to_lam_minus_mu(ratio):
+    # lam / mu in (-1, 0]: u = mu / (lam + 2 mu) in [1/2, 1), where the cubic
+    # still has its one root in (0, 1); the blocks, the speed and both
+    # subprincipal routes agree with the general route as they do for lam > 0
+    from surfimp.rayleigh import rayleigh_point
+    rng = np.random.default_rng(61)
+    mu, rho = 1.0, 1000.0
+    lam = ratio * mu
+    mat = isotropic_material(lam, mu, rho)
+    on_sigma = iso_state_on_sigma(lam * 1e9, mu * 1e9, rho)
+    assert 0.0 < on_sigma.c_r < on_sigma.c_s < on_sigma.c_p
+    for _ in range(3):
+        frame = selftest.random_frame(rng)
+        xi = rng.uniform(1.05, 20.0) / on_sigma.c_s
+        p = build_pencil(mat, frame, xi)
+        data = impedance_tensor(p, spectral_factor(p))
+        rot = frame_rotation(frame)
+        iq, z = iso_full(iso_state(lam * 1e9, mu * 1e9, rho, xi))
+        assert np.linalg.norm(rot.T @ data.z @ rot - z) <= 1e-10 * np.linalg.norm(data.z)
+        assert np.linalg.norm(rot.T @ data.q @ rot + 1j * iq) <= 1e-10 * np.linalg.norm(data.q)
+        assert rayleigh_point(mat, frame).c_r == pytest.approx(on_sigma.c_r, rel=1e-10)
+        br = subprincipal_p(on_sigma, CurvatureData(*rng.uniform(-1.0, 1.0, 8)))
+        assert np.isfinite(br.psub_direct)
+        assert abs(br.psub_direct - br.psub_assembled) <= 1e-9 * (1.0 + abs(br.psub_direct))
+
+
+@pytest.mark.parametrize("lam, mu", [(-1.0, 1.0), (-1.5, 1.0), (-2.0, 1.0), (1.0, -1.0), (-3.0, -1.0),
+                                     (0.0, 0.0), (math.nan, 1.0)])
+def test_states_outside_the_domain_raise_value_error(lam, mu):
+    for make in (lambda: iso_state(lam, mu, 1.0, 2.0), lambda: iso_state_on_sigma(lam, mu, 1.0)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_blocks_unit_case():

@@ -212,6 +212,21 @@ def test_frame_validation():
         SurfaceFrame(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.1, 1.0]) / math.sqrt(1.01))
 
 
+@pytest.mark.parametrize("nu, tangent", [
+    ([math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]),
+    ([0.0, 0.0, 1.0], [1.0, math.nan, 0.0]),
+    ([0.0, 0.0, math.inf], [1.0, 0.0, 0.0]),
+    ([0.0, 0.0, 1.0], [-math.inf, 0.0, 0.0]),
+])
+def test_non_finite_frames_are_rejected(nu, tangent):
+    # a NaN entry makes every tolerance comparison false, so the checks must
+    # reject what fails them rather than accept what passes
+    for make in (SurfaceFrame, SurfaceFrame.from_vectors):
+        with pytest.raises(MaterialError) as err:
+            make(np.array(nu), np.array(tangent))
+        assert err.value.code == "frame"
+
+
 def test_frame_from_vectors_reorthonormalizes():
     frame = SurfaceFrame.from_vectors([0, 0, 2.0], [1.0, 0, 0.3])
     assert abs(frame.nu @ frame.tangent) < 1e-14

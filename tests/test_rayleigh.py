@@ -249,14 +249,15 @@ def test_scan_c_lim_matches_limiting_speed():
 
 
 def test_scan_c_lim_finds_valley_beside_best(monkeypatch):
-    # rows 11 and 35: the deepest valley of eig_min lies between the grid
-    # node two past the best node and the runner-up node; refining it from
-    # the runner-up bracket needs no recertification round
+    # rows 11 and 35: the deepest valley of eig_min lies two grid nodes or
+    # more past the best node, outside its bracket; the certificate rejects
+    # both estimates and one recertification round refines that valley
     mat = synthetic_anisotropic(642159816, strength=0.7)
     nu = _unit(np.array([-0.0642, -0.9910, 0.1177]))
     calls = count_newton_min(monkeypatch)
     scan = scan_directions(mat, nu, 48)
-    assert len(calls) == 1
+    assert len(calls) == 2
+    assert calls[1].tolist() == [11, 35]
     grid = rayleigh._Engine(mat, nu).grid
     for k in (11, 35):
         ref = c_lim_reference(mat, nu, scan.directions[k], grid)
@@ -451,6 +452,42 @@ def test_scan_env_threads(aniso, monkeypatch):
     monkeypatch.setenv("RAYLEIGH_THREADS", "2")
     s = scan_directions(aniso, np.array([0.0, 0.0, 1.0]), 64)
     assert s.e1_satisfied
+
+
+def test_scan_workers_capped_at_cpu_count(aniso, monkeypatch):
+    # RAYLEIGH_THREADS beyond the CPU count starts one worker per CPU; a
+    # serial stand-in for the pool records the request and starts no thread
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(rayleigh, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("RAYLEIGH_THREADS", "1000")
+    assert rayleigh.resolve_threads(None) == 3
+    assert rayleigh.resolve_threads(1000) == 3
+    nu = np.array([0.0, 0.0, 1.0])
+    scan = scan_directions(aniso, nu, 96)
+    assert workers == [3]
+    assert scan.to_csv() == scan_directions(aniso, nu, 96, threads=1).to_csv()
+
+
+@pytest.mark.parametrize("nu", [[0.0, 0.0, 0.0], [0.0, math.nan, 1.0], [0.0, 0.0, math.inf]])
+def test_scan_rejects_normals_without_a_direction(aniso, nu):
+    with pytest.raises(ValueError, match="normal") as err:
+        scan_directions(aniso, nu, 8)
+    assert not isinstance(err.value, np.linalg.LinAlgError)
 
 
 def test_holonomy_isotropic_trivial(soft_iso):
