@@ -9,15 +9,19 @@ working tree; the parent side is a temporary `git worktree` of --parent
 (default HEAD), or an existing checkout given by --parent-dir.  Each pair
 runs `python3 perfbench/run.py --workload W --seed S --trace 0` once per
 side, each in a fresh interpreter, and pairs alternate which side runs
-first.  The file gets, per workload and seed, every run of the end-to-end
-metrics with their medians and quartiles (statistics.quantiles, n=4), the
-pairs in which the change was lower, the failed-operation counts, and how
-many runs per side reported correct outputs.  Entries for other workloads or
-seeds already in the file are kept.  Exits 1, after writing the file, when a
+first.  Both sides must carry the same benchmark: the script exits 1 before
+any run, naming the files that differ, unless BENCHMARK.json and every file
+under its paths (__pycache__ aside) have equal SHA-256 digests on both.  The
+file gets, per workload and seed, every run of the end-to-end metrics with
+their medians and quartiles (statistics.quantiles, n=4), the pairs in which
+the change was lower, the failed-operation counts, and how many runs per side
+reported correct outputs.  Entries for other workloads or seeds already in the
+file are kept.  Exits 1, after writing the file, when a
 run of this invocation reported incorrect outputs or failed operations.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -69,7 +73,31 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def run_pairs(parent: Path, args) -> tuple[list, dict]:
+def benchmark_digests(checkout: Path) -> dict[str, str]:
+    """SHA-256 of BENCHMARK.json and of each file under its paths, by relative path."""
+    spec = checkout / "BENCHMARK.json"
+    files = [spec]
+    for entry in json.loads(spec.read_text())["paths"]:
+        root = checkout / entry
+        files += [root] if root.is_file() else sorted(
+            f for f in root.rglob("*") if f.is_file() and "__pycache__" not in f.parts)
+    return {f.relative_to(checkout).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in files}
+
+
+def differing_benchmark_files(parent: Path, change: Path) -> list[str]:
+    """Benchmark files whose digest differs between the checkouts, or that only one has."""
+    a, b = benchmark_digests(parent), benchmark_digests(change)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+def run_pairs(parent: Path, args) -> tuple[list, dict] | None:
+    """The BENCH entries and host record, or None when the sides' benchmark files differ."""
+    differ = differing_benchmark_files(parent, ROOT)
+    if differ:
+        print("error: the parent and change sides carry different benchmark files: "
+              + ", ".join(differ), file=sys.stderr)
+        return None
     entries, env = [], {}
     for workload in args.workload:
         for seed in args.seed:
@@ -100,15 +128,18 @@ def main() -> int:
     args.seed = args.seed or [0]
     parent_commit = git("rev-parse", "--short", args.parent)
     if args.parent_dir is not None:
-        entries, env = run_pairs(args.parent_dir.resolve(), args)
+        result = run_pairs(args.parent_dir.resolve(), args)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             tree = Path(tmp) / "parent"
             git("worktree", "add", "--detach", str(tree), args.parent)
             try:
-                entries, env = run_pairs(tree, args)
+                result = run_pairs(tree, args)
             finally:
                 git("worktree", "remove", "--force", str(tree))
+    if result is None:
+        return 1
+    entries, env = result
 
     out = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}

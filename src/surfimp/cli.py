@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import selftest as _selftest_mod
-from .material import Material, MaterialError, SurfaceFrame, parse_material, validate_stiffness
+from .material import (Material, MaterialError, SurfaceFrame, parse_material, unit_vector,
+                       validate_stiffness)
 from .isotropic import (
     CurvatureData,
     iso_state_on_sigma,
@@ -204,9 +205,7 @@ def cmd_subprincipal(args) -> int:
     try:
         mat = _load_material(args.material)
         curv = CurvatureData.from_json(_read_file(args.curvature))
-        xi_dir = _parse_vector(args.xi_dir)
-        if np.linalg.norm(xi_dir) == 0.0:
-            raise MaterialError("schema", "xi-dir must be nonzero")
+        xi_dir = unit_vector(_parse_vector(args.xi_dir), "xi-dir")[0]
     except (OSError, MaterialError, ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     params = _isotropic_parameters(mat)
@@ -220,7 +219,7 @@ def cmd_subprincipal(args) -> int:
     br = subprincipal_p(st, curv)
     payload = {f.name: _pairs(getattr(br, f.name)) for f in dataclasses.fields(br)}
     payload.update({
-        "xi_dir": [float(x) for x in xi_dir / np.linalg.norm(xi_dir)],
+        "xi_dir": [float(x) for x in xi_dir],
         "lam_pa": lam,
         "mu_pa": mu,
         "density_kg_m3": mat.density,

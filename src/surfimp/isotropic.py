@@ -91,11 +91,13 @@ def _b(t, ut):
     return (ut + t - ut * t) / (1.0 + np.sqrt(1.0 - ut) * np.sqrt(1.0 - t))
 
 
-def _state(lam, mu, rho, xi_mag, t) -> IsoSurfaceState:
+def _state(lam, mu, rho, xi_mag, t, t_sigma=None) -> IsoSurfaceState:
+    """The state at t; t_sigma, the cubic root for this u, is solved for unless given."""
     u = mu / (lam + 2.0 * mu)
     c_s = math.sqrt(mu / rho)
     c_p = math.sqrt((lam + 2.0 * mu) / rho)
-    t_sigma = rayleigh_cubic_root(u)
+    if t_sigma is None:
+        t_sigma = rayleigh_cubic_root(u)
     c_r = c_s * math.sqrt(t_sigma)
     sigma_s = c_r / c_s
     sigma_p = c_r / c_p
@@ -138,7 +140,7 @@ def iso_state_on_sigma(lam: float, mu: float, rho: float) -> IsoSurfaceState:
     u = mu / (lam + 2.0 * mu)
     t = rayleigh_cubic_root(u)
     c_r = math.sqrt(mu / rho) * math.sqrt(t)
-    return _state(lam, mu, rho, 1.0 / c_r, t)
+    return _state(lam, mu, rho, 1.0 / c_r, t, t_sigma=t)
 
 
 # --- scalar closed forms, real or complex-stepped ---------------------------

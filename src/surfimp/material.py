@@ -119,6 +119,25 @@ class Material:
         return self.stiffness.tensor()
 
 
+def unit_vector(v, name: str) -> tuple[np.ndarray, float]:
+    """(v / |v|, |v|) for a finite nonzero vector, with no overflow or underflow in the norm.
+
+    v is scaled by 2^-e, e the binary exponent of max|v|, before the norm.
+    The scaling is exact, so the unit vector is bit for bit v / np.linalg.norm(v)
+    wherever that norm is finite and nonzero; |v| is inf beyond the float range.
+    Raises MaterialError("frame"), naming the vector, unless v is finite and nonzero.
+    """
+    v = np.asarray(v, dtype=float)
+    peak = np.max(np.abs(v))
+    if not 0.0 < peak < np.inf:
+        raise MaterialError("frame", f"{name} must be a finite nonzero vector")
+    e = int(np.frexp(peak)[1])
+    w = np.ldexp(v, -e)
+    norm = np.linalg.norm(w)
+    with np.errstate(over="ignore"):
+        return w / norm, float(np.ldexp(norm, e))
+
+
 @dataclass(frozen=True)
 class SurfaceFrame:
     """Unit exterior conormal ``nu`` and unit tangent ``tangent``, orthogonal."""
@@ -150,16 +169,8 @@ class SurfaceFrame:
         The projection defect is recorded on the result; a tangent (anti)parallel
         to the normal is rejected as degenerate.
         """
-        n = np.asarray(normal, dtype=float)
-        t = np.asarray(tangent, dtype=float)
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(t))):
-            raise MaterialError("frame", "frame vectors must be finite")
-        nn = np.linalg.norm(n)
-        tn = np.linalg.norm(t)
-        if nn == 0.0 or tn == 0.0:
-            raise MaterialError("frame", "zero-length frame vector")
-        nu = n / nn
-        t = t / tn
+        nu = unit_vector(normal, "normal")[0]
+        t = unit_vector(tangent, "tangent")[0]
         proj = t - (t @ nu) * nu
         pn = np.linalg.norm(proj)
         if pn < 1e-10:

@@ -6,17 +6,17 @@ Rayleigh speed, strictly below the limiting speed c_lim at the boundary of
 the elliptic region.
 
 One vectorized engine finds every root; a single point is a batch of one.
-c_lim comes from the smallest eigenvalue of c(e + sigma nu) over sigma: a
-closed-form 97-node grid picks one bracket per direction, around its best
-node, that safeguarded Newton steps refine (Hellmann-Feynman derivatives from
-one batched eigh per round).  The companion eigensolve at the root bracket's
-upper end certifies it; a nearly real root s there marks a valley outside the
-bracket, at sigma = Re(s) c, which the same steps refine before the row is
-certified again.  Below c_lim the root is the zero of g(c) =
-c lambda_min z(e / c), which falls with dg/dc = -u0* X u0, X = zdot - z
-positive definite (zdot the radial derivative); safeguarded Newton steps on g
-in t = sqrt(1 - c / c_lim), where the square-root branch of z at c_lim is
-smooth, converge inside the bracket [1e-3, 1 - 1e-6] c_lim.
+c_lim comes from the smallest eigenvalue of c(e + sigma nu) over sigma:
+safeguarded Newton steps (Hellmann-Feynman derivatives from one batched eigh
+per round) start at the minimiser of tr c(e + sigma nu).  The companion
+eigensolve at the root bracket's upper end certifies the minimum; a nearly
+real root s there marks a valley the steps missed, at sigma = Re(s) c, which
+the same steps refine before the row is certified again.  Below c_lim the
+root is the zero of g(c) = c lambda_min z(e / c), which falls with
+dg/dc = -u0* X u0, X = zdot - z positive definite (zdot the radial
+derivative); safeguarded Newton steps on g in t = sqrt(1 - c / c_lim), where
+the square-root branch of z at c_lim is smooth, converge inside the bracket
+[1e-3, 1 - 1e-6] c_lim.
 Each speed is eigensolved once: the certifying eigensolve also serves the
 existence test, and c_r is the speed of the last Newton round, whose
 evaluation gives the kernel, residuals and radial slope.  Every impedance
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polyfactor
-from .material import Material, SurfaceFrame, acoustic_tensor, validate_stiffness
+from .material import Material, SurfaceFrame, acoustic_tensor, unit_vector, validate_stiffness
 from .impedance import radial_derivative_z, riccati_residual
 from .polyfactor import (
     QuadraticPencil,
@@ -54,8 +54,6 @@ _GAP_RTOL = 1e-8
 _NEWTON_FTOL = 1e-13
 _ROOT_MAX_ROUNDS = 100
 _NEWTON_MIN_MAX_ROUNDS = 60
-_GRID_NODES = 97
-_GRID_BLOCK = 512
 KERNEL_PHASE_CUTOFF = 1e-6
 
 SCAN_CSV_HEADER = (
@@ -104,11 +102,8 @@ def eval_p(mat: Material, frame: SurfaceFrame, xi) -> float:
     p(xi) = |xi| * c_r(xi / |xi|); raises when no Rayleigh root exists along
     the ray.
     """
-    xi = np.asarray(xi, dtype=float)
-    mag = float(np.linalg.norm(xi))
-    if mag == 0.0:
-        raise ValueError("xi must be nonzero")
-    pt = rayleigh_point(mat, SurfaceFrame(frame.nu, xi / mag))
+    direction, mag = unit_vector(xi, "xi")
+    pt = rayleigh_point(mat, SurfaceFrame(frame.nu, direction))
     if not pt.exists:
         raise BracketError("no Rayleigh root along this ray (E1 fails here)")
     return mag * pt.c_r
@@ -129,10 +124,9 @@ class _Engine:
             raise BracketError("material is not strongly elliptic")
         # with delta at least half the sampled ellipticity constant,
         # c(e + sigma nu) >= delta (1 + sigma^2) exceeds lam_max >= eig_min c(e)
-        # beyond sigma_max, so every minimum over sigma lies inside the grid
+        # beyond sigma_max, so every minimum over sigma lies in [-sigma_max, sigma_max]
         lam_max = float(np.linalg.eigvalsh(mat.stiffness.mandel())[-1])
-        sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
-        self.grid = np.linspace(-sigma_max, sigma_max, _GRID_NODES)
+        self.sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
         self.c4 = mat.tensor()
         self.rho = mat.density
         self.nu = np.asarray(nu, dtype=float)
@@ -151,39 +145,14 @@ class _Engine:
         """The pencil of one row, or of all rows for stacked a1, a2."""
         return QuadraticPencil(a=self.a, a1=a1, a2=a2, rho=self.rho)
 
-    def _eigmin_along(self, pre: dict, sigma: np.ndarray, rows=None, derivs=False) -> np.ndarray:
-        """f = smallest eigenvalue of M = c(e + sigma nu) per row.
+    def _eigmin_along(self, pre: dict, sigma: np.ndarray, rows=None) -> np.ndarray:
+        """(m, 3) columns f, f', f'' of f = smallest eigenvalue of M = c(e + sigma nu).
 
-        Without derivs, sigma has shape (m, k) (or broadcasts to it) and f
-        comes in closed form from the six entries of M: with q = tr M / 3,
-        p = |M - qI|_F / sqrt(6) and r = det(M - qI) / (2 p^3),
-        f = q + 2p cos(arccos(r) / 3 + 2 pi / 3) (Smith 1961).  It is
-        accurate to about 1e-13 lam_max where the lowest eigenvalue is
-        simple but only to about sqrt(eps) lam_max at a double one, so it
-        only picks brackets.
-
-        With derivs, sigma has shape (m,) and eigh returns (m, 3) columns
-        f, f', f'' by Hellmann-Feynman, with M' = mid + 2 sigma a:
+        One batched eigh gives them by Hellmann-Feynman, with M' = mid + 2 sigma a:
         f' = v0.M'v0 and f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).
         f'' is nan where the lowest gap is degenerate (below _GAP_RTOL lam_max).
         """
         sel = slice(None) if rows is None else rows
-        if not derivs:
-            c_ee, mid = pre["c_ee"][sel], pre["mid"][sel]
-            s2 = sigma * sigma
-            m00, m11, m22, m01, m02, m12 = (
-                c_ee[:, i, j, None] + sigma * mid[:, i, j, None] + s2 * self.a[i, j]
-                for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
-            q = (m00 + m11 + m22) / 3.0
-            b00, b11, b22 = m00 - q, m11 - q, m22 - q
-            p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
-                         + 2.0 * (m01 * m01 + m02 * m02 + m12 * m12)) / 6.0)
-            det = (b00 * (b11 * b22 - m12 * m12) - m01 * (m01 * b22 - m12 * m02)
-                   + m02 * (m01 * m12 - b11 * m02))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.clip(det / (2.0 * p * p * p), -1.0, 1.0)
-                f = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
-            return np.where(p > 0.0, f, q)
         s = sigma[:, None, None]
         # built in place from row copies, so that a whole Newton batch holds
         # few (m, 3, 3) temporaries at once
@@ -207,30 +176,25 @@ class _Engine:
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
-        The closed-form grid values (in blocks of _GRID_BLOCK rows, to bound
-        the temporaries) pick each row's best node, and safeguarded Newton
-        steps refine the bracket of one grid step on either side of it
-        (_newton_min); c_lim comes from the Newton (eigh) values alone.  Each
-        estimate is certified at the root bracket's upper end
-        (1 - START_OFFSET) c_lim, where the pencil must keep a spectral margin
-        above ELLIPTICITY_MARGIN.  A row that fails has a nearly real root s,
-        so the grid missed a valley near sigma = Re(s) c: the same refinement
-        runs there, and the row is certified again.  Each row's last
-        certifying eigensolve is left in pre for _solve_rows' existence test.
-        BracketError is raised when a minimum is not positive, or when a round
-        does not strictly lower a failing row's minimum.
+        Safeguarded Newton steps (_newton_min) start at the minimiser of
+        tr c(e + sigma nu), sigma = -tr mid / (2 tr a), which is 0 and the
+        argmin for isotropic media, inside a bracket that covers
+        [-sigma_max, sigma_max].  Each estimate is certified at the root
+        bracket's upper end (1 - START_OFFSET) c_lim, where the pencil must
+        keep a spectral margin above ELLIPTICITY_MARGIN.  A row that fails has
+        a nearly real root s, so the steps missed a valley near
+        sigma = Re(s) c: the same refinement runs from there, and the row is
+        certified again.  Each row's last certifying eigensolve is left in pre
+        for _solve_rows' existence test.  BracketError is raised when a
+        minimum is not positive, or when a round does not strictly lower a
+        failing row's minimum.
         """
-        grid = self.grid
         m = pre["dirs"].shape[0]
-        sigma = np.empty(m)
-        for b in range(0, m, _GRID_BLOCK):
-            vals = self._eigmin_along(pre, grid[None, :], rows=slice(b, b + _GRID_BLOCK))
-            sigma[b:b + _GRID_BLOCK] = grid[np.argmin(vals, axis=1)]
-        h = grid[1] - grid[0]
+        sigma = -np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(self.a))
         rows = np.arange(m)
         fmin = np.full(m, np.inf)
         while True:
-            f = self._newton_min(pre, rows, sigma, h)
+            f = self._newton_min(pre, rows, sigma, self.sigma_max + np.abs(sigma))
             if np.any(f >= fmin[rows]):
                 raise BracketError("c_lim not certified: refining the valley below the estimate "
                                    "did not lower it")
@@ -258,7 +222,8 @@ class _Engine:
     def _newton_min(self, pre, rows, x, h):
         """Smallest f seen on each bracket [x - h, x + h] by safeguarded Newton on f'.
 
-        Starts from the centre x.  Each round evaluates f, f', f'' at every
+        Starts from the centre x; h = sigma_max + |x| makes the bracket cover
+        [-sigma_max, sigma_max].  Each round evaluates f, f', f'' at every
         live row, shrinks the bracket to the side where f' points downhill,
         and steps by Newton when f'' > 0 and the step lands inside the
         bracket, else bisects.  A row stops when the predicted decrease
@@ -271,7 +236,7 @@ class _Engine:
         for _ in range(_NEWTON_MIN_MAX_ROUNDS):
             if live.size == 0:
                 break
-            f, d1, d2 = self._eigmin_along(pre, x[live], rows=rows[live], derivs=True).T
+            f, d1, d2 = self._eigmin_along(pre, x[live], rows=rows[live]).T
             fmin[live] = np.minimum(fmin[live], f)
             xl = x[live]
             lo[live] = np.where(d1 < 0.0, xl, lo[live])
@@ -401,8 +366,7 @@ class DirectionScan:
 
 def tangent_basis(nu: np.ndarray):
     """Right-handed orthonormal (e1, e2) spanning the plane orthogonal to nu."""
-    nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
+    nu = unit_vector(nu, "the normal")[0]
     pick = np.argmin(np.abs(nu))
     e1 = np.zeros(3)
     e1[pick] = 1.0
@@ -520,11 +484,7 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     """
     if n < 4:
         raise ValueError("direction scan needs at least 4 directions")
-    nu = np.asarray(nu, dtype=float)
-    norm = np.linalg.norm(nu)
-    if not 0.0 < norm < np.inf:
-        raise ValueError("the normal must be a nonzero vector with a finite norm")
-    nu = nu / norm
+    nu = unit_vector(nu, "the normal")[0]
     e1, e2 = tangent_basis(nu)
     thetas = 2.0 * np.pi * np.arange(n) / n
     dirs = np.cos(thetas)[:, None] * e1[None, :] + np.sin(thetas)[:, None] * e2[None, :]

@@ -10,7 +10,7 @@ from surfimp.selftest import frame_rotation, random_frame  # noqa: F401  (shared
 
 def count_newton_min(monkeypatch) -> list:
     """Record the rows of every _Engine._newton_min call; one per c_lim batch
-    refines each row's best grid bracket, each further call is a
+    refines every row from its trace-minimiser start, each further call is a
     recertification round of the rows the certificate rejected."""
     calls = []
     newton_min = rayleigh._Engine._newton_min
@@ -23,12 +23,12 @@ REFERENCE_NODES = 4001
 REFERENCE_DPS = 30
 
 
-def c_lim_reference(mat, nu, e, grid) -> float:
+def c_lim_reference(mat, nu, e, sigma_max) -> float:
     """c_lim along tangent e from 30-digit eigenvalues (mpmath).
 
     rho c_lim^2 = min over sigma of lam_min M(sigma), M = c(e + sigma nu).
     Every local minimum of lam_min on a REFERENCE_NODES-node float grid over
-    [grid[0], grid[-1]] seeds a bisection, between the seed's neighbouring
+    [-sigma_max, sigma_max] seeds a bisection, between the seed's neighbouring
     nodes, on the sign of the Hellmann-Feynman derivative v0.M'(sigma) v0;
     the smallest value found is the minimum.
     """
@@ -48,7 +48,7 @@ def c_lim_reference(mat, nu, e, grid) -> float:
             v0 = vecs[:, 0]
             return vals[0], (v0.T * (mid + 2 * sigma * a) * v0)[0]
 
-        sigmas = np.linspace(grid[0], grid[-1], REFERENCE_NODES)
+        sigmas = np.linspace(-sigma_max, sigma_max, REFERENCE_NODES)
         s = sigmas[:, None, None]
         c_ee_f, mid_f, a_f = (np.array(m.tolist(), dtype=float) for m in (c_ee, mid, a))
         lam = np.linalg.eigvalsh(c_ee_f + s * mid_f + s * s * a_f)[:, 0]

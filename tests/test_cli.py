@@ -205,6 +205,30 @@ def test_non_finite_or_zero_vectors_are_input_errors(capsys, iso_file, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e-320"])
+def test_vectors_whose_norm_overflows_or_underflows(capsys, iso_file, scale):
+    # |(0, s, s)| is inf at s = 1e200 and 0 at s = 1e-320, yet each vector
+    # has the direction of (0, 1, 1), and the commands take it
+    def both(normal, tangent):
+        scan = run(capsys, "scan", "--material", iso_file, "--normal", normal, "--count", "8")
+        point = run(capsys, "rayleigh", "--material", iso_file, "--normal", normal,
+                    "--tangent", tangent)
+        assert scan[0] == point[0] == 0 and scan[2] == point[2] == ""
+        return json.loads(scan[1]), json.loads(point[1])
+
+    for got, ref in zip(both(f"0,{scale},{scale}", f"{scale},0,0"), both("0,1,1", "1,0,0")):
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            if value is None or isinstance(value, bool):
+                assert got[key] == value
+            else:
+                np.testing.assert_allclose(got[key], value, rtol=1e-12, atol=1e-12)
+    code, out, err = run(capsys, "rayleigh", "--material", iso_file, "--normal", f"0,{scale},{scale}",
+                         "--tangent", f"0,{scale},{scale}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "parallel" in err
+
+
 _ISO_TEXT = '{"name": "m", "density_kg_m3": %s, "isotropic": {"lambda_gpa": %s, "mu_gpa": 1.0}}'
 _NAN_VOIGT = json.dumps({"name": "m", "density_kg_m3": 1000.0, "stiffness": {
     "format": "voigt_gpa", "matrix": np.where(np.eye(6) == 1.0, np.nan, 0.0).tolist()}})

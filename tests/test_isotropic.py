@@ -58,6 +58,16 @@ def test_cubic_root_frozen_constants():
     assert (2 - t) ** 4 == pytest.approx(16 * (1 - t), rel=1e-9)
 
 
+def test_state_on_sigma_solves_the_cubic_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(isotropic, "rayleigh_cubic_root",
+                        lambda u: calls.append(u) or rayleigh_cubic_root(u))
+    st = iso_state_on_sigma(2e9, 1e9, 1000.0)
+    assert calls == [0.25]
+    assert st.t == rayleigh_cubic_root(0.25)
+    assert st.c_r == math.sqrt(1e9 / 1000.0) * math.sqrt(st.t)
+
+
 def test_cubic_root_domain():
     with pytest.raises(ValueError):
         rayleigh_cubic_root(1.0)

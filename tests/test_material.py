@@ -227,6 +227,19 @@ def test_non_finite_frames_are_rejected(nu, tangent):
         assert err.value.code == "frame"
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-320])
+def test_frame_from_vectors_of_extreme_magnitude(scale):
+    # |v| overflows at 1e200 and underflows at 1e-320; the frame is that of
+    # the same directions at unit scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = SurfaceFrame.from_vectors([0.0, 0.0, scale], [2.0 * scale, 0.0, scale])
+    ref = SurfaceFrame.from_vectors([0.0, 0.0, 1.0], [2.0, 0.0, 1.0])
+    np.testing.assert_allclose(frame.nu, ref.nu, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(frame.tangent, ref.tangent, rtol=0.0, atol=1e-15)
+    assert frame.orthonormalization_defect == pytest.approx(ref.orthonormalization_defect, rel=1e-12)
+
+
 def test_frame_from_vectors_reorthonormalizes():
     frame = SurfaceFrame.from_vectors([0, 0, 2.0], [1.0, 0, 0.3])
     assert abs(frame.nu @ frame.tangent) < 1e-14

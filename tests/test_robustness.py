@@ -9,10 +9,10 @@ import pytest
 
 import surfimp.polyfactor as polyfactor
 import surfimp.rayleigh as rayleigh
-from surfimp.cli import main
+from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL, main
 from surfimp.impedance import radial_derivative_z
 from surfimp.isotropic import rayleigh_cubic_root
-from surfimp.material import SurfaceFrame, material_to_json
+from surfimp.material import Material, StiffnessTensor, SurfaceFrame, material_to_json, rotate_stiffness
 from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.presets import isotropic_material, synthetic_anisotropic
 from surfimp.rayleigh import (
@@ -147,23 +147,59 @@ def test_non_elliptic_material_raises_bracket_error():
 
 
 def test_scan_certifies_overshot_c_lim(monkeypatch):
-    # the grid c_lim estimate overshoots the elliptic boundary on rows 15 and
-    # 39; uncaught, the root search starts outside it and finds a spurious root
+    # the c_lim estimate from the trace-minimiser start overshoots the
+    # elliptic boundary on rows 13 and 37; uncaught, the root search starts
+    # outside it and finds a spurious root.  Rows 15 and 39, where a coarser
+    # start overshoots, are held to the same checks
     mat = synthetic_anisotropic(750559955, strength=0.7)
     nu = np.array([0.275124880014095, 0.6878899119845973, 0.6716500349043787])
     nu /= np.linalg.norm(nu)
     rounds = count_newton_min(monkeypatch)
     scan = scan_directions(mat, nu, 48)
     assert len(rounds) >= 2
-    grid = rayleigh._Engine(mat, nu).grid
-    for k in (15, 39):
+    assert {13, 37} <= set(rounds[1].tolist())
+    sigma_max = rayleigh._Engine(mat, nu).sigma_max
+    for k, c_r in ((13, 1726.849), (37, 1726.849), (15, 1891.646), (39, 1891.646)):
         frame = SurfaceFrame(nu, scan.directions[k])
         pt = rayleigh_point(mat, frame)
         assert scan.exists[k] and pt.exists
         assert scan.res_riccati[k] <= 1e-8
-        assert pt.c_r == pytest.approx(1891.646, abs=1e-3)
+        assert pt.c_r == pytest.approx(c_r, abs=1e-3)
         assert scan.c_r[k] == pytest.approx(pt.c_r, rel=1e-10)
-        ref = c_lim_reference(mat, nu, scan.directions[k], grid)
+        ref = c_lim_reference(mat, nu, scan.directions[k], sigma_max)
+        assert abs(scan.c_lim[k] - ref) <= 1e-12 * ref
+
+
+def _transversely_isotropic(c11, c12, c13, c33, c44, rho, tilt):
+    """Voigt constants in GPa, C66 = (C11 - C12) / 2, with the axis tilted from NU by tilt rad."""
+    v = np.zeros((6, 6))
+    v[:2, :2] = c12
+    v[0, 0] = v[1, 1] = c11
+    v[:2, 2] = v[2, :2] = c13
+    v[2, 2], v[3, 3], v[4, 4], v[5, 5] = c33, c44, c44, 0.5 * (c11 - c12)
+    cos, sin = math.cos(tilt), math.sin(tilt)
+    rotation = np.array([[1.0, 0.0, 0.0], [0.0, cos, -sin], [0.0, sin, cos]])
+    return Material(stiffness=rotate_stiffness(StiffnessTensor(v * 1e9), rotation), density=rho)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize("constants", [(200.0, 60.0, 50.0, 150.0, 40.0, 3000.0),
+                                       (165.0, 31.0, 50.0, 62.0, 39.6, 7140.0)],
+                         ids=["ti", "zinc-like"])
+def test_transversely_isotropic_axis_along_or_near_the_normal(constants, tilt):
+    # with the axis along nu, sigma = 0 is a critical point of
+    # eig_min c(e + sigma nu) on every row, and the Newton start; for the
+    # zinc-like material it is not the minimum, so every row fails the
+    # certificate and is refined again from its nearly real root
+    mat = _transversely_isotropic(*constants, tilt)
+    scan = scan_directions(mat, NU, 16)
+    assert np.all(scan.res_kernel[scan.exists] <= RES_KERNEL_TOL)
+    assert np.all(scan.res_riccati[scan.exists] <= RES_RICCATI_TOL)
+    for k in range(16):
+        assert rayleigh_point(mat, SurfaceFrame(NU, scan.directions[k])).exists == scan.exists[k]
+    sigma_max = rayleigh._Engine(mat, NU).sigma_max
+    for k in (0, 5, 11):
+        ref = c_lim_reference(mat, NU, scan.directions[k], sigma_max)
         assert abs(scan.c_lim[k] - ref) <= 1e-12 * ref
 
 

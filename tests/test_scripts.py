@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,47 @@ def test_subprincipal_sweep_script():
     assert header.split()[-2:] == ["rel", "diff"]
     assert len(rows) == 12  # four Poisson ratios, three radii
     assert all(float(row.split()[-1]) <= 1e-9 for row in rows)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_tree(root, files):
+    root.mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"paths": ["bench", "extra.py"]}))
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_bench_pairs_compares_benchmark_files(tmp_path):
+    differing = _bench_pairs().differing_benchmark_files
+    files = {"bench/run.py": "run", "bench/tests/test_run.py": "test", "extra.py": "x",
+             "elsewhere.py": "not a benchmark file"}
+    parent = _benchmark_tree(tmp_path / "parent", files)
+    change = _benchmark_tree(tmp_path / "change", {**files, "elsewhere.py": "edited",
+                                                   "bench/__pycache__/run.pyc": "bytes"})
+    assert differing(parent, change) == []
+    (change / "bench/tests/test_run.py").write_text("edited")
+    (change / "bench/new.py").write_text("added")
+    (change / "extra.py").unlink()
+    assert differing(parent, change) == ["bench/new.py", "bench/tests/test_run.py", "extra.py"]
+
+
+def test_bench_pairs_refuses_other_benchmark_files(tmp_path):
+    # the parent side below shares no benchmark file with this checkout, so
+    # the script must stop before running anything or writing BENCH_<label>.json
+    parent = _benchmark_tree(tmp_path / "parent", {"bench/run.py": "run", "extra.py": "x"})
+    label = "refusal_check"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench_pairs.py"), "--label", label,
+                           "--workload", "scan_coarse", "--parent-dir", str(parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "BENCHMARK.json" in proc.stderr
+    assert "bench/run.py" in proc.stderr and "perfbench/run.py" in proc.stderr
+    assert not (SCRIPTS.parent / f"BENCH_{label}.json").exists()
