@@ -60,15 +60,21 @@ def barnett_lothe_residual(z: np.ndarray, f0: np.ndarray) -> float:
     return float(np.linalg.norm(z.real - np.pi * np.linalg.inv(f0)) / np.linalg.norm(z))
 
 
+def impedance_from_factor(a: np.ndarray, a1: np.ndarray, q: np.ndarray):
+    """(z_raw, z): z_raw = i(a q + a1) and its Hermitian part, over a leading row axis of a1 and q."""
+    z_raw = 1j * (a @ q + a1)
+    return z_raw, 0.5 * (z_raw + np.swapaxes(z_raw.conj(), -1, -2))
+
+
 def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor) -> ImpedanceData:
-    """Impedance z = i(a q + a1), Hermitian-symmetrized.
+    """Impedance z = i(a q + a1), Hermitian-symmetrized by impedance_from_factor.
 
     The raw hermiticity defect is kept as a diagnostic; a defect above 1e-6
     signals a broken factorization upstream and raises.  The Barnett-Lothe
     identity needs f0, which only the integral route computes: a caller
     holding `factor_integral(p).f0` checks it with `barnett_lothe_residual`.
     """
-    z_raw = 1j * (p.a @ sf.q + p.a1)
+    z_raw, z = impedance_from_factor(p.a, p.a1, sf.q)
     scale = np.linalg.norm(z_raw)
     defect = float(np.linalg.norm(z_raw - z_raw.conj().T) / scale)
     if defect > HERMITICITY_FAIL:
@@ -76,12 +82,11 @@ def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor) -> ImpedanceData:
             f"impedance hermiticity defect {defect:.3e} exceeds {HERMITICITY_FAIL}; "
             "spectral factorization is unreliable at this point"
         )
-    z = 0.5 * (z_raw + z_raw.conj().T)
     eig_z = np.linalg.eigvalsh(z)
     diag = ImpedanceDiagnostics(
         hermiticity=defect,
         riccati=riccati_residual(z, p),
-        re_z_positive_definite=bool(np.linalg.eigvalsh(0.5 * (z.real + z.real.T))[0] > 0.0),
+        re_z_positive_definite=bool(np.linalg.eigvalsh(z.real)[0] > 0.0),
         nonpositive_eigenvalues=int(np.sum(eig_z <= NONPOSITIVE_EIG_TOL * scale)),
     )
     return ImpedanceData(z=z, q=sf.q, diagnostics=diag)

@@ -382,7 +382,7 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
     2 sqrt(1-t) xi-hat) the scaled kernel vector.  They agree to rounding;
     a gap signals broken ingredients.
     """
-    T = rayleigh_cubic_root(st.u)
+    T = st.sigma_s ** 2  # the cubic root the state was built on
     if abs(st.t - T) > ON_SIGMA_TOL * (1.0 + T):
         raise ValueError(
             f"state must lie on the characteristic variety: t = {st.t}, root = {T}"

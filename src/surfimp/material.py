@@ -39,7 +39,7 @@ class MaterialError(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.array(a, dtype=float, order="C")  # a copy: the caller's array stays writeable
     a.flags.writeable = False
     return a
 
@@ -182,15 +182,16 @@ class SurfaceFrame:
 
 
 def acoustic_tensor(stiffness: StiffnessTensor | np.ndarray, xi, eta=None) -> np.ndarray:
-    """Acoustic tensor c(xi, eta) with entries C^{ijkl} xi_j eta_l.
+    """Acoustic tensor c(xi, eta) with entries C^{ijkl} xi_j eta_l: the one contraction of C.
 
-    With eta omitted returns c(xi) = c(xi, xi), the Christoffel matrix whose
-    eigenvalues are rho * (phase speed)^2 for propagation along xi.
+    Leading axes of xi and eta broadcast; each row is bit for bit the one-row
+    result.  With eta omitted returns c(xi) = c(xi, xi) made exactly symmetric,
+    0.5 (c + c^T): the Christoffel matrix, with eigenvalues rho (phase speed)^2 along xi.
     """
     c4 = stiffness.tensor() if isinstance(stiffness, StiffnessTensor) else np.asarray(stiffness)
     xi = np.asarray(xi, dtype=float)
-    eta = xi if eta is None else np.asarray(eta, dtype=float)
-    return np.einsum("ijkl,j,l->ik", c4, xi, eta)
+    c = np.einsum("ijkl,...j,...l->...ik", c4, xi, xi if eta is None else np.asarray(eta, float))
+    return 0.5 * (c + np.swapaxes(c, -1, -2)) if eta is None else c
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -225,10 +226,7 @@ def validate_stiffness(stiffness: StiffnessTensor) -> StiffnessReport:
     50 Fibonacci-sphere directions; for strongly convex C it is positive and
     bounds c(eta) >= delta |eta|^2 from below (up to sampling).
     """
-    c4 = stiffness.tensor()
-    acoustic = np.einsum("ijkl,mj,ml->mik", c4, _ELLIPTICITY_DIRS, _ELLIPTICITY_DIRS)
-    acoustic = 0.5 * (acoustic + acoustic.transpose(0, 2, 1))
-    delta = float(np.min(np.linalg.eigvalsh(acoustic)))
+    delta = float(np.min(np.linalg.eigvalsh(acoustic_tensor(stiffness, _ELLIPTICITY_DIRS))))
     eigs = stiffness.voigt_eigenvalues
     return StiffnessReport(
         symmetry_defect=stiffness.symmetry_defect,

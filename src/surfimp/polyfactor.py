@@ -8,7 +8,8 @@ representation a q f0 = -pi i Id + f1 built from quadrature of f(s)^{-1}
 over the real line (derivative-free, robust fallback and cross-check).
 The eigen route has one batched implementation, companion_eig then
 factor_from_eig, whose guard every eigen-route q passes, in a batch of one
-(spectral_factor) or of many (the Rayleigh scan engine).
+(spectral_factor) or of many (the Rayleigh scan engine): build_pencil at
+xi_mag = 1 / c gives the engine row at speed c, so q and z agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .material import Material, SurfaceFrame, acoustic_tensor
+from .material import Material, SurfaceFrame, _readonly, acoustic_tensor
 
 ELLIPTICITY_MARGIN = 1e-8
 RESIDUAL_TOL = 1e-8
@@ -58,9 +59,7 @@ class QuadraticPencil:
 
     def __post_init__(self):
         for name in ("a", "a1", "a2"):
-            m = np.ascontiguousarray(getattr(self, name), dtype=float)
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def b(self) -> np.ndarray:
@@ -78,18 +77,19 @@ class QuadraticPencil:
 
 
 def build_pencil(mat: Material, frame: SurfaceFrame, xi_mag: float) -> QuadraticPencil:
-    """Pencil of the half-space problem at tangential covector xi = xi_mag * tangent."""
+    """Pencil of the half-space problem at tangential covector xi = xi_mag * tangent.
+
+    a1 = c(nu, tangent) xi_mag and a2 = c(tangent) (xi_mag xi_mag): bit for bit
+    the scan engine's row at speed 1 / xi_mag.
+    """
     if not xi_mag > 0:
         raise ValueError(f"xi_mag must be positive, got {xi_mag}")
     c4 = mat.tensor()
-    xi = xi_mag * frame.tangent
     a = acoustic_tensor(c4, frame.nu)
-    a = 0.5 * (a + a.T)
     if np.linalg.eigvalsh(a)[0] <= 0.0:
         raise ValueError("c(nu) is not positive definite; material is not strongly elliptic")
-    a1 = acoustic_tensor(c4, frame.nu, xi)
-    a2 = acoustic_tensor(c4, xi)
-    return QuadraticPencil(a=a, a1=a1, a2=0.5 * (a2 + a2.T), rho=mat.density)
+    return QuadraticPencil(a=a, a1=acoustic_tensor(c4, frame.nu, frame.tangent) * xi_mag,
+                           a2=acoustic_tensor(c4, frame.tangent) * (xi_mag * xi_mag), rho=mat.density)
 
 
 def spectral_margin(values: np.ndarray):

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import polyfactor
 from .material import Material, SurfaceFrame, acoustic_tensor, unit_vector, validate_stiffness
-from .impedance import radial_derivative_z, riccati_residual
+from .impedance import impedance_from_factor, radial_derivative_z, riccati_residual
 from .polyfactor import (
     QuadraticPencil,
     companion_eig,
@@ -130,15 +130,13 @@ class _Engine:
         self.c4 = mat.tensor()
         self.rho = mat.density
         self.nu = np.asarray(nu, dtype=float)
-        a = acoustic_tensor(self.c4, self.nu)
-        self.a = 0.5 * (a + a.T)
+        self.a = acoustic_tensor(self.c4, self.nu)
         self.a_inv = np.linalg.inv(self.a)
 
     def prepare(self, dirs: np.ndarray) -> dict:
-        c_ee = np.einsum("ijkl,mj,ml->mik", self.c4, dirs, dirs)
-        c_ee = 0.5 * (c_ee + c_ee.transpose(0, 2, 1))
-        c_ne = np.einsum("ijkl,j,ml->mik", self.c4, self.nu, dirs)
-        return {"dirs": dirs, "c_ee": c_ee, "c_ne": c_ne,
+        """c_ee = c(e), c_ne = c(nu, e) and mid = c_ne + c_ne^T; _eig scales them as build_pencil does."""
+        c_ne = acoustic_tensor(self.c4, self.nu, dirs)
+        return {"dirs": dirs, "c_ee": acoustic_tensor(self.c4, dirs), "c_ne": c_ne,
                 "mid": c_ne + c_ne.transpose(0, 2, 1)}
 
     def pencil(self, a1: np.ndarray, a2: np.ndarray) -> QuadraticPencil:
@@ -280,8 +278,7 @@ class _Engine:
         for k in np.flatnonzero(bad):
             q[k] = spectral_factor(self.pencil(a1[k], a2[k])).q
             s3[k] = np.linalg.eigvals(q[k])
-        z = 1j * (self.a[None] @ q + a1)
-        return q, a1, a2, 0.5 * (z + z.conj().transpose(0, 2, 1)), s3
+        return q, a1, a2, impedance_from_factor(self.a, a1, q)[1], s3
 
     def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None):
         """Batched q, a1, a2, z (Hermitian part) and spec(q) at xi = e / c: _eig, then _factor."""

@@ -68,6 +68,16 @@ def test_state_on_sigma_solves_the_cubic_once(monkeypatch):
     assert st.c_r == math.sqrt(1e9 / 1000.0) * math.sqrt(st.t)
 
 
+def test_subprincipal_solves_the_cubic_once(monkeypatch):
+    # the on-variety check reads the root the state carries (sigma_s^2), so
+    # the state and the symbol together solve Rayleigh's cubic once
+    calls = []
+    monkeypatch.setattr(isotropic, "rayleigh_cubic_root",
+                        lambda u: calls.append(u) or rayleigh_cubic_root(u))
+    subprincipal_p(iso_state_on_sigma(2e9, 1e9, 1000.0), CurvatureData.zero())
+    assert calls == [0.25]
+
+
 def test_cubic_root_domain():
     with pytest.raises(ValueError):
         rayleigh_cubic_root(1.0)

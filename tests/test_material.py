@@ -50,11 +50,21 @@ def test_acoustic_isotropic_axis():
 def test_acoustic_matches_lame_form(rng):
     lam, mu = 2.0, 1.0
     c = isotropic_stiffness(lam, mu)
+    rows = []
     for _ in range(10):
         xi = rng.standard_normal(3)
         eta = rng.standard_normal(3)
         expected = lam * np.outer(xi, eta) + mu * np.outer(eta, xi) + mu * (xi @ eta) * np.eye(3)
         np.testing.assert_allclose(acoustic_tensor(c, xi, eta), expected, atol=1e-12)
+        rows.append((xi, eta))
+    # stacked vectors, also broadcast against one vector, give bit for bit
+    # the one-row results
+    xis, etas = (np.array(col) for col in zip(*rows))
+    np.testing.assert_array_equal(acoustic_tensor(c, xis, etas),
+                                  [acoustic_tensor(c, xi, eta) for xi, eta in rows])
+    np.testing.assert_array_equal(acoustic_tensor(c, xis[0], etas),
+                                  [acoustic_tensor(c, xis[0], eta) for eta in etas])
+    np.testing.assert_array_equal(acoustic_tensor(c, xis), [acoustic_tensor(c, xi) for xi in xis])
 
 
 def test_acoustic_eigenvalues_isotropic(rng):
@@ -73,6 +83,10 @@ def test_acoustic_transpose_symmetry(xi, eta):
     left = acoustic_tensor(c, xi, eta).T
     right = acoustic_tensor(c, eta, xi)
     np.testing.assert_allclose(left, right, atol=1e-6 * max(1.0, np.abs(left).max()))
+    # c(xi) = c(xi, xi) comes exactly symmetric
+    for v in (xi, eta):
+        c_v = acoustic_tensor(c, v)
+        np.testing.assert_array_equal(c_v, c_v.T)
 
 
 @given(st.floats(0.1, 4.0), finite_vec, finite_vec)

@@ -54,6 +54,25 @@ def test_build_pencil_rejects_indefinite_normal_block(std_frame):
         build_pencil(isotropic_material(2.0, -1.0, 1000.0), std_frame, 2.0)
 
 
+def test_constructors_copy_the_callers_arrays(unit_iso):
+    # a frame or pencil is frozen, but the arrays it was built from stay the
+    # caller's: writeable, and later writes do not reach the frozen copy
+    nu, tangent = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    frame = SurfaceFrame(nu, tangent)
+    p = build_pencil(unit_iso, frame, 2.0)
+    a, a1, a2 = p.a.copy(), p.a1.copy(), p.a2.copy()
+    pencil = QuadraticPencil(a=a, a1=a1, a2=a2, rho=p.rho)
+    nu[2] = tangent[0] = 2.0
+    for m in (a, a1, a2):
+        m[0, 0] = 7.0
+    np.testing.assert_array_equal(frame.nu, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(frame.tangent, [1.0, 0.0, 0.0])
+    for name in ("a", "a1", "a2"):
+        np.testing.assert_array_equal(getattr(pencil, name), getattr(p, name))
+        assert not getattr(pencil, name).flags.writeable
+    assert not frame.nu.flags.writeable and not frame.tangent.flags.writeable
+
+
 def test_ellipticity_isotropic_threshold(unit_iso, std_frame):
     # c_s = 1: elliptic iff |xi| > 1
     assert is_elliptic(unit_pencil(unit_iso, std_frame, 2.0)).elliptic

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import surfimp.rayleigh as rayleigh
-from surfimp.impedance import radial_derivative_z, riccati_residual
+from surfimp.impedance import impedance_tensor, radial_derivative_z, riccati_residual
 from surfimp.material import SurfaceFrame, validate_stiffness
 from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.rayleigh import (
@@ -17,7 +17,7 @@ from surfimp.rayleigh import (
     tangent_basis,
 )
 from surfimp.isotropic import iso_kernel_vector, rayleigh_cubic_root
-from surfimp.presets import isotropic_material, synthetic_anisotropic
+from surfimp.presets import isotropic_material, poisson_solid, synthetic_anisotropic
 from surfimp.selftest import richardson
 
 from conftest import c_lim_reference, count_newton_min, frame_rotation, random_frame
@@ -375,6 +375,32 @@ def test_scan_root_is_its_evaluation(poisson, rng):
         scan = scan_directions(mat, nu, 48)
         step = _root_evaluation_step(mat, nu, scan)
         assert np.all(np.abs(step) <= rayleigh.ROOT_RTOL * scan.c_r[scan.exists])
+
+
+@pytest.mark.parametrize("mat", [synthetic_anisotropic(11), synthetic_anisotropic(27, strength=0.75),
+                                 poisson_solid(), isotropic_material(35.0, 27.0, 2600.0)],
+                         ids=["aniso-11", "aniso-27", "poisson", "iso-35-27"])
+@pytest.mark.parametrize("normal", [(0.0, 0.0, 1.0), (0.3, -0.5, 0.8), (1.0, 2.0, 3.0)])
+def test_scalar_path_reproduces_engine_rows(mat, normal):
+    # build_pencil -> spectral_factor -> impedance_tensor at xi_mag = 1 / c
+    # gives bit for bit the engine row's pencil, q and z at speed c, so the
+    # identities the selftest checks on the scalar path hold for scan rows
+    nu = _unit(np.array(normal))
+    engine = rayleigh._Engine(mat, nu)
+    dirs = _circle(nu, 2.0 * np.pi * np.arange(16) / 16)
+    pre = engine.prepare(dirs)
+    c_lim = engine.limiting_speeds(pre)
+    for fraction in (0.3, 0.7, 0.95):
+        speeds = fraction * c_lim
+        q, a1, a2, z, _ = engine.impedance_at(pre, speeds)
+        for k in range(dirs.shape[0]):
+            p = build_pencil(mat, SurfaceFrame(nu, dirs[k]), 1.0 / speeds[k])
+            np.testing.assert_array_equal(p.a, engine.a)
+            np.testing.assert_array_equal(p.a1, a1[k])
+            np.testing.assert_array_equal(p.a2, a2[k])
+            sf = spectral_factor(p)
+            np.testing.assert_array_equal(sf.q, q[k])
+            np.testing.assert_array_equal(impedance_tensor(p, sf).z, z[k])
 
 
 def test_root_factor_residual_breach_refactors_the_row(aniso, monkeypatch):
