@@ -30,15 +30,20 @@ def main():
     ap.add_argument("--out", default=None, help="write the per-direction CSV here")
     args = ap.parse_args()
 
-    if args.material:
-        with open(args.material) as fh:
-            mat = parse_material(fh.read())
-    else:
-        mat = synthetic_anisotropic(args.seed)
-    nu = np.array([float(x) for x in args.normal.split(",")])
-
-    start = time.perf_counter()
-    scan = scan_directions(mat, nu, args.count)
+    # malformed input ends in one error line and exit status 1, as in `surfimp scan`
+    try:
+        if args.material:
+            with open(args.material) as fh:
+                mat = parse_material(fh.read())
+        else:
+            mat = synthetic_anisotropic(args.seed)
+        nu = np.array([float(x) for x in args.normal.split(",")])
+        if nu.shape != (3,):
+            raise ValueError(f"--normal must be 'x,y,z', got {args.normal!r}")
+        start = time.perf_counter()
+        scan = scan_directions(mat, nu, args.count)
+    except (OSError, ValueError) as exc:
+        sys.exit(f"error: {exc}")
     elapsed = time.perf_counter() - start
 
     print(f"material: {mat.name}   directions: {args.count}   wall: {elapsed:.2f} s")

@@ -42,14 +42,15 @@ def rayleigh_cubic_root(u: float) -> float:
     def h(t):
         return t * t * t - 8.0 * t * t + (24.0 - 16.0 * u) * t - 16.0 * (1.0 - u)
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
+    # bisect until the midpoint rounds to an end: lo and hi are then adjacent floats
+    lo, mid, hi = 0.0, 0.5, 1.0
+    while lo < mid < hi:
         if h(mid) > 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 @dataclass(frozen=True)

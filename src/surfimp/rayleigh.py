@@ -16,12 +16,12 @@ root is the zero of g(c) = c lambda_min z(e / c), which falls with
 dg/dc = -u0* X u0, X = zdot - z positive definite (zdot the radial
 derivative); safeguarded Newton steps on g in t = sqrt(1 - c / c_lim), where
 the square-root branch of z at c_lim is smooth, converge inside the bracket
-[1e-3, 1 - 1e-6] c_lim.
-Each speed is eigensolved once: the certifying eigensolve also serves the
-existence test, and c_r is the speed of the last Newton round, whose
-evaluation gives the kernel, residuals and radial slope.  Every impedance
-row passes the eigen-route guard of polyfactor.factor_from_eig or is
-re-factored by spectral_factor.
+(0, 1 - 1e-6] c_lim.  lambda_min z is positive at low speed, so its sign at
+the bracket's upper end, from the eigensolve that certifies c_lim, decides
+existence.  Each speed is eigensolved once: c_r is the speed of the last
+Newton round, whose evaluation gives the kernel, residuals and radial slope.
+Every impedance row passes the eigen-route guard of
+polyfactor.factor_from_eig or is re-factored by spectral_factor.
 Scans parallelize over directions via RAYLEIGH_THREADS.
 """
 
@@ -48,7 +48,6 @@ from .polyfactor import (
 )
 
 ROOT_RTOL = 1e-12
-C_FLOOR_FRACTION = 1e-3
 START_OFFSET = 1e-6
 _GAP_RTOL = 1e-8
 _NEWTON_FTOL = 1e-13
@@ -85,9 +84,9 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
 
     Runs the scan pipeline on a batch of one, c_lim included: Newton steps
     on c lambda_min z in t = sqrt(1 - c / c_lim) from 0.95 c_lim, inside
-    [1e-3, 1 - 1e-6] c_lim.  c_r is the last iterate, whose step falls to
+    (0, 1 - 1e-6] c_lim.  c_r is the last iterate, whose step falls to
     relative 1e-12 and whose evaluation gives the kernel, slope and residuals.
-    exists=False when lambda_min z keeps its sign across that bracket.
+    exists=False when lambda_min z > 0 at (1 - 1e-6) c_lim.
     """
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
@@ -376,28 +375,25 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     """Rayleigh roots below c_lim for every row, then kernel, residuals, slope.
 
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
-    positive, so the root is the one zero of f(c) = lambda_min z(e / c).  A
-    root exists when f <= 0 at the start (1 - START_OFFSET) c_lim, read from
-    the eigensolve that certified c_lim (left in pre), and f > 0 at the floor
-    C_FLOOR_FRACTION c_lim.  Safeguarded Newton steps on g = c f, which has
-    the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the Sylvester
-    solve, run in t = sqrt(1 - c / c_lim) from 0.95 c_lim; a step that leaves
-    the bracket is replaced by its midpoint in c.  The round whose step falls
-    to ROOT_RTOL c gives c_r, its own speed, and the kernel, slope and
-    residuals (_post).  Each round's separation check reads spec(q) from
-    impedance_at.  Returns the DirectionScan columns from c_lim to res_riccati.
+    positive, so the root is the one zero of f(c) = lambda_min z(e / c).  As
+    f > 0 at low speed, a root exists exactly when f <= 0 at the bracket's
+    upper end (1 - START_OFFSET) c_lim, read from the eigensolve that
+    certified c_lim (left in pre).  Safeguarded Newton steps on g = c f, which
+    has the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the
+    Sylvester solve, run in t = sqrt(1 - c / c_lim) from 0.95 c_lim inside
+    (0, 1 - START_OFFSET] c_lim; a step that leaves the bracket is replaced
+    by its midpoint in c.  The round whose step falls to ROOT_RTOL c gives
+    c_r, its own speed, and the kernel, slope and residuals (_post).  Each
+    round's separation check reads spec(q) from impedance_at.  Returns the
+    DirectionScan columns from c_lim to res_riccati.
     """
     m = c_lim.shape[0]
-    lo = C_FLOOR_FRACTION * c_lim
-    hi = (1.0 - START_OFFSET) * c_lim
-    f_hi = np.linalg.eigvalsh(engine._factor(*pre.pop("c_lim_eig"))[3])[:, 0]
-    f_lo = np.linalg.eigvalsh(engine.impedance_at(pre, lo)[3])[:, 0]
-    exists = (f_hi <= 0.0) & (f_lo > 0.0)
+    exists = np.linalg.eigvalsh(engine._factor(*pre.pop("c_lim_eig"))[3])[:, 0] <= 0.0
     c_r, slope, res_kernel, res_riccati = np.full((4, m), np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
     rows = np.flatnonzero(exists)
-    lo, hi = lo[rows], hi[rows]
     top = c_lim[rows]
+    lo, hi = np.zeros(rows.size), (1.0 - START_OFFSET) * top
     x = 0.95 * top
     live = np.arange(rows.size)
     finished = []

@@ -197,6 +197,7 @@ def test_scan_malformed_thread_count_is_input_error(capsys, iso_file, monkeypatc
     ("scan", "--normal", "nan,0,1", "--count", "8"),
     ("rayleigh", "--normal", "inf,0,1", "--tangent", "1,0,0"),
     ("rayleigh", "--normal", "0,0,1", "--tangent", "nan,0,0"),
+    ("rayleigh", "--normal", "0,1", "--tangent", "1,0,0"),
 ])
 def test_non_finite_or_zero_vectors_are_input_errors(capsys, iso_file, argv):
     code, out, err = run(capsys, argv[0], "--material", iso_file, *argv[1:])
@@ -265,6 +266,21 @@ def test_non_finite_input_numbers_are_input_errors(capsys, tmp_path, command, ma
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam_gpa", ["-0.9999999", "-0.99999999"])
+def test_roots_below_a_thousandth_of_c_lim_exit_0(capsys, tmp_path, lam_gpa):
+    path = tmp_path / "iso.json"
+    path.write_text(_ISO_TEXT % ("1000.0", lam_gpa))
+    code, out, err = run(capsys, "rayleigh", "--material", str(path), "--normal", "0,0,1",
+                         "--tangent", "1,0,0")
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["exists"] and payload["c_r_mps"] < 1e-3 * payload["c_lim_mps"]
+    code, out, err = run(capsys, "scan", "--material", str(path), "--normal", "0,0,1",
+                         "--count", "8", "--require-e1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["e1_satisfied"]
 
 
 def test_scan_unwritable_out_fails_before_the_scan(capsys, iso_file, tmp_path, monkeypatch):

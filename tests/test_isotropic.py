@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,19 @@ def test_subprincipal_solves_the_cubic_once(monkeypatch):
     assert calls == [0.25]
 
 
+@pytest.mark.parametrize("ratio", [-0.99999, -0.999999, -0.9999999, -0.99999999])
+def test_cubic_root_to_the_last_bit(ratio):
+    # near lam = -mu the root t ~ 2 (1 - u) is small, so a bisection stopped
+    # at an absolute width in t would leave sqrt(t), hence c_r, far off
+    u = 1.0 / (ratio + 2.0)
+    with mpmath.workdps(50):
+        um = mpmath.mpf(u)
+        roots = mpmath.polyroots([1, -8, 24 - 16 * um, -16 * (1 - um)], maxsteps=200, extraprec=200)
+        exact = mpmath.sqrt(min(r.real for r in roots))
+        err = abs(mpmath.sqrt(rayleigh_cubic_root(u)) - exact) / exact
+    assert err <= 1e-15
+
+
 def test_cubic_root_domain():
     with pytest.raises(ValueError):
         rayleigh_cubic_root(1.0)
@@ -136,6 +150,21 @@ def test_blocks_require_elliptic():
     st = iso_state(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(NonEllipticError):
         iso_blocks(st)
+    with pytest.raises(NonEllipticError):
+        iso_scalar_derivatives(st)
+
+
+@pytest.mark.parametrize("xi_mag", [0.0, -2.0, math.nan])
+def test_nonpositive_xi_mag_is_a_value_error(unit_iso, std_frame, xi_mag):
+    with pytest.raises(ValueError, match="xi_mag"):
+        iso_state(2.0, 1.0, 1.0, xi_mag)
+    with pytest.raises(ValueError, match="xi_mag"):
+        build_pencil(unit_iso, std_frame, xi_mag)
+
+
+def test_subprincipal_needs_an_on_variety_state():
+    with pytest.raises(ValueError, match="characteristic variety"):
+        subprincipal_p(iso_state(2.0, 1.0, 1.0, 2.0), CurvatureData.zero())
 
 
 def test_blocks_match_general_route():

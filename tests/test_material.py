@@ -199,6 +199,26 @@ def test_parse_error_codes():
         parse_material(json.dumps({"name": "m", "density_kg_m3": 1.0,
                                    "stiffness": {"format": "voigt_gpa", "matrix": bad}}))
     assert err.value.code == "asymmetric_stiffness"
+    iso = {"lambda_gpa": 2, "mu_gpa": 1}
+    for doc, message in [
+        ([], "JSON object"),
+        ({"name": 1, "density_kg_m3": 1.0, "isotropic": iso}, "'name'"),
+        ({"name": "m", "isotropic": iso}, "density_kg_m3"),
+        ({"density_kg_m3": 1.0, "isotropic": {"lambda_gpa": 2}}, "exactly lambda_gpa and mu_gpa"),
+        ({"density_kg_m3": 1.0, "stiffness": {"format": "kelvin", "matrix": np.eye(6).tolist()}},
+         "voigt_gpa"),
+        ({"density_kg_m3": 1.0, "stiffness": {"format": "voigt_gpa", "matrix": [[1, 2], [3]]}},
+         "bad stiffness matrix"),
+        ({"density_kg_m3": 1.0, "stiffness": {"format": "voigt_gpa", "matrix": np.eye(5).tolist()}},
+         "6x6"),
+        ({"density_kg_m3": 1.0}, "'isotropic' or 'stiffness'"),
+    ]:
+        with pytest.raises(MaterialError, match=message) as err:
+            parse_material(json.dumps(doc))
+        assert err.value.code == "schema"
+    with pytest.raises(MaterialError, match="6x6") as err:
+        StiffnessTensor(np.eye(5))
+    assert err.value.code == "schema"
 
 
 def test_symmetry_check_survives_overflowing_norms():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import surfimp.rayleigh as rayleigh
+from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL
 from surfimp.impedance import impedance_tensor, radial_derivative_z, riccati_residual
 from surfimp.material import SurfaceFrame, validate_stiffness
 from surfimp.polyfactor import build_pencil, spectral_factor
@@ -294,7 +295,8 @@ def test_lowest_impedance_eigenvalue_decreases_along_rays():
 
 def test_root_newton_rows_per_direction(monkeypatch):
     # the Newton steps on c lambda_min z in t = sqrt(1 - c / c_lim) take few
-    # impedance rows per direction: existence (2), the rounds, and the root
+    # impedance rows per direction: the rounds, the last of which is the root;
+    # existence reads the row that certified c_lim, which is not counted here
     rows = []
     impedance_at = rayleigh._Engine.impedance_at
 
@@ -336,6 +338,50 @@ def test_companion_rows_per_direction(monkeypatch):
                 mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
                 scan_directions(mat, _unit(rng.standard_normal(3)), 48)
         assert sum(rows) <= 6.5 * 12 * 48, seed
+
+
+def test_existence_reads_the_certificate_row(monkeypatch):
+    # existence costs no companion row of its own: lambda_min z is positive at
+    # low speed, so its sign at the row that certified c_lim decides it
+    rows = []
+    eig = rayleigh._Engine._eig
+
+    def counted(self, pre, speeds, *args, **kwargs):
+        rows.append(speeds.size)
+        return eig(self, pre, speeds, *args, **kwargs)
+
+    monkeypatch.setattr(rayleigh._Engine, "_eig", counted)
+    scan_directions(synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0]), 720)
+    assert sum(rows) <= 5.5 * 720
+    for seed in (59, 1, 4, 5):
+        rows.clear()
+        rng = np.random.default_rng(seed)
+        for strength in (0.35, 0.7, 0.9):
+            for _ in range(4):
+                mat = synthetic_anisotropic(int(rng.integers(1 << 30)), strength=strength)
+                scan_directions(mat, _unit(rng.standard_normal(3)), 48)
+        assert sum(rows) <= 5.5 * 12 * 48, seed
+
+
+@pytest.mark.parametrize("ratio", [-0.9999999, -0.99999999])
+def test_roots_below_a_thousandth_of_c_lim(ratio, std_frame):
+    # isotropic, lam -> -mu: c_r / c_lim = 4.5e-4 and 1.4e-4.  c_r is asserted
+    # only to 1e-4 of Rayleigh's cubic, the root engine's precision there
+    mat = isotropic_material(ratio, 1.0, 1000.0)
+    c_r = math.sqrt(1e9 / 1000.0) * math.sqrt(rayleigh_cubic_root(1.0 / (ratio + 2.0)))
+    pt = rayleigh_point(mat, std_frame)
+    scan = scan_directions(mat, std_frame.nu, 8)
+    for c_lim, exists, root, res_kernel, res_riccati in (
+            (pt.c_lim, pt.exists, pt.c_r, pt.res_kernel, pt.res_riccati),
+            *zip(scan.c_lim, scan.exists, scan.c_r, scan.res_kernel, scan.res_riccati)):
+        assert exists and root < 1e-3 * c_lim
+        assert root == pytest.approx(c_r, rel=1e-4)
+        assert res_kernel <= RES_KERNEL_TOL and res_riccati <= RES_RICCATI_TOL
+
+
+def test_scan_needs_four_directions(aniso):
+    with pytest.raises(ValueError, match="at least 4"):
+        scan_directions(aniso, [0.0, 0.0, 1.0], 3)
 
 
 def _root_evaluation_step(mat, nu, scan):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from surfimp.rayleigh import SCAN_CSV_HEADER
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -23,6 +25,16 @@ def test_run_scan_script(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == SCAN_CSV_HEADER
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("argv", [("--normal", "0,0,0"), ("--normal", "nan,0,1"), ("--normal", "1,2"),
+                                  ("--count", "3")])
+def test_run_scan_script_input_errors(argv):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "run_scan.py"), "--count", "8", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_subprincipal_sweep_script():
