@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from surfimp.material import parse_material
+from surfimp.material import MaterialError, parse_material, unit_vector
 from surfimp.presets import synthetic_anisotropic
 from surfimp.rayleigh import scan_directions
 
@@ -30,7 +30,10 @@ def main():
     ap.add_argument("--out", default=None, help="write the per-direction CSV here")
     args = ap.parse_args()
 
-    # malformed input ends in one error line and exit status 1, as in `surfimp scan`
+    # malformed input ends in one error line and exit status 1, as in `surfimp scan`;
+    # errors of the scan itself keep their traceback
+    if args.count < 4:
+        sys.exit("error: --count must be at least 4")
     try:
         if args.material:
             with open(args.material) as fh:
@@ -39,11 +42,12 @@ def main():
             mat = synthetic_anisotropic(args.seed)
         nu = np.array([float(x) for x in args.normal.split(",")])
         if nu.shape != (3,):
-            raise ValueError(f"--normal must be 'x,y,z', got {args.normal!r}")
-        start = time.perf_counter()
-        scan = scan_directions(mat, nu, args.count)
+            raise MaterialError("schema", f"--normal must be 'x,y,z', got {args.normal!r}")
+        unit_vector(nu, "the normal")
     except (OSError, ValueError) as exc:
         sys.exit(f"error: {exc}")
+    start = time.perf_counter()
+    scan = scan_directions(mat, nu, args.count)
     elapsed = time.perf_counter() - start
 
     print(f"material: {mat.name}   directions: {args.count}   wall: {elapsed:.2f} s")

@@ -16,9 +16,10 @@ root is the zero of g(c) = c lambda_min z(e / c), which falls with
 dg/dc = -u0* X u0, X = zdot - z positive definite (zdot the radial
 derivative); safeguarded Newton steps on g in t = sqrt(1 - c / c_lim), where
 the square-root branch of z at c_lim is smooth, converge inside the bracket
-(0, 1 - 1e-6] c_lim.  lambda_min z is positive at low speed, so its sign at
-the bracket's upper end, from the eigensolve that certifies c_lim, decides
-existence.  Each speed is eigensolved once: c_r is the speed of the last
+(0, 1 - 1e-6] c_lim.  A root exists when lambda_min z <= 0 at the bracket's
+upper end, read from the eigensolve that certifies c_lim, and > 0 at low
+speed, as in every positive definite medium, else read from the static
+impedance.  Each speed is eigensolved once: c_r is the speed of the last
 Newton round, whose evaluation gives the kernel, residuals and radial slope.
 Every impedance row passes the eigen-route guard of
 polyfactor.factor_from_eig or is re-factored by spectral_factor.
@@ -27,6 +28,7 @@ Scans parallelize over directions via RAYLEIGH_THREADS.
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import os
@@ -86,7 +88,7 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     on c lambda_min z in t = sqrt(1 - c / c_lim) from 0.95 c_lim, inside
     (0, 1 - 1e-6] c_lim.  c_r is the last iterate, whose step falls to
     relative 1e-12 and whose evaluation gives the kernel, slope and residuals.
-    exists=False when lambda_min z > 0 at (1 - 1e-6) c_lim.
+    exists=False when lambda_min z > 0 at (1 - 1e-6) c_lim or <= 0 at c -> 0.
     """
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
@@ -126,6 +128,7 @@ class _Engine:
         # beyond sigma_max, so every minimum over sigma lies in [-sigma_max, sigma_max]
         lam_max = float(np.linalg.eigvalsh(mat.stiffness.mandel())[-1])
         self.sigma_max = math.sqrt(lam_max / (0.5 * report.ellipticity_constant)) + 1.0
+        self.convex = report.convex
         self.c4 = mat.tensor()
         self.rho = mat.density
         self.nu = np.asarray(nu, dtype=float)
@@ -375,10 +378,12 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     """Rayleigh roots below c_lim for every row, then kernel, residuals, slope.
 
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
-    positive, so the root is the one zero of f(c) = lambda_min z(e / c).  As
-    f > 0 at low speed, a root exists exactly when f <= 0 at the bracket's
-    upper end (1 - START_OFFSET) c_lim, read from the eigensolve that
-    certified c_lim (left in pre).  Safeguarded Newton steps on g = c f, which
+    positive, so the root is the one zero of f(c) = lambda_min z(e / c).  A
+    root exists exactly when f > 0 at low speed, as for every positive
+    definite c (Barnett & Lothe), and f <= 0 at the bracket's upper end
+    (1 - START_OFFSET) c_lim, read from the eigensolve that certified c_lim
+    (left in pre); where c is not positive definite, f > 0 is read from the
+    static impedance (c -> 0).  Safeguarded Newton steps on g = c f, which
     has the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the
     Sylvester solve, run in t = sqrt(1 - c / c_lim) from 0.95 c_lim inside
     (0, 1 - START_OFFSET] c_lim; a step that leaves the bracket is replaced
@@ -389,6 +394,10 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     """
     m = c_lim.shape[0]
     exists = np.linalg.eigvalsh(engine._factor(*pre.pop("c_lim_eig"))[3])[:, 0] <= 0.0
+    if not engine.convex:  # f may be negative at every speed: test c f at c -> 0
+        rows, static = np.flatnonzero(exists), copy.copy(engine)
+        static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
+        exists[rows] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(rows.size), rows)[3])[:, 0] > 0.0
     c_r, slope, res_kernel, res_riccati = np.full((4, m), np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
     rows = np.flatnonzero(exists)

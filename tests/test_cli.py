@@ -283,6 +283,20 @@ def test_roots_below_a_thousandth_of_c_lim_exit_0(capsys, tmp_path, lam_gpa):
     assert json.loads(out)["e1_satisfied"]
 
 
+def test_no_root_below_lam_minus_mu_exits_3(capsys, tmp_path):
+    # lam = -1.5 mu is strongly elliptic, but its impedance is indefinite at every speed
+    path = tmp_path / "iso.json"
+    path.write_text(_ISO_TEXT % ("1000.0", "-1.5"))
+    code, out, err = run(capsys, "rayleigh", "--material", str(path), "--normal", "0,0,1",
+                         "--tangent", "1,0,0")
+    assert code == 3 and not json.loads(out)["exists"]
+    assert err == "error: no Rayleigh root along this direction (E1 fails)\n"
+    code, out, err = run(capsys, "scan", "--material", str(path), "--normal", "0,0,1",
+                         "--count", "8", "--require-e1")
+    assert code == 3 and json.loads(out)["c_r_min"] is None
+    assert err == "error: some directions carry no Rayleigh root (E1 fails)\n"
+
+
 def test_scan_unwritable_out_fails_before_the_scan(capsys, iso_file, tmp_path, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("the scan ran although --out cannot be written")
