@@ -6,7 +6,10 @@ Example:
 
 Run from the root of a source checkout.  The change side is this checkout's
 working tree; the parent side is a temporary `git worktree` of --parent
-(default HEAD), or an existing checkout given by --parent-dir.  Each pair
+(default HEAD), or an existing git checkout given by --parent-dir, whose HEAD
+is then the recorded parent commit; the script exits 1 before any run when
+that directory is not the top of a git checkout, or when an explicit --parent
+names another commit.  Each pair
 runs `python3 perfbench/run.py --workload W --seed S --trace 0` once per
 side, each in a fresh interpreter, and pairs alternate which side runs
 first.  Both sides must carry the same benchmark: the script exits 1 before
@@ -68,8 +71,12 @@ def summarise(workload: str, seed: int, results: dict) -> dict:
     return entry
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE,
+class Refused(Exception):
+    """The two sides cannot be compared; the message says why."""
+
+
+def git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, stdout=subprocess.PIPE,
                           text=True).stdout.strip()
 
 
@@ -91,13 +98,33 @@ def differing_benchmark_files(parent: Path, change: Path) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
-def run_pairs(parent: Path, args) -> tuple[list, dict] | None:
-    """The BENCH entries and host record, or None when the sides' benchmark files differ."""
+def refuse_other_benchmark(parent: Path) -> None:
+    """Refused, naming the benchmark files that differ between parent and this checkout."""
     differ = differing_benchmark_files(parent, ROOT)
     if differ:
-        print("error: the parent and change sides carry different benchmark files: "
-              + ", ".join(differ), file=sys.stderr)
-        return None
+        raise Refused("the parent and change sides carry different benchmark files: "
+                      + ", ".join(differ))
+
+
+def checkout_commit(parent_dir: Path, revision: str | None) -> str:
+    """Short hash of the commit checked out at parent_dir.
+
+    Refused when parent_dir is not the top of a git checkout, or when
+    revision, resolved in this checkout, names another commit.
+    """
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=parent_dir,
+                          capture_output=True, text=True)
+    top, head = proc.stdout.split() if proc.returncode == 0 else (None, None)
+    if top is None or Path(top).resolve() != parent_dir:
+        raise Refused(f"--parent-dir {parent_dir} is not the top of a git checkout")
+    if revision is not None and git("rev-parse", f"{revision}^{{commit}}") != head:
+        raise Refused(f"--parent {revision} is not the commit checked out at --parent-dir "
+                      f"{parent_dir} ({head[:12]})")
+    return git("rev-parse", "--short", "HEAD", cwd=parent_dir)
+
+
+def run_pairs(parent: Path, args) -> tuple[list, dict]:
+    """The BENCH entries and host record."""
     entries, env = [], {}
     for workload in args.workload:
         for seed in args.seed:
@@ -121,25 +148,32 @@ def main() -> int:
     ap.add_argument("--seed", type=int, action="append", help="default 0; repeatable")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    ap.add_argument("--parent", help="git revision of the parent side (default HEAD)")
     ap.add_argument("--parent-dir", type=Path,
-                    help="existing checkout of --parent, used instead of a temporary worktree")
+                    help="existing git checkout of the parent side, used instead of a temporary "
+                         "worktree; its HEAD is the parent commit")
     args = ap.parse_args()
     args.seed = args.seed or [0]
-    parent_commit = git("rev-parse", "--short", args.parent)
-    if args.parent_dir is not None:
-        result = run_pairs(args.parent_dir.resolve(), args)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp) / "parent"
-            git("worktree", "add", "--detach", str(tree), args.parent)
-            try:
-                result = run_pairs(tree, args)
-            finally:
-                git("worktree", "remove", "--force", str(tree))
-    if result is None:
+    try:
+        if args.parent_dir is not None:
+            parent = args.parent_dir.resolve()
+            refuse_other_benchmark(parent)
+            parent_commit = checkout_commit(parent, args.parent)
+            entries, env = run_pairs(parent, args)
+        else:
+            revision = args.parent or "HEAD"
+            parent_commit = git("rev-parse", "--short", revision)
+            with tempfile.TemporaryDirectory() as tmp:
+                tree = Path(tmp) / "parent"
+                git("worktree", "add", "--detach", str(tree), revision)
+                try:
+                    refuse_other_benchmark(tree)
+                    entries, env = run_pairs(tree, args)
+                finally:
+                    git("worktree", "remove", "--force", str(tree))
+    except Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    entries, env = result
 
     out = ROOT / f"BENCH_{args.label}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}

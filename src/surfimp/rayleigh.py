@@ -23,11 +23,17 @@ impedance.  Each speed is eigensolved once: c_r is the speed of the last
 Newton round, whose evaluation gives the kernel, residuals and radial slope.
 Every impedance row passes the eigen-route guard of
 polyfactor.factor_from_eig or is re-factored by spectral_factor.
+c_r is a smooth function of the direction in the elliptic region, so a scan
+of at least 64 directions first solves its anchors, every _ANCHOR_STRIDE-th
+row, from 0.95 c_lim; each other row starts its Newton steps just below the
+cubic interpolant of its four nearest anchors' c_r, unless one of them has
+no root.  c_lim and existence are solved alike for every row.
 Scans parallelize over directions via RAYLEIGH_THREADS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import math
@@ -55,6 +61,8 @@ _GAP_RTOL = 1e-8
 _NEWTON_FTOL = 1e-13
 _ROOT_MAX_ROUNDS = 100
 _NEWTON_MIN_MAX_ROUNDS = 60
+_ANCHOR_STRIDE = 8
+_MIN_CHUNKED_ROWS = 64  # fewer rows run as one chunk; scans of fewer have no interior rows
 KERNEL_PHASE_CUTOFF = 1e-6
 
 SCAN_CSV_HEADER = (
@@ -374,7 +382,7 @@ def tangent_basis(nu: np.ndarray):
     return e1, np.cross(nu, e1)
 
 
-def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
+def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, start: np.ndarray | None = None):
     """Rayleigh roots below c_lim for every row, then kernel, residuals, slope.
 
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
@@ -385,9 +393,11 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     (left in pre); where c is not positive definite, f > 0 is read from the
     static impedance (c -> 0).  Safeguarded Newton steps on g = c f, which
     has the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the
-    Sylvester solve, run in t = sqrt(1 - c / c_lim) from 0.95 c_lim inside
+    Sylvester solve, run in t = sqrt(1 - c / c_lim) inside
     (0, 1 - START_OFFSET] c_lim; a step that leaves the bracket is replaced
-    by its midpoint in c.  The round whose step falls to ROOT_RTOL c gives
+    by its midpoint in c.  A row starts at start, one entry per row, where
+    that lies in (0, (1 - START_OFFSET) c_lim), else (start None or nan) at
+    0.95 c_lim.  The round whose step falls to ROOT_RTOL c gives
     c_r, its own speed, and the kernel, slope and residuals (_post).  Each
     round's separation check reads spec(q) from impedance_at.  Returns the
     DirectionScan columns from c_lim to res_riccati.
@@ -404,6 +414,9 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray):
     top = c_lim[rows]
     lo, hi = np.zeros(rows.size), (1.0 - START_OFFSET) * top
     x = 0.95 * top
+    if start is not None:
+        start = start[rows]
+        x = np.where((start > 0.0) & (start < hi), start, x)
     live = np.arange(rows.size)
     finished = []
     for it in range(_ROOT_MAX_ROUNDS):
@@ -462,9 +475,48 @@ def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
     return v, slope, res_kernel, riccati_residual(z, engine.pencil(a1, a2))
 
 
-def _scan_chunk(engine: _Engine, dirs: np.ndarray):
+def _scan_chunk(engine: _Engine, dirs: np.ndarray, start: np.ndarray | None):
     pre = engine.prepare(dirs)
-    return _solve_rows(engine, pre, engine.limiting_speeds(pre))
+    return _solve_rows(engine, pre, engine.limiting_speeds(pre), start)
+
+
+def _scan_rows(engine: _Engine, dirs: np.ndarray, start: np.ndarray | None, pool, threads: int):
+    """DirectionScan columns from c_lim on for dirs, one chunk per worker of pool (if any)."""
+    if pool is None or len(dirs) < _MIN_CHUNKED_ROWS:
+        return _scan_chunk(engine, dirs, start)
+    edges = np.linspace(0, len(dirs), threads + 1, dtype=int)
+    bounds = [(b, e) for b, e in zip(edges[:-1], edges[1:]) if b < e]
+    parts = pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]],
+                                            None if start is None else start[be[0]:be[1]]), bounds)
+    return [np.concatenate(col, axis=0) for col in zip(*parts)]
+
+
+def _anchor_starts(thetas: np.ndarray, stride: int, c_r: np.ndarray) -> np.ndarray:
+    """Root Newton starts of the rows whose index is not a multiple of stride.
+
+    The anchors are rows 0, stride, 2 stride, ...; c_r holds their roots (nan
+    where none exists).  A row between anchors j and j + 1 gets the cubic
+    Lagrange interpolant through anchors j - 1 .. j + 2 at their thetas,
+    wrapped by 2 pi, so rows after the last anchor interpolate through anchor
+    0 whether or not stride divides n.  The interpolant is lowered by 1e-8
+    relative, so that even where it is exact the root is the result of a
+    Newton step, not the interpolant itself; it is nan where an anchor has no
+    root.
+    """
+    m = c_r.size
+    k = np.flatnonzero(np.arange(thetas.size) % stride)
+    j = k // stride + np.arange(-1, 3)[:, None]
+    nodes = thetas[(j % m) * stride] + 2.0 * np.pi * (j // m)
+    values = c_r[j % m]
+    x = thetas[k]
+    interp = np.zeros(k.size)
+    for i in range(4):
+        basis = values[i]
+        for l in range(4):
+            if l != i:
+                basis = basis * (x - nodes[l]) / (nodes[i] - nodes[l])
+        interp += basis
+    return (1.0 - 1e-8) * interp
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -481,7 +533,13 @@ def resolve_threads(threads: int | None) -> int:
 def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> DirectionScan:
     """Rayleigh data for n equally spaced tangential directions.
 
-    Rows are ordered by theta regardless of worker count; execution is
+    With n >= 64 the rows whose index is a multiple of _ANCHOR_STRIDE are
+    anchors, solved first as rayleigh_point solves a row; every other row
+    then starts its root's Newton steps from _anchor_starts, the cubic
+    interpolant of its four nearest anchors' c_r, or from 0.95 c_lim where
+    one of them has no root.  A row depends only on itself and its anchors,
+    so the rows and their bytes do not depend on the worker count.  With
+    n < 64 every row is an anchor.  Each phase of 64 rows or more is
     chunked over threads (numpy releases the GIL inside LAPACK).
     """
     if n < 4:
@@ -492,12 +550,20 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     dirs = np.cos(thetas)[:, None] * e1[None, :] + np.sin(thetas)[:, None] * e2[None, :]
     engine = _Engine(mat, nu)
     threads = resolve_threads(threads)
-    if threads == 1 or n < 64:
-        parts = [_scan_chunk(engine, dirs)]
-    else:
-        edges = np.linspace(0, n, threads + 1, dtype=int)
-        bounds = [(edges[i], edges[i + 1]) for i in range(threads) if edges[i] < edges[i + 1]]
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            parts = list(pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]]), bounds))
-    columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
+    anchored = n >= _MIN_CHUNKED_ROWS  # smaller scans run as one chunk of anchors
+    stride = _ANCHOR_STRIDE if anchored else 1
+    anchor = np.arange(n) % stride == 0
+    with (ThreadPoolExecutor(max_workers=threads) if anchored and threads > 1
+          else contextlib.nullcontext()) as pool:
+        columns = _scan_rows(engine, dirs[anchor], None, pool, threads)
+        if anchored:
+            starts = _anchor_starts(thetas, stride, columns[2])
+            inner = _scan_rows(engine, dirs[~anchor], starts, pool, threads)
+            columns = [_interleave(a, b, anchor) for a, b in zip(columns, inner)]
     return DirectionScan(thetas, *columns, directions=dirs)
+
+
+def _interleave(at_anchors: np.ndarray, between: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    out = np.empty((anchor.size, *at_anchors.shape[1:]), dtype=at_anchors.dtype)
+    out[anchor], out[~anchor] = at_anchors, between
+    return out

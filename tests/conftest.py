@@ -67,6 +67,28 @@ def c_lim_reference(mat, nu, e, sigma_max) -> float:
         return float(mpmath.sqrt(best / mat.density))
 
 
+def orthotropic_rayleigh_speed(voigt, rho) -> float | None:
+    """Closed-form Rayleigh speed of an orthotropic medium, normal along axis 3
+    and propagation along axis 1 (Chadwick & Smith 1977), or None.
+
+    The sagittal motion decouples there, and X = rho c_r^2 is the root in
+    (0, min(c11, c55)) of c33 c55 (c11 - X) X^2 = (c33 (c11 - X) - c13^2)^2 (c55 - X)
+    whose unsquared form holds, c33 (c11 - X) - c13^2 > 0; the cubic is solved
+    in 40-digit arithmetic (mpmath).
+    """
+    with mpmath.workdps(40):
+        c11, c33, c13, c55 = (mpmath.mpf(float(voigt[i][j])) for i, j in ((0, 0), (2, 2), (0, 2), (4, 4)))
+        a = c33 * c11 - c13**2
+        # c33 c55 (c11 - X) X^2 - (a - c33 X)^2 (c55 - X), highest power first
+        coeffs = [c33**2 - c33 * c55, c33 * c55 * c11 - c33**2 * c55 - 2 * a * c33,
+                  2 * a * c33 * c55 + a**2, -a**2 * c55]
+        top = min(c11, c55)
+        roots = [r.real for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
+                 if abs(r.imag) <= mpmath.mpf("1e-30") * top and 0 < r.real < top and a - c33 * r.real > 0]
+        assert len(roots) <= 1
+        return float(mpmath.sqrt(roots[0] / rho)) if roots else None
+
+
 @pytest.fixture
 def std_frame():
     return SurfaceFrame(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))

@@ -8,7 +8,14 @@ import pytest
 import surfimp.rayleigh as rayleigh
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL
 from surfimp.impedance import impedance_tensor, radial_derivative_z, riccati_residual
-from surfimp.material import SurfaceFrame, validate_stiffness
+from surfimp.material import (
+    Material,
+    StiffnessTensor,
+    SurfaceFrame,
+    isotropic_stiffness,
+    rotate_stiffness,
+    validate_stiffness,
+)
 from surfimp.polyfactor import build_pencil, spectral_factor
 from surfimp.rayleigh import (
     SCAN_CSV_HEADER,
@@ -21,7 +28,13 @@ from surfimp.isotropic import iso_kernel_vector, rayleigh_cubic_root
 from surfimp.presets import isotropic_material, poisson_solid, synthetic_anisotropic
 from surfimp.selftest import richardson
 
-from conftest import c_lim_reference, count_newton_min, frame_rotation, random_frame
+from conftest import (
+    c_lim_reference,
+    count_newton_min,
+    frame_rotation,
+    orthotropic_rayleigh_speed,
+    random_frame,
+)
 
 RAYLEIGH_RATIO_LAM_EQ_MU = 0.91940168676196612
 
@@ -331,7 +344,8 @@ def test_companion_rows_per_direction(monkeypatch):
     # c_lim also serves the existence test, and the last Newton round is the
     # evaluation at c_r; every companion row is counted, certification too.
     # In these positive definite media existence costs no row of its own, so
-    # the count stays within 5.5 rows per direction as well as 6.5
+    # the count stays within 5.5 rows per direction as well as 6.5.  The
+    # 48-direction scans have no interior rows, so every row starts at 0.95 c_lim
     rows = []
     eig = rayleigh._Engine._eig
 
@@ -343,6 +357,9 @@ def test_companion_rows_per_direction(monkeypatch):
     scan_directions(synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0]), 720)
     assert sum(rows) <= 6.5 * 720
     assert sum(rows) <= 5.5 * 720
+    # 720 directions are anchored: rows between anchors start their Newton
+    # steps next to the root (3.66 rows per direction measured)
+    assert sum(rows) <= 3.75 * 720
     for seed in (59, 1, 4, 5):
         rows.clear()
         rng = np.random.default_rng(seed)
@@ -352,6 +369,112 @@ def test_companion_rows_per_direction(monkeypatch):
                 scan_directions(mat, _unit(rng.standard_normal(3)), 48)
         assert sum(rows) <= 6.5 * 12 * 48, seed
         assert sum(rows) <= 5.5 * 12 * 48, seed
+
+
+def _orthotropic_voigt(rng):
+    # positive definite orthotropic Voigt matrix in its symmetry axes (Pa)
+    while True:
+        v = np.zeros((6, 6))
+        diag = rng.uniform(50.0, 250.0, 3)
+        v[:3, :3] = np.diag(diag)
+        for (i, j), frac in zip(((0, 1), (0, 2), (1, 2)), rng.uniform(-0.3, 0.6, 3)):
+            v[i, j] = v[j, i] = frac * math.sqrt(diag[i] * diag[j])
+        v[3:, 3:] = np.diag(rng.uniform(20.0, 90.0, 3))
+        if np.linalg.eigvalsh(v)[0] > 0.0:
+            return 1e9 * v
+
+
+def test_orthotropic_oracle_on_interior_rows():
+    # each orthotropic medium is turned about nu = z so that its axis 1 lies
+    # along an interior row k of a 128-direction scan (k not a multiple of the
+    # anchor stride), where the closed form gives c_r and, when its root lies
+    # above c_lim, the absence of one
+    rng = np.random.default_rng(7)
+    n, rho, nu = 128, 3000.0, np.array([0.0, 0.0, 1.0])
+    outcomes = set()
+    for _ in range(10):
+        voigt = _orthotropic_voigt(rng)
+        k = int(rng.integers(n))
+        k += k % rayleigh._ANCHOR_STRIDE == 0
+        th = 2.0 * math.pi * k / n
+        turn = np.array([[math.cos(th), -math.sin(th), 0.0], [math.sin(th), math.cos(th), 0.0],
+                         [0.0, 0.0, 1.0]])
+        mat = Material(rotate_stiffness(StiffnessTensor(voigt), turn), rho)
+        scan = scan_directions(mat, nu, n)
+        root = orthotropic_rayleigh_speed(voigt, rho)
+        exists = root is not None and root < scan.c_lim[k]
+        assert bool(scan.exists[k]) == exists
+        if exists:
+            assert scan.c_r[k] == pytest.approx(root, rel=1e-12)
+        outcomes.add(exists)
+    assert outcomes == {True, False}
+
+
+def test_orthotropic_oracle_reproduces_rayleigh_cubic():
+    lam = mu = 30e9
+    c_r = orthotropic_rayleigh_speed(isotropic_stiffness(lam, mu).voigt, 2700.0)
+    assert c_r == pytest.approx(math.sqrt(mu / 2700.0) * RAYLEIGH_RATIO_LAM_EQ_MU, rel=1e-15)
+
+
+def _all_anchor_scan(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(rayleigh, "_ANCHOR_STRIDE", 1)
+        return scan_directions(*args)
+
+
+@pytest.mark.parametrize("mat, normal, n, edge", [
+    (synthetic_anisotropic(11), (0.0, 0.0, 1.0), 720, None),
+    (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8), 256, "hugging"),
+    (synthetic_anisotropic(27, strength=0.75), (0.0, 0.0, 1.0), 720, "rootless"),
+    (poisson_solid(), (1.0, 2.0, 3.0), 64, None),
+], ids=["aniso-11", "aniso-27-hugging", "aniso-27-rootless", "poisson"])
+def test_anchored_scan_matches_all_anchor_path(monkeypatch, mat, normal, n, edge):
+    # interior rows start at the interpolated anchor c_r or, next to a
+    # rootless anchor, at 0.95 c_lim; c_lim and existence are solved as at
+    # every anchor, and c_r moves only within the Newton stop rule
+    scan = scan_directions(mat, normal, n)
+    ref = _all_anchor_scan(monkeypatch, mat, normal, n)
+    assert np.array_equal(scan.exists, ref.exists)
+    assert np.array_equal(scan.c_lim, ref.c_lim)
+    rows = scan.exists
+    assert np.all(np.abs(scan.c_r[rows] - ref.c_r[rows]) <= 1e-12 * ref.c_r[rows])
+    stride = rayleigh._ANCHOR_STRIDE
+    interior = np.flatnonzero(rows & (np.arange(n) % stride != 0))
+    if edge == "hugging":  # an interior root within 1e-4 of c_lim
+        assert np.any(scan.c_lim[interior] - scan.c_r[interior] < 1e-4 * scan.c_lim[interior])
+    if edge == "rootless":  # an interior root read next to a rootless anchor
+        anchor_exists = scan.exists[::stride]
+        read = (interior // stride + np.arange(-1, 3)[:, None]) % anchor_exists.size
+        assert not np.all(anchor_exists[read])
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 1001])
+def test_anchored_scan_threads_byte_equal(aniso, monkeypatch, n):
+    # anchors and interior rows are chunked over the workers separately; the
+    # chunk edges and the 2 pi wrap must not change a byte
+    monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 4)
+    nu = np.array([0.0, 0.0, 1.0])
+    texts = {threads: scan_directions(aniso, nu, n, threads=threads).to_csv() for threads in (1, 2, 4)}
+    assert texts[1] == texts[2] == texts[4]
+
+
+def test_anchor_starts_wrap_through_anchor_zero():
+    # n = 100 is not a multiple of the stride 8: anchors are rows 0, 8, .., 96,
+    # and rows 97..99 interpolate through anchors 88, 96, 0 and 8, shifted by 2 pi
+    n, stride = 100, 8
+    thetas = 2.0 * np.pi * np.arange(n) / n
+    c_r = 3000.0 + 100.0 * np.cos(thetas[::stride]) + 50.0 * np.sin(2.0 * thetas[::stride])
+    starts = rayleigh._anchor_starts(thetas, stride, c_r)
+    interior = np.flatnonzero(np.arange(n) % stride)
+    assert starts.shape == interior.shape
+    nodes = np.array([thetas[88], thetas[96], 2.0 * np.pi, 2.0 * np.pi + thetas[8]])
+    values = c_r[[11, 12, 0, 1]]
+    expected = np.polyval(np.polyfit(nodes - 2.0 * np.pi, values, 3), thetas[97:] - 2.0 * np.pi)
+    assert np.allclose(starts[-3:], (1.0 - 1e-8) * expected, rtol=1e-12, atol=0.0)
+    # a rootless anchor 0 leaves no start exactly at the rows that read it
+    c_r[0] = np.nan
+    reads_zero = (interior < 16) | (interior > 88)  # rows 1-15 and 89-99
+    assert np.array_equal(np.isnan(rayleigh._anchor_starts(thetas, stride, c_r)), reads_zero)
 
 
 @pytest.mark.parametrize("ratio", [-0.9999999, -0.99999999])

@@ -86,3 +86,45 @@ def test_bench_pairs_refuses_other_benchmark_files(tmp_path):
     assert proc.stderr.startswith("error: ") and "BENCHMARK.json" in proc.stderr
     assert "bench/run.py" in proc.stderr and "perfbench/run.py" in proc.stderr
     assert not (SCRIPTS.parent / f"BENCH_{label}.json").exists()
+
+
+def _git_checkout(root, files):
+    # a one-commit git repository holding files; returns its short HEAD
+    _benchmark_tree(root, files)
+    for argv in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                  "commit", "-q", "-m", "parent side"]):
+        subprocess.run(["git", *argv], cwd=root, check=True, capture_output=True)
+    return subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_bench_pairs_reads_the_parent_commit_from_parent_dir(tmp_path):
+    bench_pairs = _bench_pairs()
+    parent = tmp_path / "parent"
+    head = _git_checkout(parent, {"bench/run.py": "run"})
+    assert bench_pairs.checkout_commit(parent, None) == head
+    # an explicit revision resolves in this checkout, whose HEAD is another commit
+    with pytest.raises(bench_pairs.Refused, match="not the commit checked out"):
+        bench_pairs.checkout_commit(parent, "HEAD")
+    with pytest.raises(bench_pairs.Refused, match="not the top of a git checkout"):
+        bench_pairs.checkout_commit(parent / "bench", None)
+
+
+def test_bench_pairs_refuses_a_parent_revision_other_than_parent_dir(tmp_path):
+    # the parent side carries this checkout's benchmark files, so only the
+    # commit check can stop the script before any run
+    root = SCRIPTS.parent
+    files = {path.relative_to(root).as_posix(): path.read_text()
+             for path in [root / "BENCHMARK.json", *sorted((root / "perfbench").rglob("*"))]
+             if path.is_file() and "__pycache__" not in path.parts}
+    parent = tmp_path / "parent"
+    _git_checkout(parent, files)
+    label = "parent_commit_check"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "bench_pairs.py"), "--label", label,
+                           "--workload", "scan_coarse", "--pairs", "1", "--seconds", "0.5",
+                           "--parent", "HEAD", "--parent-dir", str(parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --parent HEAD ") and proc.stderr.count("\n") == 1
+    assert not (root / f"BENCH_{label}.json").exists()
