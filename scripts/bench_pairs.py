@@ -9,7 +9,7 @@ working tree; the parent side is a temporary `git worktree` of --parent
 (default HEAD), or an existing git checkout given by --parent-dir, whose HEAD
 is then the recorded parent commit; the script exits 1 before any run when
 that directory is not the top of a git checkout, or when an explicit --parent
-names another commit.  Each pair
+is not a commit or names another one.  Each pair
 runs `python3 perfbench/run.py --workload W --seed S --trace 0` once per
 side, each in a fresh interpreter, and pairs alternate which side runs
 first.  Both sides must carry the same benchmark: the script exits 1 before
@@ -80,6 +80,12 @@ def git(*args: str, cwd: Path = ROOT) -> str:
                           text=True).stdout.strip()
 
 
+def git_or_none(*args: str, cwd: Path = ROOT) -> str | None:
+    """git's output without its final newline, or None when git fails."""
+    proc = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+    return proc.stdout.removesuffix("\n") if proc.returncode == 0 else None
+
+
 def benchmark_digests(checkout: Path) -> dict[str, str]:
     """SHA-256 of BENCHMARK.json and of each file under its paths, by relative path."""
     spec = checkout / "BENCHMARK.json"
@@ -110,16 +116,19 @@ def checkout_commit(parent_dir: Path, revision: str | None) -> str:
     """Short hash of the commit checked out at parent_dir.
 
     Refused when parent_dir is not the top of a git checkout, or when
-    revision, resolved in this checkout, names another commit.
+    revision is not a commit of this checkout or names another commit.
     """
-    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=parent_dir,
-                          capture_output=True, text=True)
-    top, head = proc.stdout.split() if proc.returncode == 0 else (None, None)
+    top = git_or_none("rev-parse", "--show-toplevel", cwd=parent_dir)
     if top is None or Path(top).resolve() != parent_dir:
         raise Refused(f"--parent-dir {parent_dir} is not the top of a git checkout")
-    if revision is not None and git("rev-parse", f"{revision}^{{commit}}") != head:
-        raise Refused(f"--parent {revision} is not the commit checked out at --parent-dir "
-                      f"{parent_dir} ({head[:12]})")
+    head = git("rev-parse", "HEAD", cwd=parent_dir)
+    if revision is not None:
+        commit = git_or_none("rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}")
+        if commit is None:
+            raise Refused(f"--parent {revision} is not a commit of this checkout")
+        if commit != head:
+            raise Refused(f"--parent {revision} is not the commit checked out at --parent-dir "
+                          f"{parent_dir} ({head[:12]})")
     return git("rev-parse", "--short", "HEAD", cwd=parent_dir)
 
 

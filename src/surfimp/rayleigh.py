@@ -24,10 +24,11 @@ Newton round, whose evaluation gives the kernel, residuals and radial slope.
 Every impedance row passes the eigen-route guard of
 polyfactor.factor_from_eig or is re-factored by spectral_factor.
 c_r is a smooth function of the direction in the elliptic region, so a scan
-of at least 64 directions first solves its anchors, every _ANCHOR_STRIDE-th
-row, from 0.95 c_lim; each other row starts its Newton steps just below the
+of at least _MIN_ANCHORED_ROWS directions first solves c_lim and existence
+for every row and the roots of its anchors, every _ANCHOR_STRIDE-th row,
+from 0.95 c_lim; each other row then starts its Newton steps just below the
 cubic interpolant of its four nearest anchors' c_r, unless one of them has
-no root.  c_lim and existence are solved alike for every row.
+no root.
 Scans parallelize over directions via RAYLEIGH_THREADS.
 """
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import io
 import math
 import os
@@ -62,7 +64,10 @@ _NEWTON_FTOL = 1e-13
 _ROOT_MAX_ROUNDS = 100
 _NEWTON_MIN_MAX_ROUNDS = 60
 _ANCHOR_STRIDE = 8
-_MIN_CHUNKED_ROWS = 64  # fewer rows run as one chunk; scans of fewer have no interior rows
+# smaller scans solve every row as an anchor: there the anchors lie too far
+# apart for the interior rows' shorter Newton runs to repay a second root pass
+_MIN_ANCHORED_ROWS = 512
+_MIN_CHUNKED_ROWS = 64  # a stage of fewer rows runs as one chunk
 KERNEL_PHASE_CUTOFF = 1e-6
 
 SCAN_CSV_HEADER = (
@@ -100,9 +105,8 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     """
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
-    pre = engine.prepare(dirs)
-    rows = _solve_rows(engine, pre, engine.limiting_speeds(pre))
-    return DirectionScan(np.zeros(1), *rows, directions=dirs).point(0)
+    columns = _solve(engine, dirs, np.zeros(1), 1, lambda stage, *cols: stage(*cols))
+    return DirectionScan(np.zeros(1), *columns, directions=dirs).point(0)
 
 
 def eval_p(mat: Material, frame: SurfaceFrame, xi) -> float:
@@ -193,7 +197,7 @@ class _Engine:
         a nearly real root s, so the steps missed a valley near
         sigma = Re(s) c: the same refinement runs from there, and the row is
         certified again.  Each row's last certifying eigensolve is left in pre
-        for _solve_rows' existence test.  BracketError is raised when a
+        for _limits' existence test.  BracketError is raised when a
         minimum is not positive, or when a round does not strictly lower a
         failing row's minimum.
         """
@@ -382,41 +386,50 @@ def tangent_basis(nu: np.ndarray):
     return e1, np.cross(nu, e1)
 
 
-def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, start: np.ndarray | None = None):
-    """Rayleigh roots below c_lim for every row, then kernel, residuals, slope.
+def _limits(engine: _Engine, pre: dict):
+    """c_lim and existence of every row of pre.
 
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
-    positive, so the root is the one zero of f(c) = lambda_min z(e / c).  A
-    root exists exactly when f > 0 at low speed, as for every positive
-    definite c (Barnett & Lothe), and f <= 0 at the bracket's upper end
-    (1 - START_OFFSET) c_lim, read from the eigensolve that certified c_lim
-    (left in pre); where c is not positive definite, f > 0 is read from the
-    static impedance (c -> 0).  Safeguarded Newton steps on g = c f, which
-    has the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the
-    Sylvester solve, run in t = sqrt(1 - c / c_lim) inside
-    (0, 1 - START_OFFSET] c_lim; a step that leaves the bracket is replaced
-    by its midpoint in c.  A row starts at start, one entry per row, where
-    that lies in (0, (1 - START_OFFSET) c_lim), else (start None or nan) at
-    0.95 c_lim.  The round whose step falls to ROOT_RTOL c gives
-    c_r, its own speed, and the kernel, slope and residuals (_post).  Each
-    round's separation check reads spec(q) from impedance_at.  Returns the
-    DirectionScan columns from c_lim to res_riccati.
+    positive, so a root is the one zero of f(c) = lambda_min z(e / c).  It
+    exists exactly when f > 0 at low speed, as for every positive definite c
+    (Barnett & Lothe), and f <= 0 at the bracket's upper end
+    (1 - START_OFFSET) c_lim, read from the eigensolve that certified c_lim;
+    where c is not positive definite, f > 0 is read from the static
+    impedance (c -> 0).
     """
-    m = c_lim.shape[0]
+    c_lim = engine.limiting_speeds(pre)
     exists = np.linalg.eigvalsh(engine._factor(*pre.pop("c_lim_eig"))[3])[:, 0] <= 0.0
     if not engine.convex:  # f may be negative at every speed: test c f at c -> 0
         rows, static = np.flatnonzero(exists), copy.copy(engine)
         static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
         exists[rows] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(rows.size), rows)[3])[:, 0] > 0.0
+    return c_lim, exists
+
+
+def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, solve: np.ndarray, start: np.ndarray):
+    """Rayleigh roots of the rows of pre where solve holds, then kernel, residuals, slope.
+
+    c_lim, solve and start hold one entry per row of pre; solve marks rows
+    with a root below c_lim.  Safeguarded Newton steps on g = c f,
+    f = lambda_min z(e / c), which has the sign of f and
+    dg/dc = -u0* X u0 with X = zdot - z from the Sylvester solve, run in
+    t = sqrt(1 - c / c_lim) inside (0, 1 - START_OFFSET] c_lim; a step that
+    leaves the bracket is replaced by its midpoint in c.  A row starts at
+    start where that lies in (0, (1 - START_OFFSET) c_lim), else (nan
+    included) at 0.95 c_lim.  The round whose step falls to ROOT_RTOL c
+    gives c_r, its own speed, and the kernel, slope and residuals (_post).
+    Each round's separation check reads spec(q) from impedance_at.  Returns
+    the DirectionScan columns c_r, slope, kernels, res_kernel and
+    res_riccati, nan where solve is False.
+    """
+    m = c_lim.size
     c_r, slope, res_kernel, res_riccati = np.full((4, m), np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
-    rows = np.flatnonzero(exists)
+    rows = np.flatnonzero(solve)
     top = c_lim[rows]
     lo, hi = np.zeros(rows.size), (1.0 - START_OFFSET) * top
-    x = 0.95 * top
-    if start is not None:
-        start = start[rows]
-        x = np.where((start > 0.0) & (start < hi), start, x)
+    start = start[rows]
+    x = np.where((start > 0.0) & (start < hi), start, 0.95 * top)
     live = np.arange(rows.size)
     finished = []
     for it in range(_ROOT_MAX_ROUNDS):
@@ -449,7 +462,38 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, start: np.ndarray
         k, c, *state = (np.concatenate(col) for col in zip(*finished))
         c_r[k] = c
         kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre["dirs"][k], *state)
-    return c_lim, exists, c_r, slope, kernels, res_kernel, res_riccati
+    return c_r, slope, kernels, res_kernel, res_riccati
+
+
+def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, run):
+    """DirectionScan columns from c_lim to res_riccati for the directions dirs at thetas.
+
+    run(stage, *columns) returns stage's output columns over the rows that
+    the row-aligned columns describe; a scan runs each stage in chunks over
+    its workers.  The first stage gives every row its c_lim and existence
+    (_limits) and the anchors, the rows whose index is a multiple of stride,
+    their roots from 0.95 c_lim; the second gives every other row its root
+    from _anchor_starts.  Each stage prepares its own rows, a few einsums.
+    """
+    n = thetas.size
+    anchor = np.arange(n) % stride == 0
+
+    def limits_then_anchors(rows):
+        pre = engine.prepare(dirs[rows])
+        c_lim, exists = _limits(engine, pre)
+        solve = exists & anchor[rows]
+        return c_lim, exists, *_solve_rows(engine, pre, c_lim, solve, np.full(rows.size, np.nan))
+
+    def interior(rows, *columns):
+        return _solve_rows(engine, engine.prepare(dirs[rows]), *columns)
+
+    c_lim, exists, *roots = run(limits_then_anchors, np.arange(n))
+    if stride > 1:
+        rows = np.flatnonzero(~anchor)
+        start = _anchor_starts(thetas, stride, roots[0][anchor])
+        for col, part in zip(roots, run(interior, rows, c_lim[rows], exists[rows], start)):
+            col[rows] = part
+    return c_lim, exists, *roots
 
 
 def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
@@ -475,19 +519,19 @@ def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
     return v, slope, res_kernel, riccati_residual(z, engine.pencil(a1, a2))
 
 
-def _scan_chunk(engine: _Engine, dirs: np.ndarray, start: np.ndarray | None):
-    pre = engine.prepare(dirs)
-    return _solve_rows(engine, pre, engine.limiting_speeds(pre), start)
+def _scan_chunk(stage, columns, lo: int, hi: int):
+    """One worker's share of a scan stage: stage on rows lo:hi of each column."""
+    return stage(*(col[lo:hi] for col in columns))
 
 
-def _scan_rows(engine: _Engine, dirs: np.ndarray, start: np.ndarray | None, pool, threads: int):
-    """DirectionScan columns from c_lim on for dirs, one chunk per worker of pool (if any)."""
-    if pool is None or len(dirs) < _MIN_CHUNKED_ROWS:
-        return _scan_chunk(engine, dirs, start)
-    edges = np.linspace(0, len(dirs), threads + 1, dtype=int)
+def _run_chunks(pool, threads: int, stage, *columns):
+    """stage's output columns over all rows, one chunk per worker of pool (if any)."""
+    m = len(columns[0])
+    if pool is None or m < _MIN_CHUNKED_ROWS:
+        return _scan_chunk(stage, columns, 0, m)
+    edges = np.linspace(0, m, threads + 1, dtype=int)
     bounds = [(b, e) for b, e in zip(edges[:-1], edges[1:]) if b < e]
-    parts = pool.map(lambda be: _scan_chunk(engine, dirs[be[0]:be[1]],
-                                            None if start is None else start[be[0]:be[1]]), bounds)
+    parts = pool.map(lambda be: _scan_chunk(stage, columns, *be), bounds)
     return [np.concatenate(col, axis=0) for col in zip(*parts)]
 
 
@@ -533,14 +577,16 @@ def resolve_threads(threads: int | None) -> int:
 def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> DirectionScan:
     """Rayleigh data for n equally spaced tangential directions.
 
-    With n >= 64 the rows whose index is a multiple of _ANCHOR_STRIDE are
-    anchors, solved first as rayleigh_point solves a row; every other row
-    then starts its root's Newton steps from _anchor_starts, the cubic
-    interpolant of its four nearest anchors' c_r, or from 0.95 c_lim where
-    one of them has no root.  A row depends only on itself and its anchors,
-    so the rows and their bytes do not depend on the worker count.  With
-    n < 64 every row is an anchor.  Each phase of 64 rows or more is
-    chunked over threads (numpy releases the GIL inside LAPACK).
+    With n >= _MIN_ANCHORED_ROWS the rows whose index is a multiple of
+    _ANCHOR_STRIDE are anchors, whose roots are solved with every row's
+    c_lim, as rayleigh_point solves a row; every other row then starts its
+    root's Newton steps from _anchor_starts, the cubic interpolant of its
+    four nearest anchors' c_r, or from 0.95 c_lim where one of them has no
+    root.  A row depends only on itself and its anchors, so the rows and
+    their bytes do not depend on the worker count.  In smaller scans every
+    row is an anchor.  Each of the two stages (_solve) is chunked over
+    threads when it has 64 rows or more (numpy releases the GIL inside
+    LAPACK).
     """
     if n < 4:
         raise ValueError("direction scan needs at least 4 directions")
@@ -550,20 +596,8 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     dirs = np.cos(thetas)[:, None] * e1[None, :] + np.sin(thetas)[:, None] * e2[None, :]
     engine = _Engine(mat, nu)
     threads = resolve_threads(threads)
-    anchored = n >= _MIN_CHUNKED_ROWS  # smaller scans run as one chunk of anchors
-    stride = _ANCHOR_STRIDE if anchored else 1
-    anchor = np.arange(n) % stride == 0
-    with (ThreadPoolExecutor(max_workers=threads) if anchored and threads > 1
+    stride = _ANCHOR_STRIDE if n >= _MIN_ANCHORED_ROWS else 1
+    with (ThreadPoolExecutor(max_workers=threads) if n >= _MIN_CHUNKED_ROWS and threads > 1
           else contextlib.nullcontext()) as pool:
-        columns = _scan_rows(engine, dirs[anchor], None, pool, threads)
-        if anchored:
-            starts = _anchor_starts(thetas, stride, columns[2])
-            inner = _scan_rows(engine, dirs[~anchor], starts, pool, threads)
-            columns = [_interleave(a, b, anchor) for a, b in zip(columns, inner)]
+        columns = _solve(engine, dirs, thetas, stride, functools.partial(_run_chunks, pool, threads))
     return DirectionScan(thetas, *columns, directions=dirs)
-
-
-def _interleave(at_anchors: np.ndarray, between: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    out = np.empty((anchor.size, *at_anchors.shape[1:]), dtype=at_anchors.dtype)
-    out[anchor], out[~anchor] = at_anchors, between
-    return out

@@ -386,11 +386,11 @@ def _orthotropic_voigt(rng):
 
 def test_orthotropic_oracle_on_interior_rows():
     # each orthotropic medium is turned about nu = z so that its axis 1 lies
-    # along an interior row k of a 128-direction scan (k not a multiple of the
-    # anchor stride), where the closed form gives c_r and, when its root lies
-    # above c_lim, the absence of one
+    # along an interior row k of the smallest anchored scan (k not a multiple
+    # of the anchor stride), where the closed form gives c_r and, when its
+    # root lies above c_lim, the absence of one
     rng = np.random.default_rng(7)
-    n, rho, nu = 128, 3000.0, np.array([0.0, 0.0, 1.0])
+    n, rho, nu = rayleigh._MIN_ANCHORED_ROWS, 3000.0, np.array([0.0, 0.0, 1.0])
     outcomes = set()
     for _ in range(10):
         voigt = _orthotropic_voigt(rng)
@@ -431,7 +431,9 @@ def _all_anchor_scan(monkeypatch, *args):
 def test_anchored_scan_matches_all_anchor_path(monkeypatch, mat, normal, n, edge):
     # interior rows start at the interpolated anchor c_r or, next to a
     # rootless anchor, at 0.95 c_lim; c_lim and existence are solved as at
-    # every anchor, and c_r moves only within the Newton stop rule
+    # every anchor, and c_r moves only within the Newton stop rule.  Scans
+    # from 64 directions on are anchored here, below the speed threshold
+    monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
     scan = scan_directions(mat, normal, n)
     ref = _all_anchor_scan(monkeypatch, mat, normal, n)
     assert np.array_equal(scan.exists, ref.exists)
@@ -450,9 +452,11 @@ def test_anchored_scan_matches_all_anchor_path(monkeypatch, mat, normal, n, edge
 
 @pytest.mark.parametrize("n", [64, 65, 100, 1001])
 def test_anchored_scan_threads_byte_equal(aniso, monkeypatch, n):
-    # anchors and interior rows are chunked over the workers separately; the
-    # chunk edges and the 2 pi wrap must not change a byte
+    # c_lim with the anchors' roots, then the interior rows' roots, are
+    # chunked over the workers; the chunk edges and the 2 pi wrap must not
+    # change a byte.  Scans from 64 directions on are anchored here
     monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
     nu = np.array([0.0, 0.0, 1.0])
     texts = {threads: scan_directions(aniso, nu, n, threads=threads).to_csv() for threads in (1, 2, 4)}
     assert texts[1] == texts[2] == texts[4]

@@ -109,6 +109,12 @@ def test_bench_pairs_reads_the_parent_commit_from_parent_dir(tmp_path):
         bench_pairs.checkout_commit(parent, "HEAD")
     with pytest.raises(bench_pairs.Refused, match="not the top of a git checkout"):
         bench_pairs.checkout_commit(parent / "bench", None)
+    with pytest.raises(bench_pairs.Refused, match="not a commit of this checkout"):
+        bench_pairs.checkout_commit(parent, "no-such-revision")
+    # a path with a space is one path
+    spaced = tmp_path / "parent checkout"
+    spaced_head = _git_checkout(spaced, {"run.py": "run"})
+    assert bench_pairs.checkout_commit(spaced, None) == spaced_head
 
 
 def test_bench_pairs_refuses_a_parent_revision_other_than_parent_dir(tmp_path):
