@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from surfimp.material import MaterialError, parse_material, unit_vector
 from surfimp.presets import synthetic_anisotropic
-from surfimp.rayleigh import scan_directions
+from surfimp.rayleigh import resolve_threads, scan_directions
 
 
 def main():
@@ -44,10 +44,11 @@ def main():
         if nu.shape != (3,):
             raise MaterialError("schema", f"--normal must be 'x,y,z', got {args.normal!r}")
         unit_vector(nu, "the normal")
+        threads = resolve_threads(None)
     except (OSError, ValueError) as exc:
         sys.exit(f"error: {exc}")
     start = time.perf_counter()
-    scan = scan_directions(mat, nu, args.count)
+    scan = scan_directions(mat, nu, args.count, threads=threads)
     elapsed = time.perf_counter() - start
 
     print(f"material: {mat.name}   directions: {args.count}   wall: {elapsed:.2f} s")

@@ -23,20 +23,18 @@ impedance.  Each speed is eigensolved once: c_r is the speed of the last
 Newton round, whose evaluation gives the kernel, residuals and radial slope.
 Every impedance row passes the eigen-route guard of
 polyfactor.factor_from_eig or is re-factored by spectral_factor.
-c_r is a smooth function of the direction in the elliptic region, so a scan
-of at least _MIN_ANCHORED_ROWS directions first solves c_lim and existence
-for every row and the roots of its anchors, every _ANCHOR_STRIDE-th row,
-from 0.95 c_lim; each other row then starts its Newton steps just below the
-cubic interpolant of its four nearest anchors' c_r, unless one of them has
-no root.
-Scans parallelize over directions via RAYLEIGH_THREADS.
+c_r is a smooth function of the direction in the elliptic region, so in a
+scan of at least _MIN_ANCHORED_ROWS directions only the anchors, every
+_ANCHOR_STRIDE-th row, start their roots from 0.95 c_lim; each other row
+starts its Newton steps just below the cubic interpolant of its four
+nearest anchors' c_r, unless one of them has no root.
+Scans parallelize over directions via RAYLEIGH_THREADS: each worker solves
+its own rows end to end, with the few anchors beyond them that they need.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import functools
 import io
 import math
 import os
@@ -67,7 +65,7 @@ _ANCHOR_STRIDE = 8
 # smaller scans solve every row as an anchor: there the anchors lie too far
 # apart for the interior rows' shorter Newton runs to repay a second root pass
 _MIN_ANCHORED_ROWS = 512
-_MIN_CHUNKED_ROWS = 64  # a stage of fewer rows runs as one chunk
+_MIN_CHUNKED_ROWS = 64  # a scan of fewer rows runs as one chunk
 KERNEL_PHASE_CUTOFF = 1e-6
 
 SCAN_CSV_HEADER = (
@@ -105,7 +103,7 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     """
     engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
-    columns = _solve(engine, dirs, np.zeros(1), 1, lambda stage, *cols: stage(*cols))
+    columns = _solve(engine, dirs, np.zeros(1), 1, 0, 1)
     return DirectionScan(np.zeros(1), *columns, directions=dirs).point(0)
 
 
@@ -183,7 +181,7 @@ class _Engine:
             d2 = curv - 2.0 * np.sum(coupling[:, 1:] ** 2 / gap, axis=1)
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
-    def limiting_speeds(self, pre: dict) -> np.ndarray:
+    def limiting_speeds(self, pre: dict):
         """c_lim per direction from min over real sigma of eig_min c(e + sigma nu).
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
@@ -196,10 +194,10 @@ class _Engine:
         keep a spectral margin above ELLIPTICITY_MARGIN.  A row that fails has
         a nearly real root s, so the steps missed a valley near
         sigma = Re(s) c: the same refinement runs from there, and the row is
-        certified again.  Each row's last certifying eigensolve is left in pre
-        for _limits' existence test.  BracketError is raised when a
-        minimum is not positive, or when a round does not strictly lower a
-        failing row's minimum.
+        certified again.  Returns c_lim and each row's last certifying
+        eigensolve (_eig), for _limits' existence test.  BracketError is
+        raised when a minimum is not positive, or when a round does not
+        strictly lower a failing row's minimum.
         """
         m = pre["dirs"].shape[0]
         sigma = -np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(self.a))
@@ -217,15 +215,15 @@ class _Engine:
             c = (1.0 - START_OFFSET) * np.sqrt(f / self.rho)
             eig = self._eig(pre, c, rows)
             if rows.size == m:
-                pre["c_lim_eig"] = eig
+                cert = eig
             else:
-                for whole, part in zip(pre["c_lim_eig"], eig):
+                for whole, part in zip(cert, eig):
                     whole[rows] = part
             vals = eig[0]
             margin = spectral_margin(vals[:, :, None])  # per root
             bad = ~(np.min(margin, axis=1) > polyfactor.ELLIPTICITY_MARGIN)
             if not np.any(bad):
-                return np.sqrt(fmin / self.rho)
+                return np.sqrt(fmin / self.rho), cert
             # c^2 f(s) = c(e + sigma nu) - rho c^2 at sigma = s c, so the
             # nearly real root marks a valley below the estimate
             rows, c = rows[bad], c[bad]
@@ -397,8 +395,8 @@ def _limits(engine: _Engine, pre: dict):
     where c is not positive definite, f > 0 is read from the static
     impedance (c -> 0).
     """
-    c_lim = engine.limiting_speeds(pre)
-    exists = np.linalg.eigvalsh(engine._factor(*pre.pop("c_lim_eig"))[3])[:, 0] <= 0.0
+    c_lim, cert = engine.limiting_speeds(pre)
+    exists = np.linalg.eigvalsh(engine._factor(*cert)[3])[:, 0] <= 0.0
     if not engine.convex:  # f may be negative at every speed: test c f at c -> 0
         rows, static = np.flatnonzero(exists), copy.copy(engine)
         static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
@@ -465,35 +463,40 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, solve: np.ndarray
     return c_r, slope, kernels, res_kernel, res_riccati
 
 
-def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, run):
-    """DirectionScan columns from c_lim to res_riccati for the directions dirs at thetas.
+def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
+    """DirectionScan columns, c_lim to res_riccati, of rows lo:hi of the directions dirs at thetas.
 
-    run(stage, *columns) returns stage's output columns over the rows that
-    the row-aligned columns describe; a scan runs each stage in chunks over
-    its workers.  The first stage gives every row its c_lim and existence
-    (_limits) and the anchors, the rows whose index is a multiple of stride,
-    their roots from 0.95 c_lim; the second gives every other row its root
-    from _anchor_starts.  Each stage prepares its own rows, a few einsums.
+    The anchors are the rows whose index is a multiple of stride.  Rows lo:hi
+    are solved with the anchors beyond them that their other rows
+    interpolate through (_anchor_starts), at most four: one prepare and one
+    _limits give each row its c_lim and existence, the anchors their roots
+    from 0.95 c_lim, and on the same rows every other row its root from the
+    anchors' c_r.  A row depends only on itself and its anchors, so an anchor
+    solved by two neighbouring chunks is the same in both.
     """
     n = thetas.size
-    anchor = np.arange(n) % stride == 0
-
-    def limits_then_anchors(rows):
-        pre = engine.prepare(dirs[rows])
-        c_lim, exists = _limits(engine, pre)
-        solve = exists & anchor[rows]
-        return c_lim, exists, *_solve_rows(engine, pre, c_lim, solve, np.full(rows.size, np.nan))
-
-    def interior(rows, *columns):
-        return _solve_rows(engine, engine.prepare(dirs[rows]), *columns)
-
-    c_lim, exists, *roots = run(limits_then_anchors, np.arange(n))
+    anchors = -(-n // stride)
+    rows = np.arange(lo, hi)
     if stride > 1:
-        rows = np.flatnonzero(~anchor)
-        start = _anchor_starts(thetas, stride, roots[0][anchor])
-        for col, part in zip(roots, run(interior, rows, c_lim[rows], exists[rows], start)):
-            col[rows] = part
-    return c_lim, exists, *roots
+        j = rows[rows % stride != 0] // stride
+        need = np.zeros(n, dtype=bool)
+        need[lo:hi] = True
+        need[(j + np.arange(-1, 3)[:, None]) % anchors * stride] = True
+        rows = np.flatnonzero(need)
+    anchor = rows % stride == 0
+    pre = engine.prepare(dirs[rows])
+    c_lim, exists = _limits(engine, pre)
+    roots = _solve_rows(engine, pre, c_lim, exists & anchor, np.full(rows.size, np.nan))
+    if stride > 1:
+        anchor_c_r = np.full(anchors, np.nan)
+        anchor_c_r[rows[anchor] // stride] = roots[0][anchor]
+        start = np.full(n, np.nan)
+        start[np.arange(n) % stride != 0] = _anchor_starts(thetas, stride, anchor_c_r)
+        interior = _solve_rows(engine, pre, c_lim, exists & ~anchor, start[rows])
+        for col, part in zip(roots, interior):
+            col[~anchor] = part[~anchor]
+    own = (rows >= lo) & (rows < hi)
+    return c_lim[own], exists[own], *(col[own] for col in roots)
 
 
 def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
@@ -519,33 +522,22 @@ def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
     return v, slope, res_kernel, riccati_residual(z, engine.pencil(a1, a2))
 
 
-def _scan_chunk(stage, columns, lo: int, hi: int):
-    """One worker's share of a scan stage: stage on rows lo:hi of each column."""
-    return stage(*(col[lo:hi] for col in columns))
-
-
-def _run_chunks(pool, threads: int, stage, *columns):
-    """stage's output columns over all rows, one chunk per worker of pool (if any)."""
-    m = len(columns[0])
-    if pool is None or m < _MIN_CHUNKED_ROWS:
-        return _scan_chunk(stage, columns, 0, m)
-    edges = np.linspace(0, m, threads + 1, dtype=int)
-    bounds = [(b, e) for b, e in zip(edges[:-1], edges[1:]) if b < e]
-    parts = pool.map(lambda be: _scan_chunk(stage, columns, *be), bounds)
-    return [np.concatenate(col, axis=0) for col in zip(*parts)]
+def _scan_chunk(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
+    """One worker's share of a scan: the columns of rows lo:hi (_solve)."""
+    return _solve(engine, dirs, thetas, stride, lo, hi)
 
 
 def _anchor_starts(thetas: np.ndarray, stride: int, c_r: np.ndarray) -> np.ndarray:
     """Root Newton starts of the rows whose index is not a multiple of stride.
 
-    The anchors are rows 0, stride, 2 stride, ...; c_r holds their roots (nan
-    where none exists).  A row between anchors j and j + 1 gets the cubic
-    Lagrange interpolant through anchors j - 1 .. j + 2 at their thetas,
-    wrapped by 2 pi, so rows after the last anchor interpolate through anchor
-    0 whether or not stride divides n.  The interpolant is lowered by 1e-8
-    relative, so that even where it is exact the root is the result of a
-    Newton step, not the interpolant itself; it is nan where an anchor has no
-    root.
+    The anchors are rows 0, stride, 2 stride, ...; c_r holds their roots, nan
+    where none exists or where the calling scan chunk did not solve the
+    anchor.  A row between anchors j and j + 1 gets the cubic Lagrange
+    interpolant through anchors j - 1 .. j + 2 at their thetas, wrapped by
+    2 pi, so rows after the last anchor interpolate through anchor 0 whether
+    or not stride divides n.  The interpolant is lowered by 1e-8 relative, so
+    that even where it is exact the root is the result of a Newton step, not
+    the interpolant itself; it is nan where one of its anchors' c_r is.
     """
     m = c_r.size
     k = np.flatnonzero(np.arange(thetas.size) % stride)
@@ -584,9 +576,10 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     four nearest anchors' c_r, or from 0.95 c_lim where one of them has no
     root.  A row depends only on itself and its anchors, so the rows and
     their bytes do not depend on the worker count.  In smaller scans every
-    row is an anchor.  Each of the two stages (_solve) is chunked over
-    threads when it has 64 rows or more (numpy releases the GIL inside
-    LAPACK).
+    row is an anchor.  A scan of _MIN_CHUNKED_ROWS rows or more is cut into
+    one chunk per thread (numpy releases the GIL inside LAPACK), and each
+    worker solves its chunk in one pass (_scan_chunk): c_lim, existence and
+    roots, with the anchors beyond its rows that they interpolate through.
     """
     if n < 4:
         raise ValueError("direction scan needs at least 4 directions")
@@ -597,7 +590,12 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     engine = _Engine(mat, nu)
     threads = resolve_threads(threads)
     stride = _ANCHOR_STRIDE if n >= _MIN_ANCHORED_ROWS else 1
-    with (ThreadPoolExecutor(max_workers=threads) if n >= _MIN_CHUNKED_ROWS and threads > 1
-          else contextlib.nullcontext()) as pool:
-        columns = _solve(engine, dirs, thetas, stride, functools.partial(_run_chunks, pool, threads))
+    if threads == 1 or n < _MIN_CHUNKED_ROWS:
+        parts = [_scan_chunk(engine, dirs, thetas, stride, 0, n)]
+    else:
+        edges = np.linspace(0, n, threads + 1, dtype=int)
+        bounds = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda b: _scan_chunk(engine, dirs, thetas, stride, *b), bounds))
+    columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
     return DirectionScan(thetas, *columns, directions=dirs)

@@ -191,7 +191,7 @@ def test_isotropic_c_lim_is_c_s():
     for lam_gpa, mu_gpa, rho in ((30.0, 12.0, 2500.0), (100.0, 310.0, 2500.0)):
         nu = _unit(rng.standard_normal(3))
         engine = rayleigh._Engine(isotropic_material(lam_gpa, mu_gpa, rho), nu)
-        c_lim = engine.limiting_speeds(engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 64))))
+        c_lim, _ = engine.limiting_speeds(engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 64))))
         cs = math.sqrt(mu_gpa * 1e9 / rho)
         assert np.all(np.abs(c_lim - cs) <= 1e-12 * cs)
 
@@ -308,7 +308,7 @@ def test_lowest_impedance_eigenvalue_decreases_along_rays():
         nu = _unit(rng.standard_normal(3))
         engine = rayleigh._Engine(mat, nu)
         pre = engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 8)))
-        c_lim = engine.limiting_speeds(pre)
+        c_lim, _ = engine.limiting_speeds(pre)
         speeds = (c_lim[:, None] * fractions).ravel()
         q, a1, a2, z, s = engine.impedance_at(pre, speeds, rows=np.repeat(np.arange(8), fractions.size))
         lam_min = np.linalg.eigvalsh(z)[:, 0].reshape(8, fractions.size)
@@ -452,14 +452,42 @@ def test_anchored_scan_matches_all_anchor_path(monkeypatch, mat, normal, n, edge
 
 @pytest.mark.parametrize("n", [64, 65, 100, 1001])
 def test_anchored_scan_threads_byte_equal(aniso, monkeypatch, n):
-    # c_lim with the anchors' roots, then the interior rows' roots, are
-    # chunked over the workers; the chunk edges and the 2 pi wrap must not
-    # change a byte.  Scans from 64 directions on are anchored here
-    monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 4)
+    # each worker solves its rows with the anchors they interpolate through;
+    # the chunk edges and the 2 pi wrap must not change a byte.  With 16
+    # workers at n = 64 the chunks have 4 rows, and half of them hold no
+    # anchor of their own.  Scans from 64 directions on are anchored here
+    monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 16)
     monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
     nu = np.array([0.0, 0.0, 1.0])
-    texts = {threads: scan_directions(aniso, nu, n, threads=threads).to_csv() for threads in (1, 2, 4)}
-    assert texts[1] == texts[2] == texts[4]
+    texts = {threads: scan_directions(aniso, nu, n, threads=threads).to_csv() for threads in (1, 2, 4, 16)}
+    assert texts[1] == texts[2] == texts[4] == texts[16]
+
+
+def test_scan_is_one_pass_per_worker(aniso, monkeypatch):
+    # each worker runs one _scan_chunk, which prepares its rows once for
+    # c_lim, the anchors' roots and the interior roots; a point runs no chunk
+    calls = {"_scan_chunk": 0, "prepare": 0}
+    scan_chunk, prepare = rayleigh._scan_chunk, rayleigh._Engine.prepare
+
+    def counted_chunk(*args):
+        calls["_scan_chunk"] += 1
+        return scan_chunk(*args)
+
+    def counted_prepare(self, dirs):
+        calls["prepare"] += 1
+        return prepare(self, dirs)
+
+    monkeypatch.setattr(rayleigh, "_scan_chunk", counted_chunk)
+    monkeypatch.setattr(rayleigh._Engine, "prepare", counted_prepare)
+    monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
+    nu = np.array([0.0, 0.0, 1.0])
+    for threads in (2, 1):
+        scan_directions(aniso, nu, 1001, threads=threads)
+        assert calls == {"_scan_chunk": threads, "prepare": threads}, threads
+        calls.update(_scan_chunk=0, prepare=0)
+    rayleigh_point(aniso, SurfaceFrame(nu, np.array([1.0, 0.0, 0.0])))
+    assert calls == {"_scan_chunk": 0, "prepare": 1}
 
 
 def test_anchor_starts_wrap_through_anchor_zero():
@@ -553,7 +581,7 @@ def test_scalar_path_reproduces_engine_rows(mat, normal):
     engine = rayleigh._Engine(mat, nu)
     dirs = _circle(nu, 2.0 * np.pi * np.arange(16) / 16)
     pre = engine.prepare(dirs)
-    c_lim = engine.limiting_speeds(pre)
+    c_lim, _ = engine.limiting_speeds(pre)
     for fraction in (0.3, 0.7, 0.95):
         speeds = fraction * c_lim
         q, a1, a2, z, _ = engine.impedance_at(pre, speeds)

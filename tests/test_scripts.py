@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,14 @@ def test_run_scan_script(tmp_path):
     assert len(lines) == 9
 
 
-@pytest.mark.parametrize("argv", [("--normal", "0,0,0"), ("--normal", "nan,0,1"), ("--normal", "1,2"),
-                                  ("--count", "3")])
-def test_run_scan_script_input_errors(argv):
+# the first four ids predate the env parameter and are kept
+@pytest.mark.parametrize("argv, env", [(("--normal", "0,0,0"), {}), (("--normal", "nan,0,1"), {}),
+                                       (("--normal", "1,2"), {}), (("--count", "3"), {}),
+                                       ((), {"RAYLEIGH_THREADS": "abc"})],
+                         ids=["argv0", "argv1", "argv2", "argv3", "threads-env"])
+def test_run_scan_script_input_errors(argv, env):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "run_scan.py"), "--count", "8", *argv],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env={**os.environ, **env})
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
