@@ -237,6 +237,8 @@ def cmd_subprincipal(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.seed < 0:
+        return _fail("--seed must be non-negative", EXIT_INPUT)
     results = _selftest_mod.run_selftest(seed=args.seed, strict=args.strict)
     payload = {
         "seed": args.seed,

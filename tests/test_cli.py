@@ -72,6 +72,17 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_selftest_runs_without_scipy():
+    # a fresh interpreter in which any SciPy import fails
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys; sys.modules['scipy'] = None; from surfimp import cli; "
+            "sys.exit(cli.main(['selftest', '--seed', '0']))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+
+
 def test_validate_ok(capsys, iso_file):
     code, out, _ = run(capsys, "validate", "--material", iso_file)
     assert code == 0
@@ -379,6 +390,13 @@ def test_selftest_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["all_passed"] is True
     assert len(doc["criteria"]) == 10
+
+
+def test_selftest_negative_seed_is_input_error(capsys):
+    code, out, err = run(capsys, "selftest", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_selftest_strict_shrinks_margins(capsys):

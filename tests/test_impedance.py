@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from surfimp import impedance
+from surfimp import impedance, selftest
 from surfimp.impedance import (
     SpectralSeparationError,
     barnett_lothe_residual,
@@ -138,8 +138,18 @@ def test_sylvester_integral_oracle(rng):
         oracle, _ = quad_vec(lambda r: expm(-r * a).conj().T @ b @ expm(-r * a),
                              0.0, 80.0, epsabs=1e-12, epsrel=1e-12)
         assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-7
+        # the closed form that selftest uses is the same integral
+        closed = selftest._exp_integral(a, b)
+        assert np.linalg.norm(closed - oracle) / np.linalg.norm(oracle) <= 1e-12
         # a supplied spectrum only replaces the eigvals of the separation check
         np.testing.assert_array_equal(sylvester_solve(a, b, np.linalg.eigvals(a)), x)
+
+
+def test_sylvester_check_catches_transposed_solver(monkeypatch):
+    # a solver of A X + X A* = B instead of A* X + X A = B
+    monkeypatch.setattr(selftest, "sylvester_solve",
+                        lambda a, b: sylvester_solve(a.conj().T, b))
+    assert selftest._check_sylvester(0, 5) > 1e-3
 
 
 def test_sylvester_separation_error():
