@@ -23,11 +23,13 @@ impedance.  Each speed is eigensolved once: c_r is the speed of the last
 Newton round, whose evaluation gives the kernel, residuals and radial slope.
 Every impedance row passes the eigen-route guard of
 polyfactor.factor_from_eig or is re-factored by spectral_factor.
-c_r is a smooth function of the direction in the elliptic region, so in a
-scan of at least _MIN_ANCHORED_ROWS directions only the anchors, every
-_ANCHOR_STRIDE-th row, start their roots from 0.95 c_lim; each other row
-starts its Newton steps just below the cubic interpolant of its four
-nearest anchors' c_r, unless one of them has no root.
+c_r and the argmin sigma* are smooth functions of the direction in the
+elliptic region, so in a scan of at least _MIN_ANCHORED_ROWS directions the
+anchors, every _ANCHOR_STRIDE-th row, are solved first, their c_lim from the
+trace minimiser and their roots from 0.95 c_lim; each other row then starts
+its c_lim Newton steps at the cubic interpolant of its four nearest anchors'
+sigma*, and its root's just below that of their c_r, unless one of them has
+no root.
 Scans parallelize over directions via RAYLEIGH_THREADS: each worker solves
 its own rows end to end, with the few anchors beyond them that they need.
 """
@@ -181,56 +183,60 @@ class _Engine:
             d2 = curv - 2.0 * np.sum(coupling[:, 1:] ** 2 / gap, axis=1)
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
-    def limiting_speeds(self, pre: dict):
-        """c_lim per direction from min over real sigma of eig_min c(e + sigma nu).
+    def limiting_speeds(self, pre: dict, rows=None, start=None):
+        """c_lim of the rows of pre (all, or those in rows) from min over sigma of eig_min c(e + sigma nu).
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
-        Safeguarded Newton steps (_newton_min) start at the minimiser of
-        tr c(e + sigma nu), sigma = -tr mid / (2 tr a), which is 0 and the
-        argmin for isotropic media, inside a bracket that covers
-        [-sigma_max, sigma_max].  Each estimate is certified at the root
-        bracket's upper end (1 - START_OFFSET) c_lim, where the pencil must
-        keep a spectral margin above ELLIPTICITY_MARGIN.  A row that fails has
-        a nearly real root s, so the steps missed a valley near
-        sigma = Re(s) c: the same refinement runs from there, and the row is
-        certified again.  Returns c_lim and each row's last certifying
-        eigensolve (_eig), for _limits' existence test.  BracketError is
-        raised when a minimum is not positive, or when a round does not
-        strictly lower a failing row's minimum.
+        Safeguarded Newton steps (_newton_min) start at start where it is
+        finite, else at the minimiser of tr c(e + sigma nu),
+        sigma = -tr mid / (2 tr a), which is 0 and the argmin for isotropic
+        media, inside a bracket that covers [-sigma_max, sigma_max].  Each
+        estimate is certified at the root bracket's upper end
+        (1 - START_OFFSET) c_lim, where the pencil must keep a spectral margin
+        above ELLIPTICITY_MARGIN.  A row that fails has a nearly real root s,
+        so the steps missed a valley near sigma = Re(s) c: the same refinement
+        runs from there, and the row is certified again.  Returns c_lim, each
+        row's last certifying eigensolve (_eig), for _limits' existence test,
+        and the sigma of each row's minimum.  BracketError is raised when a
+        minimum is not positive, or when a round does not strictly lower a
+        failing row's minimum.
         """
-        m = pre["dirs"].shape[0]
-        sigma = -np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(self.a))
-        rows = np.arange(m)
-        fmin = np.full(m, np.inf)
+        rows = np.arange(pre["dirs"].shape[0]) if rows is None else rows
+        m = rows.size
+        sigma = (-np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(self.a)))[rows]
+        if start is not None:
+            sigma = np.where(np.isfinite(start), start, sigma)
+        todo = np.arange(m)
+        fmin, argmin = np.full(m, np.inf), np.empty(m)
         while True:
-            f = self._newton_min(pre, rows, sigma, self.sigma_max + np.abs(sigma))
-            if np.any(f >= fmin[rows]):
+            f, x = self._newton_min(pre, rows[todo], sigma, self.sigma_max + np.abs(sigma))
+            if np.any(f >= fmin[todo]):
                 raise BracketError("c_lim not certified: refining the valley below the estimate "
                                    "did not lower it")
             if not np.all(f > 0.0):
                 raise BracketError("c(e + sigma nu) is not positive definite along some direction; "
                                    "material is not strongly elliptic")
-            fmin[rows] = f
+            fmin[todo], argmin[todo] = f, x
             c = (1.0 - START_OFFSET) * np.sqrt(f / self.rho)
-            eig = self._eig(pre, c, rows)
-            if rows.size == m:
+            eig = self._eig(pre, c, rows[todo])
+            if todo.size == m:
                 cert = eig
             else:
                 for whole, part in zip(cert, eig):
-                    whole[rows] = part
+                    whole[todo] = part
             vals = eig[0]
             margin = spectral_margin(vals[:, :, None])  # per root
             bad = ~(np.min(margin, axis=1) > polyfactor.ELLIPTICITY_MARGIN)
             if not np.any(bad):
-                return np.sqrt(fmin / self.rho), cert
+                return np.sqrt(fmin / self.rho), cert, argmin
             # c^2 f(s) = c(e + sigma nu) - rho c^2 at sigma = s c, so the
             # nearly real root marks a valley below the estimate
-            rows, c = rows[bad], c[bad]
+            todo, c = todo[bad], c[bad]
             sigma = vals[bad, np.argmin(margin[bad], axis=1)].real * c
 
     def _newton_min(self, pre, rows, x, h):
-        """Smallest f seen on each bracket [x - h, x + h] by safeguarded Newton on f'.
+        """Smallest f seen on each bracket [x - h, x + h] by safeguarded Newton on f', and where.
 
         Starts from the centre x; h = sigma_max + |x| makes the bracket cover
         [-sigma_max, sigma_max].  Each round evaluates f, f', f'' at every
@@ -238,17 +244,18 @@ class _Engine:
         and steps by Newton when f'' > 0 and the step lands inside the
         bracket, else bisects.  A row stops when the predicted decrease
         |f' step| falls to _NEWTON_FTOL f, so its result does not depend on
-        the other rows of its batch.
+        the other rows of its batch.  Returns fmin and the iterate that gave it.
         """
         lo, hi, x = x - h, x + h, x.copy()
-        fmin = np.full(rows.size, np.inf)
+        fmin, argmin = np.full(rows.size, np.inf), x.copy()
         live = np.arange(rows.size)
         for _ in range(_NEWTON_MIN_MAX_ROUNDS):
             if live.size == 0:
                 break
             f, d1, d2 = self._eigmin_along(pre, x[live], rows=rows[live]).T
-            fmin[live] = np.minimum(fmin[live], f)
             xl = x[live]
+            fmin[live] = np.minimum(fmin[live], f)
+            argmin[live] = np.where(f == fmin[live], xl, argmin[live])
             lo[live] = np.where(d1 < 0.0, xl, lo[live])
             hi[live] = np.where(d1 > 0.0, xl, hi[live])
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -258,7 +265,7 @@ class _Engine:
             done = np.abs(d1 * (xn - xl)) <= _NEWTON_FTOL * f
             x[live] = xn
             live = live[~done]
-        return fmin
+        return fmin, argmin
 
     def _eig(self, pre: dict, speeds: np.ndarray, rows=None):
         """Eigenpairs of the companion matrices of a^{-1} f at xi = e / c, with a1 and a2."""
@@ -384,8 +391,10 @@ def tangent_basis(nu: np.ndarray):
     return e1, np.cross(nu, e1)
 
 
-def _limits(engine: _Engine, pre: dict):
-    """c_lim and existence of every row of pre.
+def _limits(engine: _Engine, pre: dict, rows: np.ndarray, start=None):
+    """c_lim, existence and sigma*, the argmin over sigma, of the rows of pre indexed by rows.
+
+    c_lim's Newton steps start at start where it is finite (limiting_speeds).
 
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
     positive, so a root is the one zero of f(c) = lambda_min z(e / c).  It
@@ -395,13 +404,13 @@ def _limits(engine: _Engine, pre: dict):
     where c is not positive definite, f > 0 is read from the static
     impedance (c -> 0).
     """
-    c_lim, cert = engine.limiting_speeds(pre)
+    c_lim, cert, sigma = engine.limiting_speeds(pre, rows, start)
     exists = np.linalg.eigvalsh(engine._factor(*cert)[3])[:, 0] <= 0.0
     if not engine.convex:  # f may be negative at every speed: test c f at c -> 0
-        rows, static = np.flatnonzero(exists), copy.copy(engine)
+        k, static = np.flatnonzero(exists), copy.copy(engine)
         static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
-        exists[rows] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(rows.size), rows)[3])[:, 0] > 0.0
-    return c_lim, exists
+        exists[k] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(k.size), rows[k])[3])[:, 0] > 0.0
+    return c_lim, exists, sigma
 
 
 def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, solve: np.ndarray, start: np.ndarray):
@@ -468,11 +477,13 @@ def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, l
 
     The anchors are the rows whose index is a multiple of stride.  Rows lo:hi
     are solved with the anchors beyond them that their other rows
-    interpolate through (_anchor_starts), at most four: one prepare and one
-    _limits give each row its c_lim and existence, the anchors their roots
-    from 0.95 c_lim, and on the same rows every other row its root from the
-    anchors' c_r.  A row depends only on itself and its anchors, so an anchor
-    solved by two neighbouring chunks is the same in both.
+    interpolate through (_anchor_starts), at most four, all on one prepare.
+    The anchors come first: _limits gives their c_lim, existence and sigma*
+    from the trace-minimiser start, then their roots start from 0.95 c_lim.
+    Every other row then takes its c_lim and existence from _limits started
+    at the anchors' interpolated sigma*, and its root from the anchors'
+    interpolated c_r.  A row depends only on itself and its anchors, so an
+    anchor solved by two neighbouring chunks is the same in both.
     """
     n = thetas.size
     anchors = -(-n // stride)
@@ -485,14 +496,24 @@ def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, l
         rows = np.flatnonzero(need)
     anchor = rows % stride == 0
     pre = engine.prepare(dirs[rows])
-    c_lim, exists = _limits(engine, pre)
+    c_lim = np.full(rows.size, np.nan)
+    exists = np.zeros(rows.size, dtype=bool)
+    c_lim[anchor], exists[anchor], sigma = _limits(engine, pre, np.flatnonzero(anchor))
     roots = _solve_rows(engine, pre, c_lim, exists & anchor, np.full(rows.size, np.nan))
     if stride > 1:
-        anchor_c_r = np.full(anchors, np.nan)
-        anchor_c_r[rows[anchor] // stride] = roots[0][anchor]
-        start = np.full(n, np.nan)
-        start[np.arange(n) % stride != 0] = _anchor_starts(thetas, stride, anchor_c_r)
-        interior = _solve_rows(engine, pre, c_lim, exists & ~anchor, start[rows])
+        def interpolated(values):  # at every row of rows, nan at anchors, from values at rows[anchor]
+            at_anchors = np.full(anchors, np.nan)
+            at_anchors[rows[anchor] // stride] = values
+            out = np.full(n, np.nan)
+            out[np.arange(n) % stride != 0] = _anchor_starts(thetas, stride, at_anchors)
+            return out[rows]
+
+        inner = np.flatnonzero(~anchor)
+        c_lim[inner], exists[inner] = _limits(engine, pre, inner, interpolated(sigma)[inner])[:2]
+        # lowered by 1e-8 relative, so that even where the interpolant is
+        # exact the root is the result of a Newton step, not the interpolant
+        start = (1.0 - 1e-8) * interpolated(roots[0][anchor])
+        interior = _solve_rows(engine, pre, c_lim, exists & ~anchor, start)
         for col, part in zip(roots, interior):
             col[~anchor] = part[~anchor]
     own = (rows >= lo) & (rows < hi)
@@ -527,23 +548,22 @@ def _scan_chunk(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: i
     return _solve(engine, dirs, thetas, stride, lo, hi)
 
 
-def _anchor_starts(thetas: np.ndarray, stride: int, c_r: np.ndarray) -> np.ndarray:
-    """Root Newton starts of the rows whose index is not a multiple of stride.
+def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray) -> np.ndarray:
+    """Newton starts of the rows whose index is not a multiple of stride, from the anchors' column.
 
-    The anchors are rows 0, stride, 2 stride, ...; c_r holds their roots, nan
-    where none exists or where the calling scan chunk did not solve the
-    anchor.  A row between anchors j and j + 1 gets the cubic Lagrange
-    interpolant through anchors j - 1 .. j + 2 at their thetas, wrapped by
-    2 pi, so rows after the last anchor interpolate through anchor 0 whether
-    or not stride divides n.  The interpolant is lowered by 1e-8 relative, so
-    that even where it is exact the root is the result of a Newton step, not
-    the interpolant itself; it is nan where one of its anchors' c_r is.
+    The anchors are rows 0, stride, 2 stride, ...; column holds one value per
+    anchor (c_r or sigma*), nan where there is none or where the calling scan
+    chunk did not solve the anchor.  A row between anchors j and j + 1 gets
+    the cubic Lagrange interpolant through anchors j - 1 .. j + 2 at their
+    thetas, wrapped by 2 pi, so rows after the last anchor interpolate
+    through anchor 0 whether or not stride divides n.  It is nan where one of
+    its anchors' values is.
     """
-    m = c_r.size
+    m = column.size
     k = np.flatnonzero(np.arange(thetas.size) % stride)
     j = k // stride + np.arange(-1, 3)[:, None]
     nodes = thetas[(j % m) * stride] + 2.0 * np.pi * (j // m)
-    values = c_r[j % m]
+    values = column[j % m]
     x = thetas[k]
     interp = np.zeros(k.size)
     for i in range(4):
@@ -552,7 +572,7 @@ def _anchor_starts(thetas: np.ndarray, stride: int, c_r: np.ndarray) -> np.ndarr
             if l != i:
                 basis = basis * (x - nodes[l]) / (nodes[i] - nodes[l])
         interp += basis
-    return (1.0 - 1e-8) * interp
+    return interp
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -570,16 +590,16 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     """Rayleigh data for n equally spaced tangential directions.
 
     With n >= _MIN_ANCHORED_ROWS the rows whose index is a multiple of
-    _ANCHOR_STRIDE are anchors, whose roots are solved with every row's
-    c_lim, as rayleigh_point solves a row; every other row then starts its
-    root's Newton steps from _anchor_starts, the cubic interpolant of its
-    four nearest anchors' c_r, or from 0.95 c_lim where one of them has no
-    root.  A row depends only on itself and its anchors, so the rows and
-    their bytes do not depend on the worker count.  In smaller scans every
-    row is an anchor.  A scan of _MIN_CHUNKED_ROWS rows or more is cut into
-    one chunk per thread (numpy releases the GIL inside LAPACK), and each
-    worker solves its chunk in one pass (_scan_chunk): c_lim, existence and
-    roots, with the anchors beyond its rows that they interpolate through.
+    _ANCHOR_STRIDE are anchors, whose c_lim and roots are solved first, as
+    rayleigh_point solves a row; every other row then starts its c_lim
+    Newton steps from _anchor_starts of the anchors' sigma*, and its root's
+    from _anchor_starts of their c_r, or from 0.95 c_lim where one of them
+    has no root.  A row depends only on itself and its anchors, so the rows
+    and their bytes do not depend on the worker count.  In smaller scans
+    every row is an anchor.  A scan of _MIN_CHUNKED_ROWS rows or more is cut
+    into one chunk per thread (numpy releases the GIL inside LAPACK), and
+    each worker solves its chunk in one pass (_scan_chunk): c_lim, existence
+    and roots, with the anchors beyond its rows that they interpolate through.
     """
     if n < 4:
         raise ValueError("direction scan needs at least 4 directions")

@@ -9,9 +9,12 @@ from surfimp.selftest import frame_rotation, random_frame  # noqa: F401  (shared
 
 
 def count_newton_min(monkeypatch) -> list:
-    """Record the rows of every _Engine._newton_min call; one per c_lim batch
-    refines every row from its trace-minimiser start, each further call is a
-    recertification round of the rows the certificate rejected."""
+    """Record the rows of every _Engine._newton_min call.  The first call of a
+    c_lim batch refines every row of the batch from its start, and each
+    further call is a recertification round of the rows the certificate
+    rejected.  An unanchored scan is one batch, from the trace minimiser; an
+    anchored scan chunk runs two, its anchors and then its other rows, from
+    the anchors' interpolated sigma*."""
     calls = []
     newton_min = rayleigh._Engine._newton_min
     monkeypatch.setattr(rayleigh._Engine, "_newton_min",
