@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print one `name sha256` line per reference output of the solver.
+
+Example, comparing two checkouts byte for byte:
+    python3 scripts/output_digest.py > change.txt
+    cp scripts/output_digest.py ../parent/scripts/
+    python3 ../parent/scripts/output_digest.py > parent.txt
+    diff parent.txt change.txt
+
+The script imports the package from the `src` directory beside it, so each
+copy digests its own checkout.  The outputs are scan CSVs of two materials
+(synthetic_anisotropic(11) with normal z, and synthetic_anisotropic(27, 0.75)
+with normal (0.3, -0.5, 0.8)) at sizes below, at and above the anchored-scan
+threshold, the 10 000-direction scan at 1 and 2 threads, 40 rayleigh_point
+CSV rows on random frames, and the `surfimp selftest --seed 0` JSON.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from surfimp import cli
+from surfimp.presets import synthetic_anisotropic
+from surfimp.rayleigh import csv_row, rayleigh_point, scan_directions
+from surfimp.selftest import random_frame
+
+MATERIALS = {"aniso11": (synthetic_anisotropic(11), (0.0, 0.0, 1.0)),
+             "aniso27": (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8))}
+# (material, directions, threads)
+SCANS = [("aniso11", 10000, 1), ("aniso11", 10000, 2), ("aniso11", 720, 1), ("aniso11", 1001, 1),
+         ("aniso11", 513, 1), ("aniso11", 48, 1), ("aniso27", 512, 1), ("aniso27", 1024, 1),
+         ("aniso27", 48, 1)]
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def scan_csv(name: str, n: int, threads: int) -> str:
+    mat, normal = MATERIALS[name]
+    return scan_directions(mat, np.array(normal), n, threads=threads).to_csv()
+
+
+def point_rows(count: int = 40) -> str:
+    """CSV rows of rayleigh_point on default_rng(5) frames, alternating the materials."""
+    rng = np.random.default_rng(5)
+    mats = [mat for mat, _ in MATERIALS.values()]
+    return "".join(csv_row(0.0, rayleigh_point(mats[k % 2], random_frame(rng))) for k in range(count))
+
+
+def selftest_json(seed: int = 0) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["selftest", "--seed", str(seed)])
+    return out.getvalue()
+
+
+def main() -> None:
+    for name, n, threads in SCANS:
+        print(f"scan-{name}-{n}-t{threads} {digest(scan_csv(name, n, threads))}")
+    print(f"points-rng5 {digest(point_rows())}")
+    print(f"selftest-seed0 {digest(selftest_json())}")
+
+
+if __name__ == "__main__":
+    main()

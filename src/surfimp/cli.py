@@ -56,9 +56,9 @@ def _pairs(x):
 
 
 def _emit(payload: dict) -> None:
-    # strict JSON: a NaN or infinite value is written as null
-    payload = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in payload.items()}
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: every NaN or infinite value, at any depth, round-trips to null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda token: None)
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _fail(message: str, code: int) -> int:

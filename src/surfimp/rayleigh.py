@@ -25,13 +25,18 @@ Every impedance row passes the eigen-route guard of
 polyfactor.factor_from_eig or is re-factored by spectral_factor.
 c_r and the argmin sigma* are smooth functions of the direction in the
 elliptic region, so in a scan of at least _MIN_ANCHORED_ROWS directions the
-anchors, every _ANCHOR_STRIDE-th row, are solved first, their c_lim from the
-trace minimiser and their roots from 0.95 c_lim; each other row then starts
-its c_lim Newton steps at the cubic interpolant of its four nearest anchors'
-sigma*, and its root's just below that of their c_r, unless one of them has
-no root.
-Scans parallelize over directions via RAYLEIGH_THREADS: each worker solves
-its own rows end to end, with the few anchors beyond them that they need.
+anchors, rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE, ..., are solved first,
+their c_lim from the trace minimiser and their roots from 0.95 c_lim.  Each
+other row then starts its c_lim Newton steps at the cubic interpolant, in
+theta and wrapped by 2 pi, of its four nearest anchors' sigma*, and its
+root's at (1 - 1e-8) times that of their c_r, or at 0.95 c_lim where one of
+them has no root.  In smaller scans every row is an anchor.  A scan of at least
+_MIN_CHUNKED_ROWS directions is cut into one run of rows per RAYLEIGH_THREADS
+worker (numpy releases the GIL inside LAPACK).  Each worker solves its run
+end to end on one prepare, with the up to four anchors beyond it that its
+rows interpolate through.  A row depends only on itself and its anchors, so
+an anchor solved by two workers is the same in both, and no byte of a scan
+depends on the worker count.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import copy
 import io
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -157,23 +163,22 @@ class _Engine:
         """The pencil of one row, or of all rows for stacked a1, a2."""
         return QuadraticPencil(a=self.a, a1=a1, a2=a2, rho=self.rho)
 
-    def _eigmin_along(self, pre: dict, sigma: np.ndarray, rows=None) -> np.ndarray:
-        """(m, 3) columns f, f', f'' of f = smallest eigenvalue of M = c(e + sigma nu).
+    def _eigmin_along(self, pre: dict, sigma: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(m, 3) columns f, f', f'' of f = smallest eigenvalue of M = c(e + sigma nu) at the rows of pre.
 
         One batched eigh gives them by Hellmann-Feynman, with M' = mid + 2 sigma a:
         f' = v0.M'v0 and f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).
         f'' is nan where the lowest gap is degenerate (below _GAP_RTOL lam_max).
         """
-        sel = slice(None) if rows is None else rows
         s = sigma[:, None, None]
         # built in place from row copies, so that a whole Newton batch holds
         # few (m, 3, 3) temporaries at once
-        mats = s * pre["mid"][sel]
-        mats += pre["c_ee"][sel]
+        mats = s * pre["mid"][rows]
+        mats += pre["c_ee"][rows]
         mats += (s * s) * self.a
         lam, vec = np.linalg.eigh(mats)
         mats = 2.0 * s * self.a
-        mats += pre["mid"][sel]
+        mats += pre["mid"][rows]
         v0 = vec[:, :, 0]
         coupling = np.einsum("mik,mij,mj->mk", vec, mats, v0)
         gap = lam[:, 1:] - lam[:, :1]
@@ -183,13 +188,13 @@ class _Engine:
             d2 = curv - 2.0 * np.sum(coupling[:, 1:] ** 2 / gap, axis=1)
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
-    def limiting_speeds(self, pre: dict, rows=None, start=None):
-        """c_lim of the rows of pre (all, or those in rows) from min over sigma of eig_min c(e + sigma nu).
+    def limiting_speeds(self, pre: dict, rows: np.ndarray, start: np.ndarray):
+        """c_lim of the rows of pre indexed by rows from min over sigma of eig_min c(e + sigma nu).
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
-        Safeguarded Newton steps (_newton_min) start at start where it is
-        finite, else at the minimiser of tr c(e + sigma nu),
+        Safeguarded Newton steps (_newton_min) start at start, one entry per
+        row, where it is finite, else (nan) at the minimiser of tr c(e + sigma nu),
         sigma = -tr mid / (2 tr a), which is 0 and the argmin for isotropic
         media, inside a bracket that covers [-sigma_max, sigma_max].  Each
         estimate is certified at the root bracket's upper end
@@ -202,11 +207,9 @@ class _Engine:
         minimum is not positive, or when a round does not strictly lower a
         failing row's minimum.
         """
-        rows = np.arange(pre["dirs"].shape[0]) if rows is None else rows
         m = rows.size
         sigma = (-np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(self.a)))[rows]
-        if start is not None:
-            sigma = np.where(np.isfinite(start), start, sigma)
+        sigma = np.where(np.isfinite(start), start, sigma)
         todo = np.arange(m)
         fmin, argmin = np.full(m, np.inf), np.empty(m)
         while True:
@@ -252,7 +255,7 @@ class _Engine:
         for _ in range(_NEWTON_MIN_MAX_ROUNDS):
             if live.size == 0:
                 break
-            f, d1, d2 = self._eigmin_along(pre, x[live], rows=rows[live]).T
+            f, d1, d2 = self._eigmin_along(pre, x[live], rows[live]).T
             xl = x[live]
             fmin[live] = np.minimum(fmin[live], f)
             argmin[live] = np.where(f == fmin[live], xl, argmin[live])
@@ -267,12 +270,11 @@ class _Engine:
             live = live[~done]
         return fmin, argmin
 
-    def _eig(self, pre: dict, speeds: np.ndarray, rows=None):
-        """Eigenpairs of the companion matrices of a^{-1} f at xi = e / c, with a1 and a2."""
-        sel = slice(None) if rows is None else rows
+    def _eig(self, pre: dict, speeds: np.ndarray, rows: np.ndarray):
+        """Companion eigenpairs of a^{-1} f at xi = e / c of the rows of pre, with a1 and a2."""
         inv_c = 1.0 / speeds
-        a1 = pre["c_ne"][sel] * inv_c[:, None, None]
-        a2 = pre["c_ee"][sel] * (inv_c * inv_c)[:, None, None]
+        a1 = pre["c_ne"][rows] * inv_c[:, None, None]
+        a2 = pre["c_ee"][rows] * (inv_c * inv_c)[:, None, None]
         return (*companion_eig(self.a_inv, a1, a2, self.rho), a1, a2)
 
     def _factor(self, vals, vecs, a1, a2):
@@ -299,11 +301,11 @@ class _Engine:
             s3[k] = np.linalg.eigvals(q[k])
         return q, a1, a2, impedance_from_factor(self.a, a1, q)[1], s3
 
-    def impedance_at(self, pre: dict, speeds: np.ndarray, rows=None):
+    def impedance_at(self, pre: dict, speeds: np.ndarray, rows: np.ndarray):
         """Batched q, a1, a2, z (Hermitian part) and spec(q) at xi = e / c: _eig, then _factor."""
         return self._factor(*self._eig(pre, speeds, rows))
 
-    def detz(self, pre: dict, speeds: np.ndarray, rows=None) -> np.ndarray:
+    def detz(self, pre: dict, speeds: np.ndarray, rows: np.ndarray) -> np.ndarray:
         z = self.impedance_at(pre, speeds, rows)[3]
         return np.linalg.det(z).real
 
@@ -391,10 +393,11 @@ def tangent_basis(nu: np.ndarray):
     return e1, np.cross(nu, e1)
 
 
-def _limits(engine: _Engine, pre: dict, rows: np.ndarray, start=None):
+def _limits(engine: _Engine, pre: dict, rows: np.ndarray, start: np.ndarray):
     """c_lim, existence and sigma*, the argmin over sigma, of the rows of pre indexed by rows.
 
-    c_lim's Newton steps start at start where it is finite (limiting_speeds).
+    c_lim's Newton steps start at start, one entry per row, where it is
+    finite, else at the trace minimiser (limiting_speeds).
 
     Below c_lim the eigenvalues of z fall as c rises and at most one is not
     positive, so a root is the one zero of f(c) = lambda_min z(e / c).  It
@@ -443,7 +446,7 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, solve: np.ndarray
         if live.size == 0:
             break
         xl = x[live]
-        q, a1, a2, z, s = engine.impedance_at(pre, xl, rows=rows[live])
+        q, a1, a2, z, s = engine.impedance_at(pre, xl, rows[live])
         w, u = np.linalg.eigh(z)
         f, u0 = w[:, 0], u[:, :, 0]
         zdot = radial_derivative_z(z, q, engine.rho, s)
@@ -475,15 +478,11 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, solve: np.ndarray
 def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
     """DirectionScan columns, c_lim to res_riccati, of rows lo:hi of the directions dirs at thetas.
 
-    The anchors are the rows whose index is a multiple of stride.  Rows lo:hi
-    are solved with the anchors beyond them that their other rows
-    interpolate through (_anchor_starts), at most four, all on one prepare.
-    The anchors come first: _limits gives their c_lim, existence and sigma*
-    from the trace-minimiser start, then their roots start from 0.95 c_lim.
-    Every other row then takes its c_lim and existence from _limits started
-    at the anchors' interpolated sigma*, and its root from the anchors'
-    interpolated c_r.  A row depends only on itself and its anchors, so an
-    anchor solved by two neighbouring chunks is the same in both.
+    The anchors are the rows whose index is a multiple of stride (module
+    docstring).  Rows lo:hi are solved on one prepare with the anchors beyond
+    them that they interpolate through.  The anchors pass _limits, then
+    _solve_rows, with no (nan) starts; the other rows then pass the same two,
+    started at _anchor_starts of the anchors' sigma* and c_r.
     """
     n = thetas.size
     anchors = -(-n // stride)
@@ -496,26 +495,23 @@ def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, l
         rows = np.flatnonzero(need)
     anchor = rows % stride == 0
     pre = engine.prepare(dirs[rows])
-    c_lim = np.full(rows.size, np.nan)
+    c_lim, start = np.full((2, rows.size), np.nan)
     exists = np.zeros(rows.size, dtype=bool)
-    c_lim[anchor], exists[anchor], sigma = _limits(engine, pre, np.flatnonzero(anchor))
-    roots = _solve_rows(engine, pre, c_lim, exists & anchor, np.full(rows.size, np.nan))
+    k = np.flatnonzero(anchor)
+    c_lim[k], exists[k], sigma = _limits(engine, pre, k, start[k])
+    roots = _solve_rows(engine, pre, c_lim, exists & anchor, start)
     if stride > 1:
-        def interpolated(values):  # at every row of rows, nan at anchors, from values at rows[anchor]
-            at_anchors = np.full(anchors, np.nan)
-            at_anchors[rows[anchor] // stride] = values
-            out = np.full(n, np.nan)
-            out[np.arange(n) % stride != 0] = _anchor_starts(thetas, stride, at_anchors)
-            return out[rows]
-
-        inner = np.flatnonzero(~anchor)
-        c_lim[inner], exists[inner] = _limits(engine, pre, inner, interpolated(sigma)[inner])[:2]
+        sigma_at, c_r_at = np.full((2, anchors), np.nan)  # by anchor, nan where not solved here
+        sigma_at[rows[k] // stride] = sigma
+        c_r_at[rows[k] // stride] = roots[0][k]
+        k = np.flatnonzero(~anchor)
+        c_lim[k], exists[k] = _limits(engine, pre, k, _anchor_starts(thetas, stride, sigma_at, rows[k]))[:2]
         # lowered by 1e-8 relative, so that even where the interpolant is
         # exact the root is the result of a Newton step, not the interpolant
-        start = (1.0 - 1e-8) * interpolated(roots[0][anchor])
+        start[k] = (1.0 - 1e-8) * _anchor_starts(thetas, stride, c_r_at, rows[k])
         interior = _solve_rows(engine, pre, c_lim, exists & ~anchor, start)
         for col, part in zip(roots, interior):
-            col[~anchor] = part[~anchor]
+            col[k] = part[k]
     own = (rows >= lo) & (rows < hi)
     return c_lim[own], exists[own], *(col[own] for col in roots)
 
@@ -548,8 +544,8 @@ def _scan_chunk(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: i
     return _solve(engine, dirs, thetas, stride, lo, hi)
 
 
-def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray) -> np.ndarray:
-    """Newton starts of the rows whose index is not a multiple of stride, from the anchors' column.
+def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Newton starts of the scan rows indexed by rows, none a multiple of stride, from the anchors' column.
 
     The anchors are rows 0, stride, 2 stride, ...; column holds one value per
     anchor (c_r or sigma*), nan where there is none or where the calling scan
@@ -560,12 +556,11 @@ def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray) -> np.nd
     its anchors' values is.
     """
     m = column.size
-    k = np.flatnonzero(np.arange(thetas.size) % stride)
-    j = k // stride + np.arange(-1, 3)[:, None]
+    j = rows // stride + np.arange(-1, 3)[:, None]
     nodes = thetas[(j % m) * stride] + 2.0 * np.pi * (j // m)
     values = column[j % m]
-    x = thetas[k]
-    interp = np.zeros(k.size)
+    x = thetas[rows]
+    interp = np.zeros(rows.size)
     for i in range(4):
         basis = values[i]
         for l in range(4):
@@ -587,20 +582,17 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> DirectionScan:
-    """Rayleigh data for n equally spaced tangential directions.
+    """Rayleigh data for n equally spaced tangential directions, n an integer of at least 4.
 
-    With n >= _MIN_ANCHORED_ROWS the rows whose index is a multiple of
-    _ANCHOR_STRIDE are anchors, whose c_lim and roots are solved first, as
-    rayleigh_point solves a row; every other row then starts its c_lim
-    Newton steps from _anchor_starts of the anchors' sigma*, and its root's
-    from _anchor_starts of their c_r, or from 0.95 c_lim where one of them
-    has no root.  A row depends only on itself and its anchors, so the rows
-    and their bytes do not depend on the worker count.  In smaller scans
-    every row is an anchor.  A scan of _MIN_CHUNKED_ROWS rows or more is cut
-    into one chunk per thread (numpy releases the GIL inside LAPACK), and
-    each worker solves its chunk in one pass (_scan_chunk): c_lim, existence
-    and roots, with the anchors beyond its rows that they interpolate through.
+    Anchored from _MIN_ANCHORED_ROWS directions on, and cut into one chunk
+    per worker (_scan_chunk) from _MIN_CHUNKED_ROWS on, as the module
+    docstring describes; an anchor's row is solved as rayleigh_point solves
+    its direction.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"the direction count must be an integer, got {n!r}") from None
     if n < 4:
         raise ValueError("direction scan needs at least 4 directions")
     nu = unit_vector(nu, "the normal")[0]

@@ -161,7 +161,8 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
         for _ in range(per_mat):
             frame = random_frame(rng)
             engine = _Engine(mat, frame.nu)
-            c_lim = engine.limiting_speeds(engine.prepare(frame.tangent[None, :]))[0][0]
+            c_lim = engine.limiting_speeds(engine.prepare(frame.tangent[None, :]), np.zeros(1, dtype=int),
+                                           np.full(1, np.nan))[0][0]
             speed = rng.uniform(0.05, 0.95) * c_lim
             p = build_pencil(mat, frame, 1.0 / speed)
             sf = spectral_factor(p)

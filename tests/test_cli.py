@@ -382,6 +382,22 @@ def test_subprincipal_nan_route_exits_2(capsys, iso_file, curv_file, monkeypatch
     assert doc["psub_direct"] is None
 
 
+def test_subprincipal_nested_nan_is_null(capsys, tmp_path):
+    # curvature near the float limit overflows X and Y2 to NaN matrices: the
+    # run fails its two-route check, and the JSON stays strict at every depth
+    mat_file, curv_file = tmp_path / "rock.json", tmp_path / "curv.json"
+    mat_file.write_text('{"name": "rock", "density_kg_m3": 2700.0, '
+                        '"isotropic": {"lambda_gpa": 30.0, "mu_gpa": 30.0}}')
+    curv_file.write_text('{"s22": 1e300, "trS": 1e300}')
+    with np.errstate(all="ignore"):
+        code, out, _ = run(capsys, "subprincipal", "--material", str(mat_file),
+                           "--curvature", str(curv_file), "--xi-dir", "1,0,0")
+    assert code == 2
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+    for name in ("X", "Y2"):
+        assert np.array(doc[name], dtype=object).ravel().tolist() == [None] * 8, name
+
+
 def test_selftest_deterministic(capsys):
     code1, out1, _ = run(capsys, "selftest", "--seed", "7")
     code2, out2, _ = run(capsys, "selftest", "--seed", "7")

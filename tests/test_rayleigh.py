@@ -171,11 +171,11 @@ def test_eigmin_derivatives_match_richardson():
     lam = np.linalg.eigvalsh(mats)
     clear = lam[:, 1] - lam[:, 0] > 0.05 * lam[:, 0]
     assert np.count_nonzero(clear) >= 16
-    f, d1, d2 = engine._eigmin_along(pre, sigma).T
+    f, d1, d2 = engine._eigmin_along(pre, sigma, np.arange(32)).T
     np.testing.assert_allclose(f, lam[:, 0], rtol=1e-13)
 
     def f_of(x):
-        return engine._eigmin_along(pre, x)[:, 0]
+        return engine._eigmin_along(pre, x, np.arange(32))[:, 0]
 
     h = 1e-3
     fd1 = richardson(f_of, sigma, h)
@@ -191,7 +191,8 @@ def test_isotropic_c_lim_is_c_s():
     for lam_gpa, mu_gpa, rho in ((30.0, 12.0, 2500.0), (100.0, 310.0, 2500.0)):
         nu = _unit(rng.standard_normal(3))
         engine = rayleigh._Engine(isotropic_material(lam_gpa, mu_gpa, rho), nu)
-        c_lim = engine.limiting_speeds(engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 64))))[0]
+        c_lim = engine.limiting_speeds(engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 64))),
+                                       np.arange(64), np.full(64, np.nan))[0]
         cs = math.sqrt(mu_gpa * 1e9 / rho)
         assert np.all(np.abs(c_lim - cs) <= 1e-12 * cs)
 
@@ -308,7 +309,7 @@ def test_lowest_impedance_eigenvalue_decreases_along_rays():
         nu = _unit(rng.standard_normal(3))
         engine = rayleigh._Engine(mat, nu)
         pre = engine.prepare(_circle(nu, rng.uniform(0.0, 2.0 * np.pi, 8)))
-        c_lim = engine.limiting_speeds(pre)[0]
+        c_lim = engine.limiting_speeds(pre, np.arange(8), np.full(8, np.nan))[0]
         speeds = (c_lim[:, None] * fractions).ravel()
         q, a1, a2, z, s = engine.impedance_at(pre, speeds, rows=np.repeat(np.arange(8), fractions.size))
         lam_min = np.linalg.eigvalsh(z)[:, 0].reshape(8, fractions.size)
@@ -494,8 +495,8 @@ def test_wrong_valley_interior_starts_are_recertified(monkeypatch):
     nu = _unit(np.array([-0.0642, -0.9910, 0.1177]))
     limiting_speeds = rayleigh._Engine.limiting_speeds
 
-    def far(self, pre, rows=None, start=None):
-        if start is not None:
+    def far(self, pre, rows, start):
+        if np.isfinite(start).any():  # the interior rows; the anchors start from nan
             start = np.full(start.shape, 0.9 * self.sigma_max)
         return limiting_speeds(self, pre, rows, start)
 
@@ -516,8 +517,10 @@ def test_wrong_valley_interior_starts_are_recertified(monkeypatch):
 
 def test_scan_is_one_pass_per_worker(aniso, monkeypatch):
     # each worker runs one _scan_chunk, which prepares its rows once for
-    # c_lim, the anchors' roots and the interior roots; a point runs no chunk
+    # c_lim, the anchors' roots and the interior roots, with at most four
+    # anchors beyond its rows; a point runs no chunk
     calls = {"_scan_chunk": 0, "prepare": 0}
+    prepared = []
     scan_chunk, prepare = rayleigh._scan_chunk, rayleigh._Engine.prepare
 
     def counted_chunk(*args):
@@ -526,6 +529,7 @@ def test_scan_is_one_pass_per_worker(aniso, monkeypatch):
 
     def counted_prepare(self, dirs):
         calls["prepare"] += 1
+        prepared.append(dirs.shape[0])
         return prepare(self, dirs)
 
     monkeypatch.setattr(rayleigh, "_scan_chunk", counted_chunk)
@@ -536,7 +540,10 @@ def test_scan_is_one_pass_per_worker(aniso, monkeypatch):
     for threads in (2, 1):
         scan_directions(aniso, nu, 1001, threads=threads)
         assert calls == {"_scan_chunk": threads, "prepare": threads}, threads
+        chunks = {2: [500, 501], 1: [1001]}[threads]
+        assert all(m <= rows + 4 for m, rows in zip(sorted(prepared), chunks)), prepared
         calls.update(_scan_chunk=0, prepare=0)
+        prepared.clear()
     rayleigh_point(aniso, SurfaceFrame(nu, np.array([1.0, 0.0, 0.0])))
     assert calls == {"_scan_chunk": 0, "prepare": 1}
 
@@ -547,17 +554,26 @@ def test_anchor_starts_wrap_through_anchor_zero():
     n, stride = 100, 8
     thetas = 2.0 * np.pi * np.arange(n) / n
     c_r = 3000.0 + 100.0 * np.cos(thetas[::stride]) + 50.0 * np.sin(2.0 * thetas[::stride])
-    starts = rayleigh._anchor_starts(thetas, stride, c_r)
     interior = np.flatnonzero(np.arange(n) % stride)
+    starts = rayleigh._anchor_starts(thetas, stride, c_r, interior)
     assert starts.shape == interior.shape
     nodes = np.array([thetas[88], thetas[96], 2.0 * np.pi, 2.0 * np.pi + thetas[8]])
     values = c_r[[11, 12, 0, 1]]
     expected = np.polyval(np.polyfit(nodes - 2.0 * np.pi, values, 3), thetas[97:] - 2.0 * np.pi)
     assert np.allclose(starts[-3:], expected, rtol=1e-12, atol=0.0)
     # a rootless anchor 0 leaves no start exactly at the rows that read it
-    c_r[0] = np.nan
+    rootless = c_r.copy()
+    rootless[0] = np.nan
     reads_zero = (interior < 16) | (interior > 88)  # rows 1-15 and 89-99
-    assert np.array_equal(np.isnan(rayleigh._anchor_starts(thetas, stride, c_r)), reads_zero)
+    assert np.array_equal(np.isnan(rayleigh._anchor_starts(thetas, stride, rootless, interior)), reads_zero)
+    # a subset of the rows, as a scan chunk passes them, gets the same bits,
+    # nan included: the wrap through anchor 0, and a run of a chunk's rows
+    for column in (c_r, rootless):
+        every = rayleigh._anchor_starts(thetas, stride, column, interior)
+        for subset in (np.arange(97, 100), np.arange(40, 61)):
+            rows = subset[subset % stride != 0]
+            part = rayleigh._anchor_starts(thetas, stride, column, rows)
+            assert part.tobytes() == every[np.searchsorted(interior, rows)].tobytes()
 
 
 @pytest.mark.parametrize("ratio", [-0.9999999, -0.99999999])
@@ -579,6 +595,17 @@ def test_roots_below_a_thousandth_of_c_lim(ratio, std_frame):
 def test_scan_needs_four_directions(aniso):
     with pytest.raises(ValueError, match="at least 4"):
         scan_directions(aniso, [0.0, 0.0, 1.0], 3)
+
+
+@pytest.mark.parametrize("n", [48.0, 48.5, 600.0])
+def test_scan_needs_an_integer_count(aniso, n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        scan_directions(aniso, [0.0, 0.0, 1.0], n)
+
+
+def test_scan_takes_a_numpy_integer_count(aniso):
+    nu = np.array([0.0, 0.0, 1.0])
+    assert scan_directions(aniso, nu, np.int64(8)).to_csv() == scan_directions(aniso, nu, 8).to_csv()
 
 
 def _root_evaluation_step(mat, nu, scan):
@@ -632,10 +659,10 @@ def test_scalar_path_reproduces_engine_rows(mat, normal):
     engine = rayleigh._Engine(mat, nu)
     dirs = _circle(nu, 2.0 * np.pi * np.arange(16) / 16)
     pre = engine.prepare(dirs)
-    c_lim = engine.limiting_speeds(pre)[0]
+    c_lim = engine.limiting_speeds(pre, np.arange(16), np.full(16, np.nan))[0]
     for fraction in (0.3, 0.7, 0.95):
         speeds = fraction * c_lim
-        q, a1, a2, z, _ = engine.impedance_at(pre, speeds)
+        q, a1, a2, z, _ = engine.impedance_at(pre, speeds, np.arange(16))
         for k in range(dirs.shape[0]):
             p = build_pencil(mat, SurfaceFrame(nu, dirs[k]), 1.0 / speeds[k])
             np.testing.assert_array_equal(p.a, engine.a)

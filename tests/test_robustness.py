@@ -230,7 +230,7 @@ def test_engine_guard_falls_back_to_integral_route(monkeypatch):
     dirs = np.cos(th)[:, None] * e1v + np.sin(th)[:, None] * e2v
     engine = rayleigh._Engine(synthetic_anisotropic(11), nu)
     pre = engine.prepare(dirs)
-    c_lim = engine.limiting_speeds(pre)[0]
+    c_lim = engine.limiting_speeds(pre, np.arange(6), np.full(6, np.nan))[0]
     speeds = np.concatenate([0.5 * c_lim, 0.9 * c_lim])
     rows = np.tile(np.arange(6), 2)
     reference = engine.detz(pre, speeds, rows=rows)

@@ -48,11 +48,19 @@ def test_subprincipal_sweep_script():
     assert all(float(row.split()[-1]) <= 1e-9 for row in rows)
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_output_digest_is_reproducible():
+    # the anchored 513-direction scan is cut into two chunks at 2 threads
+    output_digest = _load_script("output_digest")
+    assert ("aniso11", 513, 1) in output_digest.SCANS
+    digests = [output_digest.digest(output_digest.scan_csv("aniso11", 513, threads)) for threads in (1, 1, 2)]
+    assert len(set(digests)) == 1
 
 
 def _benchmark_tree(root, files):
@@ -65,7 +73,7 @@ def _benchmark_tree(root, files):
 
 
 def test_bench_pairs_compares_benchmark_files(tmp_path):
-    differing = _bench_pairs().differing_benchmark_files
+    differing = _load_script("bench_pairs").differing_benchmark_files
     files = {"bench/run.py": "run", "bench/tests/test_run.py": "test", "extra.py": "x",
              "elsewhere.py": "not a benchmark file"}
     parent = _benchmark_tree(tmp_path / "parent", files)
@@ -104,7 +112,7 @@ def _git_checkout(root, files):
 
 
 def test_bench_pairs_reads_the_parent_commit_from_parent_dir(tmp_path):
-    bench_pairs = _bench_pairs()
+    bench_pairs = _load_script("bench_pairs")
     parent = tmp_path / "parent"
     head = _git_checkout(parent, {"bench/run.py": "run"})
     assert bench_pairs.checkout_commit(parent, None) == head
