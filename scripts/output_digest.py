@@ -11,8 +11,11 @@ The script imports the package from the `src` directory beside it, so each
 copy digests its own checkout.  The outputs are scan CSVs of two materials
 (synthetic_anisotropic(11) with normal z, and synthetic_anisotropic(27, 0.75)
 with normal (0.3, -0.5, 0.8)) at sizes below, at and above the anchored-scan
-threshold, the 10 000-direction scan at 1 and 2 threads, 40 rayleigh_point
-CSV rows on random frames, and the `surfimp selftest --seed 0` JSON.
+threshold, the 10 000-direction scan at 1 and 2 threads, an anchored
+600-direction scan of a strongly elliptic but not convex isotropic medium
+(lam = -0.9 mu, normal (1, 2, 3)), where existence is read from the static
+impedance, 40 rayleigh_point CSV rows on random frames of the two
+anisotropic materials, and the `surfimp selftest --seed 0` JSON.
 """
 
 import contextlib
@@ -26,16 +29,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from surfimp import cli
-from surfimp.presets import synthetic_anisotropic
+from surfimp.presets import isotropic_material, synthetic_anisotropic
 from surfimp.rayleigh import csv_row, rayleigh_point, scan_directions
 from surfimp.selftest import random_frame
 
 MATERIALS = {"aniso11": (synthetic_anisotropic(11), (0.0, 0.0, 1.0)),
-             "aniso27": (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8))}
+             "aniso27": (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8)),
+             "nonconvex": (isotropic_material(-0.9, 1.0, 1000.0), (1.0, 2.0, 3.0))}
 # (material, directions, threads)
 SCANS = [("aniso11", 10000, 1), ("aniso11", 10000, 2), ("aniso11", 720, 1), ("aniso11", 1001, 1),
          ("aniso11", 513, 1), ("aniso11", 48, 1), ("aniso27", 512, 1), ("aniso27", 1024, 1),
-         ("aniso27", 48, 1)]
+         ("aniso27", 48, 1), ("nonconvex", 600, 1)]
 
 
 def digest(text: str) -> str:
@@ -48,9 +52,9 @@ def scan_csv(name: str, n: int, threads: int) -> str:
 
 
 def point_rows(count: int = 40) -> str:
-    """CSV rows of rayleigh_point on default_rng(5) frames, alternating the materials."""
+    """CSV rows of rayleigh_point on default_rng(5) frames, alternating the anisotropic materials."""
     rng = np.random.default_rng(5)
-    mats = [mat for mat, _ in MATERIALS.values()]
+    mats = [MATERIALS[name][0] for name in ("aniso11", "aniso27")]
     return "".join(csv_row(0.0, rayleigh_point(mats[k % 2], random_frame(rng))) for k in range(count))
 
 

@@ -216,7 +216,8 @@ def cmd_subprincipal(args) -> int:
         st = iso_state_on_sigma(lam, mu, mat.density)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    br = subprincipal_p(st, curv)
+    with np.errstate(all="ignore"):  # a NaN route fails the two-route check below
+        br = subprincipal_p(st, curv)
     payload = {f.name: _pairs(getattr(br, f.name)) for f in dataclasses.fields(br)}
     payload.update({
         "xi_dir": [float(x) for x in xi_dir],

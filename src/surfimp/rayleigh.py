@@ -30,13 +30,15 @@ their c_lim from the trace minimiser and their roots from 0.95 c_lim.  Each
 other row then starts its c_lim Newton steps at the cubic interpolant, in
 theta and wrapped by 2 pi, of its four nearest anchors' sigma*, and its
 root's at (1 - 1e-8) times that of their c_r, or at 0.95 c_lim where one of
-them has no root.  In smaller scans every row is an anchor.  A scan of at least
-_MIN_CHUNKED_ROWS directions is cut into one run of rows per RAYLEIGH_THREADS
-worker (numpy releases the GIL inside LAPACK).  Each worker solves its run
-end to end on one prepare, with the up to four anchors beyond it that its
-rows interpolate through.  A row depends only on itself and its anchors, so
-an anchor solved by two workers is the same in both, and no byte of a scan
-depends on the worker count.
+them has no root.  In smaller scans every row is an anchor.  Each pass, the
+anchors' and then the other rows', is one _solve_rows call on those rows and
+their sigma and c_r starts.  A scan of at least _MIN_CHUNKED_ROWS directions
+is cut into one run of rows per RAYLEIGH_THREADS worker (numpy releases the
+GIL inside LAPACK).  Each worker solves its run end to end on one prepare,
+with the up to four anchors beyond it that its rows interpolate through.  A
+row depends only on itself and its anchors, so an anchor solved by two
+workers is the same in both, and no byte of a scan depends on the worker
+count.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ class _Engine:
         above ELLIPTICITY_MARGIN.  A row that fails has a nearly real root s,
         so the steps missed a valley near sigma = Re(s) c: the same refinement
         runs from there, and the row is certified again.  Returns c_lim, each
-        row's last certifying eigensolve (_eig), for _limits' existence test,
+        row's last certifying eigensolve (_eig), for _solve_rows' existence test,
         and the sigma of each row's minimum.  BracketError is raised when a
         minimum is not positive, or when a round does not strictly lower a
         failing row's minimum.
@@ -393,60 +395,50 @@ def tangent_basis(nu: np.ndarray):
     return e1, np.cross(nu, e1)
 
 
-def _limits(engine: _Engine, pre: dict, rows: np.ndarray, start: np.ndarray):
-    """c_lim, existence and sigma*, the argmin over sigma, of the rows of pre indexed by rows.
+def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray, c0: np.ndarray):
+    """c_lim, exists, sigma*, c_r, slope, kernels, res_kernel and res_riccati of the rows of pre indexed by rows.
 
-    c_lim's Newton steps start at start, one entry per row, where it is
-    finite, else at the trace minimiser (limiting_speeds).
-
-    Below c_lim the eigenvalues of z fall as c rises and at most one is not
-    positive, so a root is the one zero of f(c) = lambda_min z(e / c).  It
-    exists exactly when f > 0 at low speed, as for every positive definite c
-    (Barnett & Lothe), and f <= 0 at the bracket's upper end
-    (1 - START_OFFSET) c_lim, read from the eigensolve that certified c_lim;
-    where c is not positive definite, f > 0 is read from the static
-    impedance (c -> 0).
+    c_lim's Newton steps (limiting_speeds) start at sigma0, one entry per
+    row, where it is finite, else (nan) at the trace minimiser; sigma* is
+    the argmin they reach.  Below c_lim the eigenvalues of z fall as c rises
+    and at most one is not positive, so a root is the one zero of
+    f(c) = lambda_min z(e / c).  It exists exactly when f > 0 at low speed,
+    as for every positive definite c (Barnett & Lothe), and f <= 0 at the
+    bracket's upper end (1 - START_OFFSET) c_lim, read from the eigensolve
+    that certified c_lim; where c is not positive definite, f > 0 is read
+    from the static impedance (c -> 0).  Safeguarded Newton steps on g = c f,
+    which has the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the
+    Sylvester solve, run in t = sqrt(1 - c / c_lim) inside
+    (0, 1 - START_OFFSET] c_lim; a step that leaves the bracket is replaced
+    by its midpoint in c.  A row starts at c0 where that lies in
+    (0, (1 - START_OFFSET) c_lim), else (nan included) at 0.95 c_lim.  The
+    round whose step falls to ROOT_RTOL c gives c_r, its own speed, and the
+    kernel, slope and residuals (_post); each round's separation check reads
+    spec(q) from impedance_at.  The root columns are nan where exists is
+    False.  Each row's columns depend only on its own pre row and starts.
     """
-    c_lim, cert, sigma = engine.limiting_speeds(pre, rows, start)
+    c_lim, cert, sigma = engine.limiting_speeds(pre, rows, sigma0)
     exists = np.linalg.eigvalsh(engine._factor(*cert)[3])[:, 0] <= 0.0
+    del cert  # its eigenvectors would otherwise stay alive through every root round
     if not engine.convex:  # f may be negative at every speed: test c f at c -> 0
         k, static = np.flatnonzero(exists), copy.copy(engine)
         static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
         exists[k] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(k.size), rows[k])[3])[:, 0] > 0.0
-    return c_lim, exists, sigma
-
-
-def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, solve: np.ndarray, start: np.ndarray):
-    """Rayleigh roots of the rows of pre where solve holds, then kernel, residuals, slope.
-
-    c_lim, solve and start hold one entry per row of pre; solve marks rows
-    with a root below c_lim.  Safeguarded Newton steps on g = c f,
-    f = lambda_min z(e / c), which has the sign of f and
-    dg/dc = -u0* X u0 with X = zdot - z from the Sylvester solve, run in
-    t = sqrt(1 - c / c_lim) inside (0, 1 - START_OFFSET] c_lim; a step that
-    leaves the bracket is replaced by its midpoint in c.  A row starts at
-    start where that lies in (0, (1 - START_OFFSET) c_lim), else (nan
-    included) at 0.95 c_lim.  The round whose step falls to ROOT_RTOL c
-    gives c_r, its own speed, and the kernel, slope and residuals (_post).
-    Each round's separation check reads spec(q) from impedance_at.  Returns
-    the DirectionScan columns c_r, slope, kernels, res_kernel and
-    res_riccati, nan where solve is False.
-    """
-    m = c_lim.size
+    m = rows.size
     c_r, slope, res_kernel, res_riccati = np.full((4, m), np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
-    rows = np.flatnonzero(solve)
-    top = c_lim[rows]
-    lo, hi = np.zeros(rows.size), (1.0 - START_OFFSET) * top
-    start = start[rows]
+    solve = np.flatnonzero(exists)
+    top = c_lim[solve]
+    lo, hi = np.zeros(solve.size), (1.0 - START_OFFSET) * top
+    start = c0[solve]
     x = np.where((start > 0.0) & (start < hi), start, 0.95 * top)
-    live = np.arange(rows.size)
+    live = np.arange(solve.size)
     finished = []
     for it in range(_ROOT_MAX_ROUNDS):
         if live.size == 0:
             break
         xl = x[live]
-        q, a1, a2, z, s = engine.impedance_at(pre, xl, rows[live])
+        q, a1, a2, z, s = engine.impedance_at(pre, xl, rows[solve[live]])
         w, u = np.linalg.eigh(z)
         f, u0 = w[:, 0], u[:, :, 0]
         zdot = radial_derivative_z(z, q, engine.rho, s)
@@ -466,13 +458,13 @@ def _solve_rows(engine: _Engine, pre: dict, c_lim: np.ndarray, solve: np.ndarray
         # the round whose step falls to ROOT_RTOL c is the row's evaluation at
         # c_r; rows are post-processed together, as _post costs much per call
         done = (np.abs(step) <= ROOT_RTOL * xl) | (it == _ROOT_MAX_ROUNDS - 1)
-        finished.append([r[done] for r in (rows[live], xl, q, a1, a2, z, s, w, u, zdot)])
+        finished.append([r[done] for r in (solve[live], xl, q, a1, a2, z, s, w, u, zdot)])
         live = live[~done]
-    if rows.size:
+    if solve.size:
         k, c, *state = (np.concatenate(col) for col in zip(*finished))
         c_r[k] = c
-        kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre["dirs"][k], *state)
-    return c_r, slope, kernels, res_kernel, res_riccati
+        kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre["dirs"][rows[k]], *state)
+    return c_lim, exists, sigma, c_r, slope, kernels, res_kernel, res_riccati
 
 
 def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
@@ -480,40 +472,33 @@ def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, l
 
     The anchors are the rows whose index is a multiple of stride (module
     docstring).  Rows lo:hi are solved on one prepare with the anchors beyond
-    them that they interpolate through.  The anchors pass _limits, then
-    _solve_rows, with no (nan) starts; the other rows then pass the same two,
+    them that they interpolate through: one _solve_rows call on the anchors
+    with no (nan) starts, then, where there are other rows, one on those,
     started at _anchor_starts of the anchors' sigma* and c_r.
     """
     n = thetas.size
     anchors = -(-n // stride)
-    rows = np.arange(lo, hi)
-    if stride > 1:
-        j = rows[rows % stride != 0] // stride
-        need = np.zeros(n, dtype=bool)
-        need[lo:hi] = True
-        need[(j + np.arange(-1, 3)[:, None]) % anchors * stride] = True
-        rows = np.flatnonzero(need)
-    anchor = rows % stride == 0
+    need = np.zeros(n, dtype=bool)
+    need[lo:hi] = True
+    j = np.arange(lo, hi)
+    j = j[j % stride != 0] // stride  # none at stride 1
+    need[(j + np.arange(-1, 3)[:, None]) % anchors * stride] = True
+    rows = np.flatnonzero(need)
     pre = engine.prepare(dirs[rows])
-    c_lim, start = np.full((2, rows.size), np.nan)
-    exists = np.zeros(rows.size, dtype=bool)
-    k = np.flatnonzero(anchor)
-    c_lim[k], exists[k], sigma = _limits(engine, pre, k, start[k])
-    roots = _solve_rows(engine, pre, c_lim, exists & anchor, start)
-    if stride > 1:
+    anchor, inner = np.flatnonzero(rows % stride == 0), np.flatnonzero(rows % stride != 0)
+    none = np.full(anchor.size, np.nan)
+    cols = _solve_rows(engine, pre, anchor, none, none)
+    if inner.size:
         sigma_at, c_r_at = np.full((2, anchors), np.nan)  # by anchor, nan where not solved here
-        sigma_at[rows[k] // stride] = sigma
-        c_r_at[rows[k] // stride] = roots[0][k]
-        k = np.flatnonzero(~anchor)
-        c_lim[k], exists[k] = _limits(engine, pre, k, _anchor_starts(thetas, stride, sigma_at, rows[k]))[:2]
-        # lowered by 1e-8 relative, so that even where the interpolant is
-        # exact the root is the result of a Newton step, not the interpolant
-        start[k] = (1.0 - 1e-8) * _anchor_starts(thetas, stride, c_r_at, rows[k])
-        interior = _solve_rows(engine, pre, c_lim, exists & ~anchor, start)
-        for col, part in zip(roots, interior):
-            col[k] = part[k]
+        sigma_at[rows[anchor] // stride], c_r_at[rows[anchor] // stride] = cols[2], cols[3]
+        # c_r's start is lowered by 1e-8 relative, so that even where the
+        # interpolant is exact the root is the result of a Newton step
+        more = _solve_rows(engine, pre, inner, _anchor_starts(thetas, stride, sigma_at, rows[inner]),
+                           (1.0 - 1e-8) * _anchor_starts(thetas, stride, c_r_at, rows[inner]))
+        order = np.argsort(np.concatenate([anchor, inner]))
+        cols = [np.concatenate(pair)[order] for pair in zip(cols, more)]
     own = (rows >= lo) & (rows < hi)
-    return c_lim[own], exists[own], *(col[own] for col in roots)
+    return tuple(col[own] for col in (*cols[:2], *cols[3:]))  # all but sigma*
 
 
 def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):

@@ -398,6 +398,22 @@ def test_subprincipal_nested_nan_is_null(capsys, tmp_path):
         assert np.array(doc[name], dtype=object).ravel().tolist() == [None] * 8, name
 
 
+def test_subprincipal_overflow_writes_one_error_line(tmp_path):
+    # the curvature of test_subprincipal_nested_nan_is_null in a fresh
+    # interpreter: numpy's overflow and invalid-value warnings stay off stderr
+    mat_file, curv_file = tmp_path / "rock.json", tmp_path / "curv.json"
+    mat_file.write_text('{"name": "rock", "density_kg_m3": 2700.0, '
+                        '"isotropic": {"lambda_gpa": 30.0, "mu_gpa": 30.0}}')
+    curv_file.write_text('{"s22": 1e300, "trS": 1e300}')
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "surfimp.cli", "subprincipal", "--material", str(mat_file),
+                           "--curvature", str(curv_file), "--xi-dir", "1,0,0"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: two-route disagreement: direct nan vs assembled nan\n"
+
+
 def test_selftest_deterministic(capsys):
     code1, out1, _ = run(capsys, "selftest", "--seed", "7")
     code2, out2, _ = run(capsys, "selftest", "--seed", "7")

@@ -576,6 +576,36 @@ def test_anchor_starts_wrap_through_anchor_zero():
             assert part.tobytes() == every[np.searchsorted(interior, rows)].tobytes()
 
 
+@pytest.mark.parametrize("mat, normal, convex", [
+    (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8), True),
+    (isotropic_material(-0.9, 1.0, 1000.0), (1.0, 2.0, 3.0), False)])
+def test_solve_rows_on_a_subset_matches_all_rows(mat, normal, convex):
+    # a row's eight columns depend only on its own pre row and starts, not on
+    # the other rows of the call: scan chunks and thread counts rest on this.
+    # Where the medium is not convex, existence reads the static impedance
+    n = 24
+    nu = _unit(np.array(normal))
+    engine = rayleigh._Engine(mat, nu)
+    pre = engine.prepare(_circle(nu, 2.0 * np.pi * np.arange(n) / n))
+    every, none = np.arange(n), np.full(n, np.nan)
+    c_lim, exists, sigma, c_r = rayleigh._solve_rows(engine, pre, every, none, none)[:4]
+    assert engine.convex == convex and np.all(exists)
+    # finite starts near each row's own sigma* and c_r, with nan sigma0 at
+    # some rows and c0 above the bracket (so 0.95 c_lim) at others
+    sigma0, c0 = sigma + 1e-3 * engine.sigma_max, (1.0 - 1e-6) * c_r
+    sigma0[::5] = np.nan
+    c0[1::7] = 2.0 * c_lim[1::7]
+    for starts in ((none, none), (sigma0, c0)):
+        whole = rayleigh._solve_rows(engine, pre, every, *starts)
+        for rows in (np.arange(3, 11), np.array([20, 1, 7]), every[::-1]):
+            part = rayleigh._solve_rows(engine, pre, rows, *(s[rows] for s in starts))
+            assert len(part) == 8
+            for col, ref in zip(part, whole):
+                assert col.tobytes() == ref[rows].tobytes()
+    empty = rayleigh._solve_rows(engine, pre, every[:0], none[:0], none[:0])
+    assert len(empty) == 8 and all(col.shape[0] == 0 for col in empty)
+
+
 @pytest.mark.parametrize("ratio", [-0.9999999, -0.99999999])
 def test_roots_below_a_thousandth_of_c_lim(ratio, std_frame):
     # isotropic, lam -> -mu: c_r / c_lim = 4.5e-4 and 1.4e-4.  c_r is asserted
