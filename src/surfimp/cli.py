@@ -1,9 +1,11 @@
 """Command-line surface: validate, rayleigh, scan, subprincipal, selftest.
 
 Exit codes: 0 success, 1 input error, 2 numerical failure (residual or
-tolerance breach), 3 existence failure (no Rayleigh root where one was
-demanded).  Single-point commands print JSON; scans write CSV plus a JSON
-summary.  Randomized commands take --seed and are bit-reproducible.
+tolerance breach, linear-algebra non-convergence, floating-point range
+error), 3 existence failure (no Rayleigh root where one was demanded).  A
+failing command writes one `error:` line to stderr and no numpy warning.
+Single-point commands print JSON; scans write CSV plus a JSON summary.
+Randomized commands take --seed and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import contextlib
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,9 +48,11 @@ RES_KERNEL_TOL = 1e-7
 RES_RICCATI_TOL = 1e-8
 TWO_ROUTE_TOL = 1e-9
 
-# what the root engine raises when a factor, a quadrature or a c_lim fails
+# what the solvers raise when a factor, a quadrature, a c_lim, an eigensolve
+# or a float's range fails
 _NUMERICAL_ERRORS = (BracketError, EigenSolverError, FactorizationError, NonEllipticError,
-                     QuadratureError, SpectralSeparationError)
+                     QuadratureError, SpectralSeparationError, np.linalg.LinAlgError,
+                     ArithmeticError)
 
 
 def _pairs(x):
@@ -86,10 +91,7 @@ def _load_material(path: str) -> Material:
 
 
 def cmd_validate(args) -> int:
-    try:
-        mat = _load_material(args.material)
-    except (OSError, MaterialError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    mat = _load_material(args.material)
     report = validate_stiffness(mat.stiffness)
     payload = dataclasses.asdict(report)
     payload["voigt_eigenvalues"] = report.voigt_eigenvalues.tolist()
@@ -120,17 +122,9 @@ def _point_payload(pt, frame: SurfaceFrame) -> dict:
 
 
 def cmd_rayleigh(args) -> int:
-    try:
-        mat = _load_material(args.material)
-        normal = _parse_vector(args.normal)
-        tangent = _parse_vector(args.tangent)
-        frame = SurfaceFrame.from_vectors(normal, tangent)
-    except (OSError, MaterialError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        pt = rayleigh_point(mat, frame)
-    except _NUMERICAL_ERRORS as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
+    mat = _load_material(args.material)
+    frame = SurfaceFrame.from_vectors(_parse_vector(args.normal), _parse_vector(args.tangent))
+    pt = rayleigh_point(mat, frame)
     if args.csv:
         sys.stdout.write(SCAN_CSV_HEADER + "\n" + csv_row(0.0, pt))
     else:
@@ -154,20 +148,14 @@ def _check_residuals(res_kernel: float, res_riccati: float) -> int:
 def cmd_scan(args) -> int:
     if args.count < 4:
         return _fail("--count must be at least 4", EXIT_INPUT)
-    try:
-        mat = _load_material(args.material)
-        normal = _parse_vector(args.normal)
-        if not np.any(normal):
-            raise MaterialError("schema", "normal must be nonzero")
-        threads = resolve_threads(None)
-        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
-    except (OSError, MaterialError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    mat = _load_material(args.material)
+    normal = _parse_vector(args.normal)
+    if not np.any(normal):
+        raise MaterialError("schema", "normal must be nonzero")
+    threads = resolve_threads(None)
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
     with out or contextlib.nullcontext():
-        try:
-            scan = scan_directions(mat, normal, args.count, threads=threads)
-        except _NUMERICAL_ERRORS as exc:
-            return _fail(str(exc), EXIT_NUMERICAL)
+        scan = scan_directions(mat, normal, args.count, threads=threads)
         if out:
             out.write(scan.to_csv())
     found = scan.exists.any()
@@ -195,29 +183,22 @@ def _isotropic_parameters(mat: Material):
     mu = float(np.mean([v[3, 3], v[4, 4], v[5, 5]]))
     lam = float(np.mean([v[0, 1], v[0, 2], v[1, 2]]))
     model = isotropic_stiffness(lam, mu).voigt
-    rel = np.linalg.norm(v - model) / np.linalg.norm(v)
-    if rel > 1e-8:
+    peak = np.abs(v).max() or 1.0  # the norms of v itself underflow or overflow at extreme moduli
+    if not np.linalg.norm((v - model) / peak) <= 1e-8 * np.linalg.norm(v / peak):
         return None
     return lam, mu
 
 
 def cmd_subprincipal(args) -> int:
-    try:
-        mat = _load_material(args.material)
-        curv = CurvatureData.from_json(_read_file(args.curvature))
-        xi_dir = unit_vector(_parse_vector(args.xi_dir), "xi-dir")[0]
-    except (OSError, MaterialError, ValueError, KeyError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    mat = _load_material(args.material)
+    curv = CurvatureData.from_json(_read_file(args.curvature))
+    xi_dir = unit_vector(_parse_vector(args.xi_dir), "xi-dir")[0]
     params = _isotropic_parameters(mat)
     if params is None:
         return _fail("anisotropic subprincipal unsupported", EXIT_INPUT)
     lam, mu = params
-    try:
-        st = iso_state_on_sigma(lam, mu, mat.density)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    with np.errstate(all="ignore"):  # a NaN route fails the two-route check below
-        br = subprincipal_p(st, curv)
+    st = iso_state_on_sigma(lam, mu, mat.density)
+    br = subprincipal_p(st, curv)  # a NaN route fails the two-route check below
     payload = {f.name: _pairs(getattr(br, f.name)) for f in dataclasses.fields(br)}
     payload.update({
         "xi_dir": [float(x) for x in xi_dir],
@@ -267,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material", required=True)
     p.add_argument("--normal", required=True, metavar="x,y,z")
     p.add_argument("--tangent", required=True, metavar="x,y,z")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true", default=False)
+    p.add_argument("--csv", action="store_true", help="print a CSV row instead of JSON")
     p.set_defaults(func=cmd_rayleigh)
 
     p = sub.add_parser("scan", help="Rayleigh scan over tangential directions")
@@ -296,7 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the warnings filters, unlike np.errstate, reach the scan's worker threads
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return args.func(args)
+        except _NUMERICAL_ERRORS as exc:  # first: some of them are ValueErrors
+            return _fail(str(exc), EXIT_NUMERICAL)
+        except (OSError, MaterialError, ValueError, KeyError) as exc:
+            return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

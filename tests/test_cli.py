@@ -12,7 +12,7 @@ import surfimp.cli as cli
 import surfimp.rayleigh as rayleigh
 from surfimp import polyfactor
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL, main
-from surfimp.material import material_to_json
+from surfimp.material import Material, StiffnessTensor, isotropic_stiffness, material_to_json
 from surfimp.presets import synthetic_anisotropic
 from surfimp.rayleigh import SCAN_CSV_HEADER, DirectionScan
 
@@ -490,3 +490,57 @@ def test_nan_residual_exits_2(capsys, iso_file, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
     assert doc["res_riccati" if argv[0] == "rayleigh" else "res_riccati_max"] is None
+
+
+@pytest.mark.parametrize("density, moduli_gpa, argv, threads, code", [
+    ("1e-300", "30.0", ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"), "1", 2),
+    ("1e-300", "30.0", ("scan", "--normal", "0,0,1", "--count", "600"), "2", 2),
+    ("1e-300", "30.0", ("subprincipal", "--xi-dir", "1,0,0"), "1", 2),
+    ("2700.0", "3e290", ("subprincipal", "--xi-dir", "1,0,0"), "1", 2),
+    ("1e300", "30.0", ("subprincipal", "--xi-dir", "1,0,0"), "1", 2),
+    ("1e300", "30.0", ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"), "1", 2),
+    ("2700.0", "3e290", ("scan", "--normal", "0,0,1", "--count", "600"), "2", 2),
+    ("2700.0", "1e-300", ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"), "1", 0),
+], ids=["tiny-density-rayleigh", "tiny-density-scan", "tiny-density-subprincipal",
+        "huge-moduli-subprincipal", "huge-density-subprincipal", "huge-density-rayleigh",
+        "huge-moduli-scan", "tiny-moduli-rayleigh"])
+def test_extreme_scales_end_in_one_error_line(tmp_path, density, moduli_gpa, argv, threads, code):
+    # a fresh interpreter, since pytest captures warnings in-process; the scan
+    # runs two workers, whose warnings np.errstate in the main thread would not reach
+    mat_file, curv_file = tmp_path / "mat.json", tmp_path / "curv.json"
+    mat_file.write_text(json.dumps({"name": "m", "density_kg_m3": float(density), "isotropic": {
+        "lambda_gpa": float(moduli_gpa), "mu_gpa": float(moduli_gpa)}}))
+    curv_file.write_text('{"s22": 0.31, "trS": 0.74}')
+    extra = ("--curvature", str(curv_file)) if argv[0] == "subprincipal" else ()
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "surfimp.cli", argv[0], "--material", str(mat_file),
+                           *extra, *argv[1:]], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src), "RAYLEIGH_THREADS": threads})
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["exists"]
+        return
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    if "residuals exceed tolerance" in proc.stderr:  # the payload is printed before the check
+        json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+    else:
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("peak_pa", [1e-290, 1e290])
+def test_isotropic_fit_at_extreme_moduli(capsys, tmp_path, curv_file, peak_pa):
+    # the norms of the Voigt matrix underflow or overflow at these moduli;
+    # the fit takes them of the matrix scaled to a unit peak
+    v = synthetic_anisotropic(11).stiffness.voigt
+    aniso = Material(StiffnessTensor(v * (peak_pa / np.abs(v).max())), 4000.0)
+    lam, mu = 0.5 * peak_pa, 0.25 * peak_pa
+    assert cli._isotropic_parameters(aniso) is None
+    fit = cli._isotropic_parameters(Material(isotropic_stiffness(lam, mu), 4000.0))
+    assert fit == pytest.approx((lam, mu), rel=1e-15)
+    mat_file = tmp_path / "aniso.json"
+    mat_file.write_text(material_to_json(aniso))
+    code, out, err = run(capsys, "subprincipal", "--material", str(mat_file),
+                         "--curvature", curv_file, "--xi-dir", "1,0,0")
+    assert code == 1 and out == ""
+    assert err == "error: anisotropic subprincipal unsupported\n"
