@@ -16,11 +16,10 @@ root is the zero of g(c) = c lambda_min z(e / c), which falls with
 dg/dc = -u0* X u0, X = zdot - z positive definite (zdot the radial
 derivative); safeguarded Newton steps on g in t = sqrt(1 - c / c_lim), where
 the square-root branch of z at c_lim is smooth, converge inside the bracket
-(0, 1 - 1e-6] c_lim.  A root exists when lambda_min z <= 0 at the bracket's
-upper end, read from the eigensolve that certifies c_lim, and > 0 at low
-speed, as in every positive definite medium, else read from the static
-impedance.  Each speed is eigensolved once: c_r is the speed of the last
-Newton round, whose evaluation gives the kernel, residuals and radial slope.
+(0, 1 - 1e-6] c_lim.  The certificate of c_lim also decides whether a root
+exists (_Engine.limiting_speeds).  Each speed is eigensolved once: c_r is
+the speed of the last Newton round, whose evaluation gives the kernel,
+residuals and radial slope.
 Every impedance row passes the eigen-route guard of
 polyfactor.factor_from_eig or is re-factored by spectral_factor.
 c_r and the argmin sigma* are smooth functions of the direction in the
@@ -191,7 +190,7 @@ class _Engine:
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
     def limiting_speeds(self, pre: dict, rows: np.ndarray, start: np.ndarray):
-        """c_lim of the rows of pre indexed by rows from min over sigma of eig_min c(e + sigma nu).
+        """c_lim, exists and sigma* of the rows of pre indexed by rows, from min over sigma of eig_min c(e + sigma nu).
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
@@ -203,17 +202,21 @@ class _Engine:
         (1 - START_OFFSET) c_lim, where the pencil must keep a spectral margin
         above ELLIPTICITY_MARGIN.  A row that fails has a nearly real root s,
         so the steps missed a valley near sigma = Re(s) c: the same refinement
-        runs from there, and the row is certified again.  Returns c_lim, each
-        row's last certifying eigensolve (_eig), for _solve_rows' existence test,
-        and the sigma of each row's minimum.  BracketError is raised when a
-        minimum is not positive, or when a round does not strictly lower a
-        failing row's minimum.
+        runs from there, and the row is certified again.  Below c_lim the
+        eigenvalues of z fall as c rises and at most one is not positive, so
+        a Rayleigh root exists exactly when lambda_min z > 0 at low speed, as
+        for every positive definite c (Barnett & Lothe), and <= 0 at the
+        certified speed, read from the eigensolve that certified the row;
+        where c is not positive definite, the low-speed sign is read from the
+        static impedance (c -> 0).  sigma* is the sigma of each row's minimum.
+        BracketError is raised when a minimum is not positive, or when a round
+        does not strictly lower a failing row's minimum.
         """
         m = rows.size
         sigma = (-np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(self.a)))[rows]
         sigma = np.where(np.isfinite(start), start, sigma)
         todo = np.arange(m)
-        fmin, argmin = np.full(m, np.inf), np.empty(m)
+        fmin, argmin, lowest = np.full(m, np.inf), np.empty(m), np.empty(m)
         while True:
             f, x = self._newton_min(pre, rows[todo], sigma, self.sigma_max + np.abs(sigma))
             if np.any(f >= fmin[todo]):
@@ -224,21 +227,24 @@ class _Engine:
                                    "material is not strongly elliptic")
             fmin[todo], argmin[todo] = f, x
             c = (1.0 - START_OFFSET) * np.sqrt(f / self.rho)
-            eig = self._eig(pre, c, rows[todo])
-            if todo.size == m:
-                cert = eig
-            else:
-                for whole, part in zip(cert, eig):
-                    whole[todo] = part
-            vals = eig[0]
+            vals, vecs, a1, a2 = self._eig(pre, c, rows[todo])
             margin = spectral_margin(vals[:, :, None])  # per root
-            bad = ~(np.min(margin, axis=1) > polyfactor.ELLIPTICITY_MARGIN)
-            if not np.any(bad):
-                return np.sqrt(fmin / self.rho), cert, argmin
+            ok = np.min(margin, axis=1) > polyfactor.ELLIPTICITY_MARGIN
+            z = self._factor(vals[ok], vecs[ok], a1[ok], a2[ok])[3]
+            lowest[todo[ok]] = np.linalg.eigvalsh(z)[:, 0]
+            if np.all(ok):
+                break
+            bad = ~ok
             # c^2 f(s) = c(e + sigma nu) - rho c^2 at sigma = s c, so the
             # nearly real root marks a valley below the estimate
             todo, c = todo[bad], c[bad]
             sigma = vals[bad, np.argmin(margin[bad], axis=1)].real * c
+        exists = lowest <= 0.0
+        if not self.convex:  # f may be negative at every speed: test c f at c -> 0
+            k, static = np.flatnonzero(exists), copy.copy(self)
+            static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
+            exists[k] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(k.size), rows[k])[3])[:, 0] > 0.0
+        return np.sqrt(fmin / self.rho), exists, argmin
 
     def _newton_min(self, pre, rows, x, h):
         """Smallest f seen on each bracket [x - h, x + h] by safeguarded Newton on f', and where.
@@ -398,17 +404,12 @@ def tangent_basis(nu: np.ndarray):
 def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray, c0: np.ndarray):
     """c_lim, exists, sigma*, c_r, slope, kernels, res_kernel and res_riccati of the rows of pre indexed by rows.
 
-    c_lim's Newton steps (limiting_speeds) start at sigma0, one entry per
-    row, where it is finite, else (nan) at the trace minimiser; sigma* is
-    the argmin they reach.  Below c_lim the eigenvalues of z fall as c rises
-    and at most one is not positive, so a root is the one zero of
-    f(c) = lambda_min z(e / c).  It exists exactly when f > 0 at low speed,
-    as for every positive definite c (Barnett & Lothe), and f <= 0 at the
-    bracket's upper end (1 - START_OFFSET) c_lim, read from the eigensolve
-    that certified c_lim; where c is not positive definite, f > 0 is read
-    from the static impedance (c -> 0).  Safeguarded Newton steps on g = c f,
-    which has the sign of f and dg/dc = -u0* X u0 with X = zdot - z from the
-    Sylvester solve, run in t = sqrt(1 - c / c_lim) inside
+    c_lim, exists and sigma* come from limiting_speeds, whose Newton steps
+    start at sigma0, one entry per row, where it is finite, else (nan) at
+    the trace minimiser.  Where a root exists it is the one zero of
+    f(c) = lambda_min z(e / c) below c_lim.  Safeguarded Newton steps on
+    g = c f, which has the sign of f and dg/dc = -u0* X u0 with X = zdot - z
+    from the Sylvester solve, run in t = sqrt(1 - c / c_lim) inside
     (0, 1 - START_OFFSET] c_lim; a step that leaves the bracket is replaced
     by its midpoint in c.  A row starts at c0 where that lies in
     (0, (1 - START_OFFSET) c_lim), else (nan included) at 0.95 c_lim.  The
@@ -417,13 +418,7 @@ def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray
     spec(q) from impedance_at.  The root columns are nan where exists is
     False.  Each row's columns depend only on its own pre row and starts.
     """
-    c_lim, cert, sigma = engine.limiting_speeds(pre, rows, sigma0)
-    exists = np.linalg.eigvalsh(engine._factor(*cert)[3])[:, 0] <= 0.0
-    del cert  # its eigenvectors would otherwise stay alive through every root round
-    if not engine.convex:  # f may be negative at every speed: test c f at c -> 0
-        k, static = np.flatnonzero(exists), copy.copy(engine)
-        static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
-        exists[k] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(k.size), rows[k])[3])[:, 0] > 0.0
+    c_lim, exists, sigma = engine.limiting_speeds(pre, rows, sigma0)
     m = rows.size
     c_r, slope, res_kernel, res_riccati = np.full((4, m), np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
