@@ -14,8 +14,11 @@ with normal (0.3, -0.5, 0.8)) at sizes below, at and above the anchored-scan
 threshold, the 10 000-direction scan at 1 and 2 threads, an anchored
 600-direction scan of a strongly elliptic but not convex isotropic medium
 (lam = -0.9 mu, normal (1, 2, 3)), where existence is read from the static
-impedance, 40 rayleigh_point CSV rows on random frames of the two
-anisotropic materials, and the `surfimp selftest --seed 0` JSON.
+impedance, an anchored 536-direction scan of
+synthetic_anisotropic(561807780, 0.7) whose c_lim certificate restarts rows
+from a valley the first Newton steps missed, 40 rayleigh_point CSV rows on
+random frames of aniso11 and aniso27, and the `surfimp selftest --seed 0`
+JSON.
 """
 
 import contextlib
@@ -35,11 +38,13 @@ from surfimp.selftest import random_frame
 
 MATERIALS = {"aniso11": (synthetic_anisotropic(11), (0.0, 0.0, 1.0)),
              "aniso27": (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8)),
-             "nonconvex": (isotropic_material(-0.9, 1.0, 1000.0), (1.0, 2.0, 3.0))}
+             "nonconvex": (isotropic_material(-0.9, 1.0, 1000.0), (1.0, 2.0, 3.0)),
+             "aniso561807780": (synthetic_anisotropic(561807780, strength=0.7),
+                                (-0.22607182562841371, 0.13018959573193606, 0.9653715340842566))}
 # (material, directions, threads)
 SCANS = [("aniso11", 10000, 1), ("aniso11", 10000, 2), ("aniso11", 720, 1), ("aniso11", 1001, 1),
          ("aniso11", 513, 1), ("aniso11", 48, 1), ("aniso27", 512, 1), ("aniso27", 1024, 1),
-         ("aniso27", 48, 1), ("nonconvex", 600, 1)]
+         ("aniso27", 48, 1), ("nonconvex", 600, 1), ("aniso561807780", 536, 1)]
 
 
 def digest(text: str) -> str:

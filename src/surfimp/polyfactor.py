@@ -92,9 +92,15 @@ def build_pencil(mat: Material, frame: SurfaceFrame, xi_mag: float) -> Quadratic
                            a2=acoustic_tensor(c4, frame.tangent) * (xi_mag * xi_mag), rho=mat.density)
 
 
+def root_margins(values: np.ndarray) -> np.ndarray:
+    """|Im s| / (max_j |s_j| + |s|) per root s of one or more spectra (last axis), free of the units of s."""
+    mag = np.abs(values)
+    return np.abs(values.imag) / (mag.max(axis=-1, keepdims=True) + mag)
+
+
 def spectral_margin(values: np.ndarray):
-    """min |Im s| / (1 + |s|) over the last axis of one or more spectra."""
-    return np.min(np.abs(values.imag) / (1.0 + np.abs(values)), axis=-1)
+    """min over the last axis of root_margins: the distance of the spectrum from the real axis."""
+    return root_margins(values).min(axis=-1)
 
 
 def companion_eig(a_inv: np.ndarray, a1: np.ndarray, a2: np.ndarray, rho: float):
@@ -189,6 +195,25 @@ def factor_residuals(p: QuadraticPencil, q: np.ndarray) -> FactorResiduals:
     return FactorResiduals(solvency=float(solvency), factor_max=float(factor_max))
 
 
+def _root_scale(a: np.ndarray, c: np.ndarray):
+    """sqrt(|c| / |a|), the pencil's root magnitude, over a leading row axis of c.
+
+    Each norm is taken of its matrix scaled by 2^-e, e the binary exponent of
+    its peak (as material.unit_vector does), and the exponents are combined
+    after the square root, so nothing underflows or overflows.  The scalings
+    are exact: where the unscaled norms are normal floats, the result is bit
+    for bit sqrt(norm(c) / norm(a)) over the same axes.
+    """
+    def scaled_norm(x):  # np.linalg.norm's Frobenius sum, without its per-call overhead
+        e = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
+        x = np.ldexp(x, -e[..., None, None])
+        return np.sqrt(np.add.reduce(x * x, axis=(-2, -1))), e
+
+    (norm_c, e_c), (norm_a, e_a) = scaled_norm(c), scaled_norm(a)
+    e = e_c - e_a
+    return np.ldexp(np.sqrt(np.ldexp(norm_c / norm_a, e % 2)), e // 2)
+
+
 def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
     """factor_residuals over a leading row axis of q, a1 and a2.
 
@@ -204,7 +229,7 @@ def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
     q_adj_a = np.swapaxes(q.conj(), -1, -2) @ a
     lin = (b + a @ q + q_adj_a)[..., None, :, :]
     const = (c - q_adj_a @ q)[..., None, :, :]
-    s = (_RESIDUAL_SPEEDS * np.sqrt(norm(c) / norm(a))[..., None])[..., None, None]
+    s = (_RESIDUAL_SPEEDS * _root_scale(a, c)[..., None])[..., None, None]
     a, b, c = a[..., None, :, :], b[..., None, :, :], c[..., None, :, :]
     f = a * s * s + b * s + c
     return solvency, np.max(norm(s * lin + const) / norm(f), axis=-1)
@@ -236,7 +261,7 @@ def _integrate_f0_f1(p: QuadraticPencil, n: int):
     # fraction of the panels.  f1's split moves from |s|=1 to |s|=scale; the
     # two split integrands differ by Id/s, which integrates to zero over any
     # symmetric annulus, so the computed f1 is the |s|=1-split value exactly.
-    scale = math.sqrt(np.linalg.norm(p.c) / np.linalg.norm(p.a))
+    scale = float(_root_scale(p.a, p.c))
     for lo, hi, outer in ((-2 * quarter, -quarter, True),
                           (-quarter, quarter, False),
                           (quarter, 2 * quarter, True)):
@@ -306,11 +331,12 @@ def spectral_factor(p: QuadraticPencil) -> SpectralFactor:
     q, _, ok = factor_from_eig(vals, vecs)
     q = q[0]
     res = factor_residuals(p, q)
-    if not ok[0] or max(res.solvency, res.factor_max) > RESIDUAL_TOL:
+    # written so that a NaN residual fails
+    if not (ok[0] and np.maximum(res.solvency, res.factor_max) <= RESIDUAL_TOL):
         method = "integral"
         q = factor_integral(p, check=False).q
         res = factor_residuals(p, q)
-        if max(res.solvency, res.factor_max) > RESIDUAL_TOL:
+        if not np.maximum(res.solvency, res.factor_max) <= RESIDUAL_TOL:
             raise FactorizationError(
                 f"both routes exceeded residual tolerance: solvency {res.solvency:.3e}, "
                 f"factorization {res.factor_max:.3e}"

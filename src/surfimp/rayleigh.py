@@ -60,8 +60,8 @@ from .polyfactor import (
     companion_eig,
     factor_from_eig,
     factor_residual_rows,
+    root_margins,
     spectral_factor,
-    spectral_margin,
 )
 
 ROOT_RTOL = 1e-12
@@ -199,8 +199,9 @@ class _Engine:
         sigma = -tr mid / (2 tr a), which is 0 and the argmin for isotropic
         media, inside a bracket that covers [-sigma_max, sigma_max].  Each
         estimate is certified at the root bracket's upper end
-        (1 - START_OFFSET) c_lim, where the pencil must keep a spectral margin
-        above ELLIPTICITY_MARGIN.  A row that fails has a nearly real root s,
+        (1 - START_OFFSET) c_lim, where every root of the pencil must keep a
+        margin relative to the spectrum (root_margins) above
+        ELLIPTICITY_MARGIN.  A row that fails has a nearly real root s,
         so the steps missed a valley near sigma = Re(s) c: the same refinement
         runs from there, and the row is certified again.  Below c_lim the
         eigenvalues of z fall as c rises and at most one is not positive, so
@@ -228,8 +229,8 @@ class _Engine:
             fmin[todo], argmin[todo] = f, x
             c = (1.0 - START_OFFSET) * np.sqrt(f / self.rho)
             vals, vecs, a1, a2 = self._eig(pre, c, rows[todo])
-            margin = spectral_margin(vals[:, :, None])  # per root
-            ok = np.min(margin, axis=1) > polyfactor.ELLIPTICITY_MARGIN
+            margin = root_margins(vals)
+            ok = margin.min(axis=1) > polyfactor.ELLIPTICITY_MARGIN
             z = self._factor(vals[ok], vecs[ok], a1[ok], a2[ok])[3]
             lowest[todo[ok]] = np.linalg.eigvalsh(z)[:, 0]
             if np.all(ok):
@@ -253,27 +254,37 @@ class _Engine:
         [-sigma_max, sigma_max].  Each round evaluates f, f', f'' at every
         live row, shrinks the bracket to the side where f' points downhill,
         and steps by Newton when f'' > 0 and the step lands inside the
-        bracket, else bisects.  A row stops when the predicted decrease
-        |f' step| falls to _NEWTON_FTOL f, so its result does not depend on
-        the other rows of its batch.  Returns fmin and the iterate that gave it.
+        bracket, else bisects.  An iterate whose f exceeds the start's takes
+        no Newton step and cannot stop the row; it becomes the bracket end on
+        its side of the best point.  Otherwise a search started on the slope
+        into a deep valley, whose first bisection lands beyond a ridge, would
+        follow Newton steps into a shallower valley and return its own start.
+        A row stops when the predicted decrease |f' step| falls to
+        _NEWTON_FTOL f, so its result does not depend on the other rows of
+        its batch.  Returns fmin and the iterate that gave it.
         """
         lo, hi, x = x - h, x + h, x.copy()
         fmin, argmin = np.full(rows.size, np.inf), x.copy()
         live = np.arange(rows.size)
-        for _ in range(_NEWTON_MIN_MAX_ROUNDS):
+        for it in range(_NEWTON_MIN_MAX_ROUNDS):
             if live.size == 0:
                 break
             f, d1, d2 = self._eigmin_along(pre, x[live], rows[live]).T
             xl = x[live]
+            if it == 0:
+                fstart = f  # every row is live in the first round
             fmin[live] = np.minimum(fmin[live], f)
             argmin[live] = np.where(f == fmin[live], xl, argmin[live])
+            up = f > fstart[live]
+            # an iterate above the start takes its slope to point away from the best point
+            d1 = np.where(up, xl - argmin[live], d1)
             lo[live] = np.where(d1 < 0.0, xl, lo[live])
             hi[live] = np.where(d1 > 0.0, xl, hi[live])
             with np.errstate(divide="ignore", invalid="ignore"):
                 xn = xl - d1 / d2
-            newton = (d2 > 0.0) & (xn > lo[live]) & (xn < hi[live])
+            newton = ~up & (d2 > 0.0) & (xn > lo[live]) & (xn < hi[live])
             xn = np.where(newton, xn, 0.5 * (lo[live] + hi[live]))
-            done = np.abs(d1 * (xn - xl)) <= _NEWTON_FTOL * f
+            done = ~up & (np.abs(d1 * (xn - xl)) <= _NEWTON_FTOL * f)
             x[live] = xn
             live = live[~done]
         return fmin, argmin

@@ -276,6 +276,21 @@ def test_scan_c_lim_finds_valley_beside_best(monkeypatch):
         assert abs(scan.c_lim[k] - ref) <= 1e-12 * ref
 
 
+@pytest.mark.parametrize("n", [536, 632])
+def test_recertification_does_not_crawl(monkeypatch, n):
+    # a row of these anchored scans converges into a shallow valley and is
+    # restarted on the slope down into the deepest one; a first bisection
+    # that lands beyond the ridge must not lead its Newton steps back, or
+    # each restart lowers the minimum by only the certificate's offset
+    # (1 137 _newton_min calls at 536 directions, 432 at 632)
+    mat = synthetic_anisotropic(561807780, strength=0.7)
+    nu = np.array([-0.22607182562841371, 0.13018959573193606, 0.9653715340842566])
+    calls = count_newton_min(monkeypatch)
+    scan = scan_directions(mat, nu, n, threads=1)
+    assert len(calls) <= 8
+    assert scan.e1_satisfied
+
+
 def test_recertified_c_lim_matches_reference(monkeypatch):
     # the certificate's nearly real root seeds the Newton refinement of a
     # valley the start missed; the first recertified row of each scan

@@ -14,7 +14,7 @@ from surfimp.impedance import radial_derivative_z
 from surfimp.isotropic import rayleigh_cubic_root
 from surfimp.material import Material, StiffnessTensor, SurfaceFrame, material_to_json, rotate_stiffness
 from surfimp.polyfactor import build_pencil, spectral_factor
-from surfimp.presets import isotropic_material, synthetic_anisotropic
+from surfimp.presets import isotropic_material, poisson_solid, synthetic_anisotropic
 from surfimp.rayleigh import (
     SCAN_CSV_HEADER,
     BracketError,
@@ -48,6 +48,38 @@ def test_extreme_parameter_contrast():
         u = mu / (lam + 2.0 * mu)
         expected = math.sqrt(mu * 1e9 / 3000.0) * math.sqrt(rayleigh_cubic_root(u))
         assert pt.c_r == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("factor", [3e3, 1e4, 1e6])
+@pytest.mark.parametrize("name", ["aniso11", "poisson"])
+def test_fast_media_certify_c_lim(name, factor):
+    # scaling the moduli by k scales every speed by sqrt(k) and the pencil's
+    # roots s by 1 / sqrt(k); the certificate's spectral margin, measured in
+    # the spectrum's own scale, must not fail once c_lim passes ~1e5 m/s
+    mat = synthetic_anisotropic(11) if name == "aniso11" else poisson_solid()
+    frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
+    fast = Material(StiffnessTensor(factor * mat.stiffness.voigt), mat.density)
+    pt, ref = rayleigh_point(fast, frame), rayleigh_point(mat, frame)
+    assert pt.c_lim > 1e5
+    assert pt.c_r / math.sqrt(factor) == pytest.approx(ref.c_r, rel=1e-14)
+
+
+def test_tiny_moduli_factor_residuals_are_finite():
+    # |a|^2 underflows at moduli of 1e-200 Pa: the pencil's root scale takes
+    # each norm of its matrix scaled to a unit peak, so the residuals stay
+    # finite, and both factor routes agree
+    v = synthetic_anisotropic(11).stiffness.voigt
+    mat = Material(StiffnessTensor(v * (1e-200 / np.abs(v).max())), 4000.0)
+    frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
+    p = build_pencil(mat, frame, 1.0 / (0.9 * rayleigh_point(mat, frame).c_lim))
+    with np.errstate(divide="raise", invalid="raise"):
+        sf = spectral_factor(p)
+        integral = polyfactor.factor_integral(p)
+    assert sf.method == "eigen"
+    assert sf.residual_factorization <= polyfactor.RESIDUAL_TOL
+    res = polyfactor.factor_residuals(p, integral.q)
+    assert np.maximum(res.solvency, res.factor_max) <= polyfactor.RESIDUAL_TOL
+    assert np.linalg.norm(integral.q - sf.q) <= 1e-13 * np.linalg.norm(sf.q)
 
 
 def test_existence_failure_is_data(e1_failing_scan):
