@@ -4,8 +4,9 @@ half-plane.
 
 Two independent routes compute q: collecting the decaying eigenpairs of the
 companion linearization (fast, primary), and a contour-free integral
-representation a q f0 = -pi i Id + f1 built from quadrature of f(s)^{-1}
-over the real line (derivative-free, robust fallback and cross-check).
+representation a q f0 = -pi i Id + f1 built from f(s)^{-1} over the real
+line (derivative-free, robust fallback and cross-check), one periodic
+trapezoid sum in theta = arctan(s / scale).
 The eigen route has one batched implementation, companion_eig then
 factor_from_eig, whose guard every eigen-route q passes, in a batch of one
 (spectral_factor) or of many (the Rayleigh scan engine): build_pencil at
@@ -14,12 +15,10 @@ xi_mag = 1 / c gives the engine row at speed c, so q and z agree bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .material import Material, SurfaceFrame, _readonly, acoustic_tensor
 
@@ -27,7 +26,7 @@ ELLIPTICITY_MARGIN = 1e-8
 RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e8
 QUAD_RELTOL = 1e-10
-QUAD_MAX_NODES = 4096
+QUAD_MAX_NODES = 16384
 # sample speeds of the factorization residual, in units of sqrt(|c| / |a|)
 _RESIDUAL_SPEEDS = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
 
@@ -45,7 +44,7 @@ class FactorizationError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Panel-doubling quadrature did not reach the requested tolerance."""
+    """Node-doubling quadrature did not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -235,46 +234,21 @@ def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
     return solvency, np.max(norm(s * lin + const) / norm(f), axis=-1)
 
 
-# leggauss(n) eigensolves a dense n x n Jacobi matrix (seconds at 4096
-# nodes); each doubling level needs the same rule on all three panels
-_leggauss = functools.lru_cache(maxsize=None)(leggauss)
-
-
-def _tan_panel(scale: float, theta_lo: float, theta_hi: float, n: int):
-    """Gauss-Legendre nodes/weights for s = scale * tan(theta) on one panel."""
-    x, w = _leggauss(n)
-    half = 0.5 * (theta_hi - theta_lo)
-    theta = theta_lo + half * (x + 1.0)
-    tan = np.tan(theta)
-    s = scale * tan
-    jac = half * scale * (1.0 + tan * tan) * w  # ds = scale sec^2(theta) dtheta
-    return s, jac
-
-
 def _integrate_f0_f1(p: QuadraticPencil, n: int):
-    eye = np.eye(3)
-    f0 = np.zeros((3, 3))
-    f1 = np.zeros((3, 3))
-    quarter = 0.25 * math.pi
-    # The integration variable is rescaled to the pencil's spectral magnitude
-    # so the near-poles of f(s)^{-1} (width ~ spectral margin) occupy an O(1)
-    # fraction of the panels.  f1's split moves from |s|=1 to |s|=scale; the
-    # two split integrands differ by Id/s, which integrates to zero over any
-    # symmetric annulus, so the computed f1 is the |s|=1-split value exactly.
+    """f0, f1 by the n-node trapezoid rule over theta in [0, pi), s = scale tan(theta).
+
+    f(s) = sec^2(theta) D with D = (scale sin)^2 a + scale sin cos b + cos^2 c,
+    so f0 = scale int D^-1 and, less the odd Id s / (s^2 + scale^2), f1 =
+    int [(scale^2 a - c) sin cos - scale sin^2 b] D^-1: smooth pi-periodic
+    integrands.  scale^2 a is formed as scale (scale a), of size |c|.
+    """
     scale = float(_root_scale(p.a, p.c))
-    for lo, hi, outer in ((-2 * quarter, -quarter, True),
-                          (-quarter, quarter, False),
-                          (quarter, 2 * quarter, True)):
-        s, jac = _tan_panel(scale, lo, hi, n)
-        fs = (p.a[None, :, :] * (s * s)[:, None, None]
-              + p.b[None, :, :] * s[:, None, None] + p.c[None, :, :])
-        finv = np.linalg.solve(fs, np.broadcast_to(eye, fs.shape).copy())
-        f0 += np.einsum("m,mik->ik", jac, finv)
-        if outer:
-            g = -(p.b[None, :, :] + p.c[None, :, :] / s[:, None, None])  # (s^2 a - f)/s
-            f1 += np.einsum("m,mik->ik", jac, g @ finv)
-        else:
-            f1 += np.einsum("m,mik->ik", jac * s, p.a[None, :, :] @ finv)
+    theta = math.pi * np.arange(n) / n
+    sin, cos = np.sin(theta)[:, None, None], np.cos(theta)[:, None, None]
+    a, b = scale * (scale * p.a), scale * p.b
+    d_inv = np.linalg.inv(sin * sin * a + sin * cos * b + cos * cos * p.c)
+    f0 = (scale * math.pi / n) * d_inv.sum(axis=0)
+    f1 = (math.pi / n) * np.einsum("mij,mjk->ik", sin * cos * (a - p.c) - sin * sin * b, d_inv)
     return f0, f1
 
 
@@ -288,10 +262,11 @@ class IntegralFactor:
 
 def factor_integral(p: QuadraticPencil, check: bool = True) -> IntegralFactor:
     """Integral route: f0 = int f(s)^{-1} ds (Hermitian positive definite),
-    f1 its |s|=1-split companion, and q = a^{-1} (-pi i Id + f1) f0^{-1}.
+    f1 = lim_R int_-R^R s a f(s)^{-1} ds, and q = a^{-1} (-pi i Id + f1) f0^{-1}.
 
-    Panels double (64, 128, ...) until the combined relative change drops
-    below 1e-10.
+    Nodes per period double (64, 128, ...) until the combined relative change
+    drops below QUAD_RELTOL; past QUAD_MAX_NODES, after at most 64 + 128 + ...
+    + 16384 = 32704 3x3 inversions, QuadratureError is raised.
     """
     if check and not is_elliptic(p).elliptic:
         raise NonEllipticError("integral factor requires an elliptic pencil")
