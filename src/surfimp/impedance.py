@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyfactor import QuadraticPencil, SpectralFactor, FactorizationError
+from .polyfactor import QuadraticPencil, SpectralFactor, FactorizationError, norm_ratio
 
 HERMITICITY_FAIL = 1e-6
 NONPOSITIVE_EIG_TOL = 1e-9  # lambda <= tol * |z| counts as non-positive
@@ -51,7 +51,7 @@ def riccati_residual(z: np.ndarray, p: QuadraticPencil) -> float | np.ndarray:
     residual per row.
     """
     lhs = (z + 1j * np.swapaxes(p.a1, -1, -2)) @ np.linalg.solve(p.a, z - 1j * p.a1)
-    res = np.linalg.norm(lhs - p.c, axis=(-2, -1)) / np.linalg.norm(p.c, axis=(-2, -1))
+    res = norm_ratio(lhs - p.c, p.c)
     return float(res) if res.ndim == 0 else res
 
 

@@ -194,21 +194,33 @@ def factor_residuals(p: QuadraticPencil, q: np.ndarray) -> FactorResiduals:
     return FactorResiduals(solvency=float(solvency), factor_max=float(factor_max))
 
 
+def _norm(x: np.ndarray):
+    """(|x 2^-e|_F, e) over the last two axes, e the binary exponent of x's peak.
+
+    The scaled sum of squares neither underflows nor overflows, and the
+    scaling is exact: where |x|_F is a normal float, it is bit for bit the
+    first entry times 2^e.  x is multiplied by 2^-e (np.ldexp rejects complex
+    arrays), with e kept above -1022 so that 2^-e is finite.
+    """
+    e = np.maximum(np.frexp(np.abs(x).max(axis=(-2, -1)))[1], -1021)
+    x = x * np.ldexp(1.0, -e)[..., None, None]
+    return np.sqrt(np.add.reduce((x * x.conj()).real, axis=(-2, -1))), e
+
+
+def norm_ratio(x: np.ndarray, y: np.ndarray):
+    """|x|_F / |y|_F over the last two axes, free of the units of x and y (see _norm)."""
+    (norm_x, e_x), (norm_y, e_y) = _norm(x), _norm(y)
+    return np.ldexp(norm_x / norm_y, e_x - e_y)
+
+
 def _root_scale(a: np.ndarray, c: np.ndarray):
     """sqrt(|c| / |a|), the pencil's root magnitude, over a leading row axis of c.
 
-    Each norm is taken of its matrix scaled by 2^-e, e the binary exponent of
-    its peak (as material.unit_vector does), and the exponents are combined
-    after the square root, so nothing underflows or overflows.  The scalings
-    are exact: where the unscaled norms are normal floats, the result is bit
-    for bit sqrt(norm(c) / norm(a)) over the same axes.
+    The exponents of _norm are combined after the square root, so nothing
+    underflows or overflows; where the unscaled norms are normal floats, the
+    result is bit for bit sqrt(norm(c) / norm(a)) over the same axes.
     """
-    def scaled_norm(x):  # np.linalg.norm's Frobenius sum, without its per-call overhead
-        e = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
-        x = np.ldexp(x, -e[..., None, None])
-        return np.sqrt(np.add.reduce(x * x, axis=(-2, -1))), e
-
-    (norm_c, e_c), (norm_a, e_a) = scaled_norm(c), scaled_norm(a)
+    (norm_c, e_c), (norm_a, e_a) = _norm(c), _norm(a)
     e = e_c - e_a
     return np.ldexp(np.sqrt(np.ldexp(norm_c / norm_a, e % 2)), e // 2)
 
@@ -220,18 +232,15 @@ def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
     factorization gap is f(s) - (s-q*) a (s-q) = s (b + a q + q* a) + c - q* a q,
     evaluated at the five speeds at once.
     """
-    def norm(x):
-        return np.linalg.norm(x, axis=(-2, -1))
-
     a, b, c = p.a, p.b, p.c
-    solvency = norm(a @ q @ q + b @ q + c) / norm(p.a2)
+    solvency = norm_ratio(a @ q @ q + b @ q + c, p.a2)
     q_adj_a = np.swapaxes(q.conj(), -1, -2) @ a
     lin = (b + a @ q + q_adj_a)[..., None, :, :]
     const = (c - q_adj_a @ q)[..., None, :, :]
     s = (_RESIDUAL_SPEEDS * _root_scale(a, c)[..., None])[..., None, None]
     a, b, c = a[..., None, :, :], b[..., None, :, :], c[..., None, :, :]
     f = a * s * s + b * s + c
-    return solvency, np.max(norm(s * lin + const) / norm(f), axis=-1)
+    return solvency, np.max(norm_ratio(s * lin + const, f), axis=-1)
 
 
 def _integrate_f0_f1(p: QuadraticPencil, n: int):

@@ -60,6 +60,7 @@ from .polyfactor import (
     companion_eig,
     factor_from_eig,
     factor_residual_rows,
+    norm_ratio,
     root_margins,
     spectral_factor,
 )
@@ -522,7 +523,7 @@ def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
     small = np.abs(comp) <= KERNEL_PHASE_CUTOFF
     comp[small] = v[small, np.argmax(np.abs(v[small]), axis=1)]
     v = v * (comp.conj() / np.abs(comp))[:, None]
-    res_kernel = np.linalg.norm((z @ v[:, :, None])[:, :, 0], axis=1) / np.linalg.norm(z, axis=(1, 2))
+    res_kernel = norm_ratio(z @ v[:, :, None], z)
     # radial slope of det z: tr(adj(z) zdot)
     cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
     adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)

@@ -67,19 +67,36 @@ def test_fast_media_certify_c_lim(name, factor):
 def test_tiny_moduli_factor_residuals_are_finite():
     # |a|^2 underflows at moduli of 1e-200 Pa: the pencil's root scale takes
     # each norm of its matrix scaled to a unit peak, so the residuals stay
-    # finite, and both factor routes agree
+    # finite, and both factor routes agree.  At 1e-300 Pa the root scale is
+    # about 1e152, and the integral route must not square it
     v = synthetic_anisotropic(11).stiffness.voigt
-    mat = Material(StiffnessTensor(v * (1e-200 / np.abs(v).max())), 4000.0)
     frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
-    p = build_pencil(mat, frame, 1.0 / (0.9 * rayleigh_point(mat, frame).c_lim))
-    with np.errstate(divide="raise", invalid="raise"):
-        sf = spectral_factor(p)
-        integral = polyfactor.factor_integral(p)
-    assert sf.method == "eigen"
-    assert sf.residual_factorization <= polyfactor.RESIDUAL_TOL
-    res = polyfactor.factor_residuals(p, integral.q)
-    assert np.maximum(res.solvency, res.factor_max) <= polyfactor.RESIDUAL_TOL
-    assert np.linalg.norm(integral.q - sf.q) <= 1e-13 * np.linalg.norm(sf.q)
+    for peak_pa in (1e-200, 1e-300):
+        mat = Material(StiffnessTensor(v * (peak_pa / np.abs(v).max())), 4000.0)
+        p = build_pencil(mat, frame, 1.0 / (0.9 * rayleigh_point(mat, frame).c_lim))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            sf = spectral_factor(p)
+            integral = polyfactor.factor_integral(p)
+        assert sf.method == "eigen"
+        assert sf.residual_factorization <= polyfactor.RESIDUAL_TOL
+        res = polyfactor.factor_residuals(p, integral.q)
+        assert np.maximum(res.solvency, res.factor_max) <= polyfactor.RESIDUAL_TOL
+        assert np.linalg.norm(integral.q - sf.q) <= 1e-13 * np.linalg.norm(sf.q)
+
+
+def test_integral_route_reaches_the_elliptic_edge(monkeypatch):
+    # with every eigenvector basis rejected, the integral route factors every
+    # pencil of a point and a scan, the certificate's at (1 - 1e-6) c_lim
+    # included, and the roots are the eigen route's
+    mat = poisson_solid()
+    frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
+    ref_point, ref_scan = rayleigh_point(mat, frame), scan_directions(mat, NU, 8)
+    monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
+    point, scan = rayleigh_point(mat, frame), scan_directions(mat, NU, 8)
+    assert point.exists == ref_point.exists
+    assert np.array_equal(scan.exists, ref_scan.exists)
+    assert abs(point.c_r - ref_point.c_r) <= 1e-12 * ref_point.c_r
+    assert np.all(np.abs(scan.c_r - ref_scan.c_r) <= 1e-12 * ref_scan.c_r)
 
 
 def test_existence_failure_is_data(e1_failing_scan):
