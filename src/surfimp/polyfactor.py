@@ -197,14 +197,18 @@ def factor_residuals(p: QuadraticPencil, q: np.ndarray) -> FactorResiduals:
 def _norm(x: np.ndarray):
     """(|x 2^-e|_F, e) over the last two axes, e the binary exponent of x's peak.
 
-    The scaled sum of squares neither underflows nor overflows, and the
-    scaling is exact: where |x|_F is a normal float, it is bit for bit the
-    first entry times 2^e.  x is multiplied by 2^-e (np.ldexp rejects complex
-    arrays), with e kept above -1022 so that 2^-e is finite.
+    Nothing overflows, and |x|_F is the first entry times 2^e; where the sums
+    of squares of np.linalg.norm are normal floats, the two agree bit for bit.
+    x* x 2^-2e is formed in place in one copy of x (np.ldexp rejects complex
+    arrays), and e is kept above -1022 so that 2^-e is finite.
     """
     e = np.maximum(np.frexp(np.abs(x).max(axis=(-2, -1)))[1], -1021)
-    x = x * np.ldexp(1.0, -e)[..., None, None]
-    return np.sqrt(np.add.reduce((x * x.conj()).real, axis=(-2, -1))), e
+    scale = np.ldexp(1.0, -e)[..., None, None]
+    square = np.conjugate(x)  # a copy even for real x, whose x.conj() is x
+    square *= scale
+    square *= x
+    square *= scale
+    return np.sqrt(np.add.reduce(square.real, axis=(-2, -1))), e
 
 
 def norm_ratio(x: np.ndarray, y: np.ndarray):
