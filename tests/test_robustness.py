@@ -87,7 +87,7 @@ def test_tiny_moduli_factor_residuals_are_finite():
 def test_integral_route_reaches_the_elliptic_edge(monkeypatch):
     # with every eigenvector basis rejected, the integral route factors every
     # pencil of a point and a scan, the certificate's at (1 - 1e-6) c_lim
-    # included, and the roots are the eigen route's
+    # included (at exactly QUAD_MAX_NODES), and the roots are the eigen route's
     mat = poisson_solid()
     frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
     ref_point, ref_scan = rayleigh_point(mat, frame), scan_directions(mat, NU, 8)
