@@ -20,15 +20,14 @@ import warnings
 import numpy as np
 
 from . import selftest as _selftest_mod
-from .material import (Material, MaterialError, SurfaceFrame, parse_material, unit_vector,
-                       validate_stiffness)
+from .material import (Material, MaterialError, SurfaceFrame, isotropic_stiffness, norm_ratio,
+                       parse_material, unit_vector, validate_stiffness)
 from .isotropic import (
     CurvatureData,
     iso_state_on_sigma,
     subprincipal_p,
 )
 from .impedance import SpectralSeparationError
-from .material import isotropic_stiffness
 from .polyfactor import EigenSolverError, FactorizationError, NonEllipticError, QuadratureError
 from .rayleigh import (
     BracketError,
@@ -183,8 +182,7 @@ def _isotropic_parameters(mat: Material):
     mu = float(np.mean([v[3, 3], v[4, 4], v[5, 5]]))
     lam = float(np.mean([v[0, 1], v[0, 2], v[1, 2]]))
     model = isotropic_stiffness(lam, mu).voigt
-    peak = np.abs(v).max() or 1.0  # the norms of v itself underflow or overflow at extreme moduli
-    if not np.linalg.norm((v - model) / peak) <= 1e-8 * np.linalg.norm(v / peak):
+    if v.any() and not norm_ratio(v - model, v) <= 1e-8:
         return None
     return lam, mu
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyfactor import QuadraticPencil, SpectralFactor, FactorizationError, norm_ratio
+from .material import _norm, norm_ratio
+from .polyfactor import QuadraticPencil, SpectralFactor, FactorizationError
 
 HERMITICITY_FAIL = 1e-6
 NONPOSITIVE_EIG_TOL = 1e-9  # lambda <= tol * |z| counts as non-positive
@@ -26,22 +27,14 @@ class SpectralSeparationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ImpedanceDiagnostics:
-    """Relative residuals of the impedance identities at one elliptic point."""
+class ImpedanceData:
+    """Hermitian-symmetrized impedance z with the relative residuals of its identities."""
 
+    z: np.ndarray          # (3,3) complex, Hermitian part of i(aq + a1)
     hermiticity: float
     riccati: float
     re_z_positive_definite: bool
     nonpositive_eigenvalues: int  # of z itself; uniqueness needs <= 1
-
-
-@dataclass(frozen=True)
-class ImpedanceData:
-    """Hermitian-symmetrized impedance with its ingredients and diagnostics."""
-
-    z: np.ndarray          # (3,3) complex, Hermitian part of i(aq + a1)
-    q: np.ndarray
-    diagnostics: ImpedanceDiagnostics
 
 
 def riccati_residual(z: np.ndarray, p: QuadraticPencil) -> float | np.ndarray:
@@ -57,7 +50,7 @@ def riccati_residual(z: np.ndarray, p: QuadraticPencil) -> float | np.ndarray:
 
 def barnett_lothe_residual(z: np.ndarray, f0: np.ndarray) -> float:
     """|Re z - pi f0^{-1}| / |z|, with f0 from `polyfactor.factor_integral`."""
-    return float(np.linalg.norm(z.real - np.pi * np.linalg.inv(f0)) / np.linalg.norm(z))
+    return float(norm_ratio(z.real - np.pi * np.linalg.inv(f0), z))
 
 
 def impedance_from_factor(a: np.ndarray, a1: np.ndarray, q: np.ndarray):
@@ -70,26 +63,27 @@ def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor) -> ImpedanceData:
     """Impedance z = i(a q + a1), Hermitian-symmetrized by impedance_from_factor.
 
     The raw hermiticity defect is kept as a diagnostic; a defect above 1e-6
-    signals a broken factorization upstream and raises.  The Barnett-Lothe
-    identity needs f0, which only the integral route computes: a caller
-    holding `factor_integral(p).f0` checks it with `barnett_lothe_residual`.
+    signals a broken factorization upstream and raises.  It and the bound of
+    a non-positive eigenvalue are relative to one unit-free _norm(z_raw).  The
+    Barnett-Lothe identity needs f0, which only the integral route computes: a
+    caller holding `factor_integral(p).f0` checks it with `barnett_lothe_residual`.
     """
     z_raw, z = impedance_from_factor(p.a, p.a1, sf.q)
-    scale = np.linalg.norm(z_raw)
-    defect = float(np.linalg.norm(z_raw - z_raw.conj().T) / scale)
+    (norm_d, e_d), (norm_z, e_z) = _norm(z_raw - z_raw.conj().T), _norm(z_raw)
+    defect = float(np.ldexp(norm_d / norm_z, e_d - e_z))
     if defect > HERMITICITY_FAIL:
         raise FactorizationError(
             f"impedance hermiticity defect {defect:.3e} exceeds {HERMITICITY_FAIL}; "
             "spectral factorization is unreliable at this point"
         )
-    eig_z = np.linalg.eigvalsh(z)
-    diag = ImpedanceDiagnostics(
+    eig_z = np.ldexp(np.linalg.eigvalsh(z), -e_z)  # scaled by 2^-e_z, as norm_z is
+    return ImpedanceData(
+        z=z,
         hermiticity=defect,
         riccati=riccati_residual(z, p),
         re_z_positive_definite=bool(np.linalg.eigvalsh(z.real)[0] > 0.0),
-        nonpositive_eigenvalues=int(np.sum(eig_z <= NONPOSITIVE_EIG_TOL * scale)),
+        nonpositive_eigenvalues=int(np.sum(eig_z <= NONPOSITIVE_EIG_TOL * norm_z)),
     )
-    return ImpedanceData(z=z, q=sf.q, diagnostics=diag)
 
 
 def sylvester_solve(a: np.ndarray, b: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:

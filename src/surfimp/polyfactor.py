@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import Material, SurfaceFrame, _readonly, acoustic_tensor
+from .material import Material, SurfaceFrame, _norm, _readonly, acoustic_tensor, norm_ratio
 
 ELLIPTICITY_MARGIN = 1e-8
 RESIDUAL_TOL = 1e-8
@@ -194,29 +194,6 @@ def factor_residuals(p: QuadraticPencil, q: np.ndarray) -> FactorResiduals:
     return FactorResiduals(solvency=float(solvency), factor_max=float(factor_max))
 
 
-def _norm(x: np.ndarray):
-    """(|x 2^-e|_F, e) over the last two axes, e the binary exponent of x's peak.
-
-    Nothing overflows, and |x|_F is the first entry times 2^e; where the sums
-    of squares of np.linalg.norm are normal floats, the two agree bit for bit.
-    x* x 2^-2e is formed in place in one copy of x (np.ldexp rejects complex
-    arrays), and e is kept above -1022 so that 2^-e is finite.
-    """
-    e = np.maximum(np.frexp(np.abs(x).max(axis=(-2, -1)))[1], -1021)
-    scale = np.ldexp(1.0, -e)[..., None, None]
-    square = np.conjugate(x)  # a copy even for real x, whose x.conj() is x
-    square *= scale
-    square *= x
-    square *= scale
-    return np.sqrt(np.add.reduce(square.real, axis=(-2, -1))), e
-
-
-def norm_ratio(x: np.ndarray, y: np.ndarray):
-    """|x|_F / |y|_F over the last two axes, free of the units of x and y (see _norm)."""
-    (norm_x, e_x), (norm_y, e_y) = _norm(x), _norm(y)
-    return np.ldexp(norm_x / norm_y, e_x - e_y)
-
-
 def _root_scale(a: np.ndarray, c: np.ndarray):
     """sqrt(|c| / |a|), the pencil's root magnitude, over a leading row axis of c.
 
@@ -277,29 +254,27 @@ def factor_integral(p: QuadraticPencil, check: bool = True) -> IntegralFactor:
     """Integral route: f0 = int f(s)^{-1} ds (Hermitian positive definite),
     f1 = lim_R int_-R^R s a f(s)^{-1} ds, and q = a^{-1} (-pi i Id + f1) f0^{-1}.
 
-    Nodes per period double (64, 128, ...) until the combined relative change
-    drops below QUAD_RELTOL; past QUAD_MAX_NODES, after at most 64 + 128 + ...
-    + 16384 = 32704 3x3 inversions, QuadratureError is raised.
+    Nodes per period double (64, 128, ...) until each factor of q, f0 and
+    f1 - pi i Id, changes by less than QUAD_RELTOL of its own norm (norm_ratio,
+    free of units); past QUAD_MAX_NODES, after at most 64 + 128 + ... + 16384
+    = 32704 3x3 inversions, QuadratureError is raised.
     """
     if check and not is_elliptic(p).elliptic:
         raise NonEllipticError("integral factor requires an elliptic pencil")
     n = 64
-    f0_prev = f1_prev = None
+    prev = None
     while n <= QUAD_MAX_NODES:
         f0, f1 = _integrate_f0_f1(p, n)
-        if f0_prev is not None:
-            change = (np.linalg.norm(f0 - f0_prev) + np.linalg.norm(f1 - f1_prev)) / (
-                np.linalg.norm(f0) + np.linalg.norm(f1)
-            )
-            if change < QUAD_RELTOL:
-                break
-        f0_prev, f1_prev = f0, f1
+        factors = np.stack([f0, f1 - 1j * math.pi * np.eye(3)])
+        if prev is not None and norm_ratio(factors - prev, factors).max() < QUAD_RELTOL:
+            break
+        prev = factors
         n *= 2
     else:
         raise QuadratureError(
             f"f0/f1 quadrature did not converge below {QUAD_RELTOL} with {QUAD_MAX_NODES} nodes"
         )
-    q = np.linalg.solve(p.a, (-1j * math.pi * np.eye(3) + f1) @ np.linalg.inv(f0))
+    q = np.linalg.solve(p.a, factors[1] @ np.linalg.inv(f0))
     return IntegralFactor(f0=f0, f1=f1, q=q, nodes=n)
 
 

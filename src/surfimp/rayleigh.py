@@ -53,14 +53,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import polyfactor
-from .material import Material, SurfaceFrame, acoustic_tensor, unit_vector, validate_stiffness
+from .material import Material, SurfaceFrame, acoustic_tensor, norm_ratio, unit_vector, validate_stiffness
 from .impedance import impedance_from_factor, radial_derivative_z, riccati_residual
 from .polyfactor import (
     QuadraticPencil,
     companion_eig,
     factor_from_eig,
     factor_residual_rows,
-    norm_ratio,
     root_margins,
     spectral_factor,
 )

@@ -101,13 +101,14 @@ def _check_iso_blocks(seed: int, draws: int) -> float:
     for lam, mu, rho, frame, xi_scale in _isotropic_draws(seed, draws):
         xi = xi_scale / math.sqrt(mu * GPA / rho)
         p = build_pencil(isotropic_material(lam, mu, rho), frame, xi)
-        data = impedance_tensor(p, spectral_factor(p))
+        sf = spectral_factor(p)
+        data = impedance_tensor(p, sf)
         st = iso_state(lam * GPA, mu * GPA, rho, xi)
         rot = frame_rotation(frame)
         iq, z = iso_full(st)
         z_err = np.linalg.norm(rot.T @ data.z @ rot - z)
-        q_err = np.linalg.norm(rot.T @ data.q @ rot + 1j * iq)
-        worst = max(worst, z_err / np.linalg.norm(data.z), q_err / np.linalg.norm(data.q))
+        q_err = np.linalg.norm(rot.T @ sf.q @ rot + 1j * iq)
+        worst = max(worst, z_err / np.linalg.norm(data.z), q_err / np.linalg.norm(sf.q))
     return worst
 
 
@@ -168,15 +169,14 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
             sf = spectral_factor(p)
             intf = factor_integral(p, check=False)
             data = impedance_tensor(p, sf)
-            d = data.diagnostics
-            worst_res = max(worst_res, d.riccati, sf.residual_solvency,
+            worst_res = max(worst_res, data.riccati, sf.residual_solvency,
                             sf.residual_factorization, barnett_lothe_residual(data.z, intf.f0))
-            worst_herm = max(worst_herm, d.hermiticity)
+            worst_herm = max(worst_herm, data.hermiticity)
             worst_q = max(worst_q, np.linalg.norm(sf.q - intf.q) / np.linalg.norm(sf.q))
-            zdot = radial_derivative_z(data.z, data.q, mat.density)
-            ok = (d.re_z_positive_definite
+            zdot = radial_derivative_z(data.z, sf.q, mat.density)
+            ok = (data.re_z_positive_definite
                   and np.linalg.eigvalsh(zdot - data.z)[0] > 0.0
-                  and d.nonpositive_eigenvalues <= 1)
+                  and data.nonpositive_eigenvalues <= 1)
             structure_failures += 0 if ok else 1
     return worst_res, worst_herm, structure_failures, worst_q
 

@@ -115,11 +115,12 @@ def test_closed_forms_hold_down_to_lam_minus_mu(ratio):
         frame = selftest.random_frame(rng)
         xi = rng.uniform(1.05, 20.0) / on_sigma.c_s
         p = build_pencil(mat, frame, xi)
-        data = impedance_tensor(p, spectral_factor(p))
+        sf = spectral_factor(p)
+        data = impedance_tensor(p, sf)
         rot = frame_rotation(frame)
         iq, z = iso_full(iso_state(lam * 1e9, mu * 1e9, rho, xi))
         assert np.linalg.norm(rot.T @ data.z @ rot - z) <= 1e-10 * np.linalg.norm(data.z)
-        assert np.linalg.norm(rot.T @ data.q @ rot + 1j * iq) <= 1e-10 * np.linalg.norm(data.q)
+        assert np.linalg.norm(rot.T @ sf.q @ rot + 1j * iq) <= 1e-10 * np.linalg.norm(sf.q)
         assert rayleigh_point(mat, frame).c_r == pytest.approx(on_sigma.c_r, rel=1e-10)
         br = subprincipal_p(on_sigma, CurvatureData(*rng.uniform(-1.0, 1.0, 8)))
         assert np.isfinite(br.psub_direct)
@@ -321,8 +322,9 @@ def test_subprincipal_radial_slope_against_general_route(soft_iso, std_frame):
     # gamma^2 (zdot v | v) from the impedance route equals the closed form
     st = iso_state_on_sigma(2.0e9, 1.0e9, 1000.0)
     p = build_pencil(soft_iso, std_frame, st.xi_mag)
-    data = impedance_tensor(p, spectral_factor(p))
-    zdot = radial_derivative_z(data.z, data.q, soft_iso.density)
+    sf = spectral_factor(p)
+    data = impedance_tensor(p, sf)
+    zdot = radial_derivative_z(data.z, sf.q, soft_iso.density)
     rot = frame_rotation(std_frame)
     v = rot @ iso_kernel_vector(st.t)
     gamma = st.m * st.t / 2.0 * math.hypot(2.0 - st.t, 2.0 * math.sqrt(1.0 - st.t))
