@@ -17,14 +17,20 @@ threshold, the 10 000-direction scan at 1 and 2 threads, an anchored
 impedance, an anchored 536-direction scan of
 synthetic_anisotropic(561807780, 0.7) whose c_lim certificate restarts rows
 from a valley the first Newton steps missed, 40 rayleigh_point CSV rows on
-random frames of aniso11 and aniso27, and the `surfimp selftest --seed 0`
-JSON.
+random frames of aniso11 and aniso27, the `surfimp selftest --seed 0`
+JSON, and the JSON of three more CLI commands on input files written to a
+temporary directory: `validate` of aniso11's Voigt matrix (in GPa) with entry
+(0, 1) times 1 + 3e-14, `rayleigh` of the Poisson solid with normal z and
+tangent x, and `subprincipal` of the Poisson solid with curvature
+{"s22": 0.1, "trS": 0.2} and xi-dir x.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +38,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from surfimp import cli
-from surfimp.presets import isotropic_material, synthetic_anisotropic
+from surfimp.material import GPA, material_to_json
+from surfimp.presets import isotropic_material, poisson_solid, synthetic_anisotropic
 from surfimp.rayleigh import csv_row, rayleigh_point, scan_directions
 from surfimp.selftest import random_frame
 
@@ -63,18 +70,39 @@ def point_rows(count: int = 40) -> str:
     return "".join(csv_row(0.0, rayleigh_point(mats[k % 2], random_frame(rng))) for k in range(count))
 
 
-def selftest_json(seed: int = 0) -> str:
+def cli_stdout(*argv: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(["selftest", "--seed", str(seed)])
+        cli.main(list(argv))
     return out.getvalue()
+
+
+def cli_payloads() -> dict:
+    """stdout of validate, rayleigh and subprincipal, by name, on input files in a temporary directory."""
+    matrix = (synthetic_anisotropic(11).stiffness.voigt / GPA).tolist()
+    matrix[0][1] *= 1.0 + 3e-14
+    texts = {"skewed": json.dumps({"name": "aniso11-skewed", "density_kg_m3": 4000.0,
+                                   "stiffness": {"format": "voigt_gpa", "matrix": matrix}}),
+             "poisson": material_to_json(poisson_solid()),
+             "curvature": json.dumps({"s22": 0.1, "trS": 0.2})}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: str(Path(tmp) / f"{name}.json") for name in texts}
+        for name, text in texts.items():
+            Path(path[name]).write_text(text)
+        return {"validate-aniso11-skewed": cli_stdout("validate", "--material", path["skewed"]),
+                "rayleigh-poisson-z-x": cli_stdout("rayleigh", "--material", path["poisson"],
+                                                   "--normal", "0,0,1", "--tangent", "1,0,0"),
+                "subprincipal-poisson": cli_stdout("subprincipal", "--material", path["poisson"],
+                                                   "--curvature", path["curvature"], "--xi-dir", "1,0,0")}
 
 
 def main() -> None:
     for name, n, threads in SCANS:
         print(f"scan-{name}-{n}-t{threads} {digest(scan_csv(name, n, threads))}")
     print(f"points-rng5 {digest(point_rows())}")
-    print(f"selftest-seed0 {digest(selftest_json())}")
+    print(f"selftest-seed0 {digest(cli_stdout('selftest', '--seed', '0'))}")
+    for name, text in cli_payloads().items():
+        print(f"{name} {digest(text)}")
 
 
 if __name__ == "__main__":

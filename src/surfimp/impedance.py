@@ -5,7 +5,8 @@ On the elliptic region z is Hermitian with positive definite real part; it
 satisfies the Riccati identity (z + i a1*) a^{-1} (z - i a1) = a2 - rho and
 the Barnett-Lothe relation Re z = pi f0^{-1}, with f0 the integral-route
 moment of `polyfactor.factor_integral`.  Both are exposed as relative
-residuals rather than assumptions.
+residuals rather than assumptions, taken with `material.norm_ratio` and so
+free of the units of the input.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ class SpectralSeparationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ImpedanceData:
-    """Hermitian-symmetrized impedance z with the relative residuals of its identities."""
+    """Hermitian-symmetrized impedance z with the relative residuals of its identities.
+
+    The factor q it was built from is the caller's, in the SpectralFactor
+    passed to impedance_tensor.
+    """
 
     z: np.ndarray          # (3,3) complex, Hermitian part of i(aq + a1)
     hermiticity: float

@@ -14,7 +14,7 @@ from surfimp.impedance import (
     solve_zminus,
     sylvester_solve,
 )
-from surfimp.material import SurfaceFrame
+from surfimp.material import Material, StiffnessTensor, SurfaceFrame
 from surfimp.polyfactor import build_pencil, factor_integral, spectral_factor
 from surfimp.presets import random_isotropic, synthetic_anisotropic
 
@@ -199,10 +199,13 @@ def test_solve_zminus_residual(aniso, rng):
     assert res < 1e-10
 
 
-def test_corrupted_factor_raises_hermiticity_failure(unit_iso, std_frame):
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 960, 2.0 ** -960], ids=["1", "2^960", "2^-960"])
+def test_corrupted_factor_raises_hermiticity_failure(unit_iso, std_frame, scale):
+    # the defect is relative to |z|, so it fires where |z|^2 leaves the float range too
     from surfimp.polyfactor import FactorizationError
     from dataclasses import replace
-    p = build_pencil(unit_iso, std_frame, 2.0)
+    mat = Material(StiffnessTensor(unit_iso.stiffness.voigt * scale), unit_iso.density * scale)
+    p = build_pencil(mat, std_frame, 2.0)
     sf = spectral_factor(p)
     bad = replace(sf, q=sf.q + 0.05 * np.linalg.norm(sf.q) * np.array(
         [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))

@@ -10,7 +10,7 @@ import pytest
 import surfimp.polyfactor as polyfactor
 import surfimp.rayleigh as rayleigh
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL, main
-from surfimp.impedance import radial_derivative_z
+from surfimp.impedance import barnett_lothe_residual, impedance_tensor, radial_derivative_z
 from surfimp.isotropic import rayleigh_cubic_root
 from surfimp.material import Material, StiffnessTensor, SurfaceFrame, material_to_json, rotate_stiffness
 from surfimp.polyfactor import build_pencil, spectral_factor
@@ -68,11 +68,12 @@ def test_tiny_moduli_factor_residuals_are_finite():
     # |a|^2 underflows at moduli of 1e-200 Pa: the pencil's root scale takes
     # each norm of its matrix scaled to a unit peak, so the residuals stay
     # finite, and both factor routes agree.  At 1e-300 Pa the root scale is
-    # about 1e152, and the integral route must not square it
+    # about 1e152, and the integral route must not square it; at 1e-297 Pa
+    # and 1e-300 kg/m^3 the squares of f0, of size 1e297, overflow
     v = synthetic_anisotropic(11).stiffness.voigt
     frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
-    for peak_pa in (1e-200, 1e-300):
-        mat = Material(StiffnessTensor(v * (peak_pa / np.abs(v).max())), 4000.0)
+    for peak_pa, density in ((1e-200, 4000.0), (1e-300, 4000.0), (1e-297, 1e-300)):
+        mat = Material(StiffnessTensor(v * (peak_pa / np.abs(v).max())), density)
         p = build_pencil(mat, frame, 1.0 / (0.9 * rayleigh_point(mat, frame).c_lim))
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             sf = spectral_factor(p)
@@ -82,6 +83,57 @@ def test_tiny_moduli_factor_residuals_are_finite():
         res = polyfactor.factor_residuals(p, integral.q)
         assert np.maximum(res.solvency, res.factor_max) <= polyfactor.RESIDUAL_TOL
         assert np.linalg.norm(integral.q - sf.q) <= 1e-13 * np.linalg.norm(sf.q)
+
+
+def _preset(name):
+    return poisson_solid() if name == "poisson" else synthetic_anisotropic(11)
+
+
+def _rescaled(mat, stiffness_factor, density_factor):
+    return Material(StiffnessTensor(mat.stiffness.voigt * stiffness_factor), mat.density * density_factor)
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.999])
+@pytest.mark.parametrize("name", ["poisson", "aniso11"])
+@pytest.mark.parametrize("s", [2.0 ** 960, 2.0 ** -960], ids=["2^960", "2^-960"])
+def test_identities_are_free_of_the_units_of_the_input(s, name, fraction):
+    # C and rho times s keep every speed and q, and scale z and f0^-1 by s
+    # exactly: the factor, the impedance, their residuals and the integral
+    # route's node count must not see s, even where |z|^2 or |f0|^2 leaves
+    # the float range
+    mat = _preset(name)
+    frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
+    xi = 1.0 / (fraction * rayleigh_point(mat, frame).c_lim)
+    runs = []
+    for m in (mat, _rescaled(mat, s, s)):
+        p = build_pencil(m, frame, xi)
+        sf = spectral_factor(p)
+        data, integral = impedance_tensor(p, sf), polyfactor.factor_integral(p)
+        runs.append((sf.q, data, integral, barnett_lothe_residual(data.z, integral.f0)))
+    (q, data, integral, bl), (q_s, data_s, integral_s, bl_s) = runs
+    np.testing.assert_array_equal(q_s, q)
+    np.testing.assert_array_equal(data_s.z / s, data.z)
+    assert integral_s.nodes == integral.nodes
+    assert data_s.nonpositive_eigenvalues == data.nonpositive_eigenvalues
+    for got, want in ((data_s.hermiticity, data.hermiticity), (data_s.riccati, data.riccati), (bl_s, bl)):
+        assert abs(got - want) <= 1e-13 * want
+    assert np.linalg.norm(integral_s.q - integral.q) <= 1e-13 * np.linalg.norm(integral.q)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5])
+@pytest.mark.parametrize("name", ["poisson", "aniso11"])
+def test_quadrature_is_free_of_the_unit_system(name, gap):
+    # the same solid in SI and in GPa and g/cm^3 (speeds then in km/s): the
+    # integral route takes as many nodes in both and meets the eigen route
+    frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
+    nodes = []
+    for mat in (_preset(name), _rescaled(_preset(name), 1e-9, 1e-3)):
+        p = build_pencil(mat, frame, 1.0 / ((1.0 - gap) * rayleigh_point(mat, frame).c_lim))
+        sf, integral = spectral_factor(p), polyfactor.factor_integral(p)
+        assert sf.method == "eigen"
+        assert np.linalg.norm(integral.q - sf.q) <= 1e-13 * np.linalg.norm(sf.q)
+        nodes.append(integral.nodes)
+    assert nodes[0] == nodes[1]
 
 
 def test_integral_route_reaches_the_elliptic_edge(monkeypatch):
