@@ -69,7 +69,7 @@ def test_tiny_moduli_factor_residuals_are_finite():
     # each norm of its matrix scaled to a unit peak, so the residuals stay
     # finite, and both factor routes agree.  At 1e-300 Pa the root scale is
     # about 1e152, and the integral route must not square it; at 1e-297 Pa
-    # and 1e-300 kg/m^3 the squares of f0, of size 1e297, overflow
+    # and 1e-300 kg/m^3 f0 is about 3e299, and its norm must not square it
     v = synthetic_anisotropic(11).stiffness.voigt
     frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
     for peak_pa, density in ((1e-200, 4000.0), (1e-300, 4000.0), (1e-297, 1e-300)):
