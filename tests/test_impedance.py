@@ -199,18 +199,18 @@ def test_solve_zminus_residual(aniso, rng):
     assert res < 1e-10
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.0 ** 960, 2.0 ** -960], ids=["1", "2^960", "2^-960"])
-def test_corrupted_factor_raises_hermiticity_failure(unit_iso, std_frame, scale):
+def test_corrupted_factor_raises_hermiticity_failure(unit_iso, std_frame):
     # the defect is relative to |z|, so it fires where |z|^2 leaves the float range too
     from surfimp.polyfactor import FactorizationError
     from dataclasses import replace
-    mat = Material(StiffnessTensor(unit_iso.stiffness.voigt * scale), unit_iso.density * scale)
-    p = build_pencil(mat, std_frame, 2.0)
-    sf = spectral_factor(p)
-    bad = replace(sf, q=sf.q + 0.05 * np.linalg.norm(sf.q) * np.array(
-        [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-    with pytest.raises(FactorizationError):
-        impedance_tensor(p, bad)
+    for scale in (1.0, 2.0 ** 960, 2.0 ** -960):
+        mat = Material(StiffnessTensor(unit_iso.stiffness.voigt * scale), unit_iso.density * scale)
+        p = build_pencil(mat, std_frame, 2.0)
+        sf = spectral_factor(p)
+        bad = replace(sf, q=sf.q + 0.05 * np.linalg.norm(sf.q) * np.array(
+            [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        with pytest.raises(FactorizationError):
+            impedance_tensor(p, bad)
 
 
 def test_solve_zminus_separation_error():
