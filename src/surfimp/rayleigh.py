@@ -5,7 +5,8 @@ crosses zero at most once, transversally; the crossing speed c_r is the
 Rayleigh speed, strictly below the limiting speed c_lim at the boundary of
 the elliptic region.
 
-One vectorized engine finds every root; a single point is a batch of one.
+One vectorized engine per material finds every root, each row with its own
+normal nu (a scan's rows share one); a single point is a batch of one.
 c_lim comes from the smallest eigenvalue of c(e + sigma nu) over sigma:
 safeguarded Newton steps (Hellmann-Feynman derivatives from one batched eigh
 per round) start at the minimiser of tr c(e + sigma nu).  The companion
@@ -110,9 +111,8 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     relative 1e-12 and whose evaluation gives the kernel, slope and residuals.
     exists=False when lambda_min z > 0 at (1 - 1e-6) c_lim or <= 0 at c -> 0.
     """
-    engine = _Engine(mat, frame.nu)
     dirs = frame.tangent[None, :]
-    columns = _solve(engine, dirs, np.zeros(1), 1, 0, 1)
+    columns = _solve(_Engine(mat), frame.nu, dirs, np.zeros(1), 1, 0, 1)
     return DirectionScan(np.zeros(1), *columns, directions=dirs).point(0)
 
 
@@ -133,12 +133,12 @@ def eval_p(mat: Material, frame: SurfaceFrame, xi) -> float:
 
 
 class _Engine:
-    """Batched det z evaluations for a fixed normal and many tangents.
+    """Batched impedance evaluations of one material; each prepare holds its rows' normals and tangents.
 
     Raises BracketError unless the material is strongly elliptic.
     """
 
-    def __init__(self, mat: Material, nu: np.ndarray):
+    def __init__(self, mat: Material):
         report = validate_stiffness(mat.stiffness)
         if not report.elliptic:
             raise BracketError("material is not strongly elliptic")
@@ -150,41 +150,39 @@ class _Engine:
         self.convex = report.convex
         self.c4 = mat.tensor()
         self.rho = mat.density
-        self.nu = np.asarray(nu, dtype=float)
-        self.a = acoustic_tensor(self.c4, self.nu)
-        self.a_inv = np.linalg.inv(self.a)
 
-    def prepare(self, dirs: np.ndarray) -> dict:
-        """c_ee = c(e), c_ne = c(nu, e) and mid = c_ne + c_ne^T; _eig scales them as build_pencil does."""
-        c_ne = acoustic_tensor(self.c4, self.nu, dirs)
-        return {"dirs": dirs, "c_ee": acoustic_tensor(self.c4, dirs), "c_ne": c_ne,
-                "mid": c_ne + c_ne.transpose(0, 2, 1)}
+    def prepare(self, nu, dirs: np.ndarray) -> dict:
+        """a = c(nu), a^-1, c_ee = c(e), c_ne = c(nu, e) and mid = c_ne + c_ne^T per row e of dirs.
 
-    def pencil(self, a1: np.ndarray, a2: np.ndarray) -> QuadraticPencil:
-        """The pencil of one row, or of all rows for stacked a1, a2."""
-        return QuadraticPencil(a=self.a, a1=a1, a2=a2, rho=self.rho)
+        nu is one normal per row, or one for all, whose a is one matrix broadcast over the rows.
+        """
+        a = acoustic_tensor(self.c4, nu)
+        c_ne = acoustic_tensor(self.c4, nu, dirs)
+        shape = (len(dirs), 3, 3)
+        return {"dirs": dirs, "a": np.broadcast_to(a, shape), "a_inv": np.broadcast_to(np.linalg.inv(a), shape),
+                "c_ee": acoustic_tensor(self.c4, dirs), "c_ne": c_ne, "mid": c_ne + c_ne.transpose(0, 2, 1)}
 
     def _eigmin_along(self, pre: dict, sigma: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """(m, 3) columns f, f', f'' of f = smallest eigenvalue of M = c(e + sigma nu) at the rows of pre.
 
-        One batched eigh gives them by Hellmann-Feynman, with M' = mid + 2 sigma a:
+        One batched eigh gives them by Hellmann-Feynman, with M' = mid + 2 sigma a (the row's a):
         f' = v0.M'v0 and f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).
         f'' is nan where the lowest gap is degenerate (below _GAP_RTOL lam_max).
         """
-        s = sigma[:, None, None]
+        s, a = sigma[:, None, None], pre["a"][rows]
         # built in place from row copies, so that a whole Newton batch holds
         # few (m, 3, 3) temporaries at once
         mats = s * pre["mid"][rows]
         mats += pre["c_ee"][rows]
-        mats += (s * s) * self.a
+        mats += (s * s) * a
         lam, vec = np.linalg.eigh(mats)
-        mats = 2.0 * s * self.a
+        mats = 2.0 * s * a
         mats += pre["mid"][rows]
         v0 = vec[:, :, 0]
         coupling = np.einsum("mik,mij,mj->mk", vec, mats, v0)
         gap = lam[:, 1:] - lam[:, :1]
         ok = gap[:, 0] > _GAP_RTOL * lam[:, 2]
-        curv = 2.0 * np.einsum("mi,ij,mj->m", v0, self.a, v0)
+        curv = 2.0 * np.einsum("mi,mij,mj->m", v0, a, v0)
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 = curv - 2.0 * np.sum(coupling[:, 1:] ** 2 / gap, axis=1)
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
@@ -214,7 +212,7 @@ class _Engine:
         does not strictly lower a failing row's minimum.
         """
         m = rows.size
-        sigma = (-np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(self.a)))[rows]
+        sigma = (-np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(pre["a"], axis1=1, axis2=2)))[rows]
         sigma = np.where(np.isfinite(start), start, sigma)
         todo = np.arange(m)
         fmin, argmin, lowest = np.full(m, np.inf), np.empty(m), np.empty(m)
@@ -228,10 +226,10 @@ class _Engine:
                                    "material is not strongly elliptic")
             fmin[todo], argmin[todo] = f, x
             c = (1.0 - START_OFFSET) * np.sqrt(f / self.rho)
-            vals, vecs, a1, a2 = self._eig(pre, c, rows[todo])
+            vals, vecs, a, a1, a2 = self._eig(pre, c, rows[todo])
             margin = root_margins(vals)
             ok = margin.min(axis=1) > polyfactor.ELLIPTICITY_MARGIN
-            z = self._factor(vals[ok], vecs[ok], a1[ok], a2[ok])[3]
+            z = self._factor(vals[ok], vecs[ok], a[ok], a1[ok], a2[ok])[3]
             lowest[todo[ok]] = np.linalg.eigvalsh(z)[:, 0]
             if np.all(ok):
                 break
@@ -290,13 +288,13 @@ class _Engine:
         return fmin, argmin
 
     def _eig(self, pre: dict, speeds: np.ndarray, rows: np.ndarray):
-        """Companion eigenpairs of a^{-1} f at xi = e / c of the rows of pre, with a1 and a2."""
+        """Companion eigenpairs of a^{-1} f at xi = e / c of the rows of pre, with a, a1 and a2."""
         inv_c = 1.0 / speeds
         a1 = pre["c_ne"][rows] * inv_c[:, None, None]
         a2 = pre["c_ee"][rows] * (inv_c * inv_c)[:, None, None]
-        return (*companion_eig(self.a_inv, a1, a2, self.rho), a1, a2)
+        return (*companion_eig(pre["a_inv"][rows], a1, a2, self.rho), pre["a"][rows], a1, a2)
 
-    def _factor(self, vals, vecs, a1, a2):
+    def _factor(self, vals, vecs, a, a1, a2):
         """q, a1, a2, z (Hermitian part) and spec(q) from companion eigenpairs.
 
         Each row's eigen-route q must pass polyfactor.factor_from_eig's
@@ -306,27 +304,23 @@ class _Engine:
         is then eigvals of the new q.
         """
         q, s3, ok = factor_from_eig(vals, vecs)
-        return self._refactor(q, a1, a2, s3, ~ok)
+        return self._refactor(a, q, a1, a2, s3, ~ok)
 
-    def _unfactored(self, q, a1, a2) -> np.ndarray:
+    def _unfactored(self, a, q, a1, a2) -> np.ndarray:
         """Rows whose q breaks the factor_residuals bounds (RESIDUAL_TOL)."""
-        solvency, factor_max = factor_residual_rows(self.pencil(a1, a2), q)
+        solvency, factor_max = factor_residual_rows(QuadraticPencil(a, a1, a2, self.rho), q)
         return ~(np.maximum(solvency, factor_max) <= polyfactor.RESIDUAL_TOL)
 
-    def _refactor(self, q, a1, a2, s3, bad):
-        """q, a1, a2, z and spec(q) once spectral_factor has re-factored the rows in bad."""
+    def _refactor(self, a, q, a1, a2, s3, bad):
+        """q, a1, a2, z and spec(q) once spectral_factor has re-factored the rows in bad at self.rho."""
         for k in np.flatnonzero(bad):
-            q[k] = spectral_factor(self.pencil(a1[k], a2[k])).q
+            q[k] = spectral_factor(QuadraticPencil(a[k], a1[k], a2[k], self.rho)).q
             s3[k] = np.linalg.eigvals(q[k])
-        return q, a1, a2, impedance_from_factor(self.a, a1, q)[1], s3
+        return q, a1, a2, impedance_from_factor(a, a1, q)[1], s3
 
     def impedance_at(self, pre: dict, speeds: np.ndarray, rows: np.ndarray):
         """Batched q, a1, a2, z (Hermitian part) and spec(q) at xi = e / c: _eig, then _factor."""
         return self._factor(*self._eig(pre, speeds, rows))
-
-    def detz(self, pre: dict, speeds: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        z = self.impedance_at(pre, speeds, rows)[3]
-        return np.linalg.det(z).real
 
 
 def csv_row(theta: float, pt: RayleighPoint) -> str:
@@ -469,12 +463,12 @@ def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray
     if solve.size:
         k, c, *state = (np.concatenate(col) for col in zip(*finished))
         c_r[k] = c
-        kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre["dirs"][rows[k]], *state)
+        kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre, rows[k], *state)
     return c_lim, exists, sigma, c_r, slope, kernels, res_kernel, res_riccati
 
 
-def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
-    """DirectionScan columns, c_lim to res_riccati, of rows lo:hi of the directions dirs at thetas.
+def _solve(engine: _Engine, nu, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
+    """DirectionScan columns, c_lim to res_riccati, of rows lo:hi of the directions dirs at thetas, normal nu.
 
     The anchors are the rows whose index is a multiple of stride (module
     docstring).  Rows lo:hi are solved on one prepare with the anchors beyond
@@ -490,7 +484,7 @@ def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, l
     j = j[j % stride != 0] // stride  # none at stride 1
     need[(j + np.arange(-1, 3)[:, None]) % anchors * stride] = True
     rows = np.flatnonzero(need)
-    pre = engine.prepare(dirs[rows])
+    pre = engine.prepare(nu, dirs[rows])
     anchor, inner = np.flatnonzero(rows % stride == 0), np.flatnonzero(rows % stride != 0)
     none = np.full(anchor.size, np.nan)
     cols = _solve_rows(engine, pre, anchor, none, none)
@@ -507,11 +501,12 @@ def _solve(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, l
     return tuple(col[own] for col in (*cols[:2], *cols[3:]))  # all but sigma*
 
 
-def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
-    """Kernel, slope and residuals at the roots; q breaking factor_residuals is re-factored."""
-    bad = engine._unfactored(q, a1, a2)
+def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
+    """Kernel, slope and residuals at the roots of the rows of pre; q breaking factor_residuals is re-factored."""
+    a, dirs = pre["a"][rows], pre["dirs"][rows]
+    bad = engine._unfactored(a, q, a1, a2)
     if np.any(bad):
-        q, _, _, z, s = engine._refactor(q, a1, a2, s, bad)
+        q, _, _, z, s = engine._refactor(a, q, a1, a2, s, bad)
         w[bad], u[bad] = np.linalg.eigh(z[bad])
         zdot[bad] = radial_derivative_z(z[bad], q[bad], engine.rho, s[bad])
     kmin = np.argmin(np.abs(w), axis=1)
@@ -527,12 +522,12 @@ def _post(engine: _Engine, dirs, q, a1, a2, z, s, w, u, zdot):
     cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
     adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
     slope = np.einsum("mij,mji->m", adj, zdot).real
-    return v, slope, res_kernel, riccati_residual(z, engine.pencil(a1, a2))
+    return v, slope, res_kernel, riccati_residual(z, QuadraticPencil(a, a1, a2, engine.rho))
 
 
-def _scan_chunk(engine: _Engine, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
+def _scan_chunk(engine: _Engine, nu, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
     """One worker's share of a scan: the columns of rows lo:hi (_solve)."""
-    return _solve(engine, dirs, thetas, stride, lo, hi)
+    return _solve(engine, nu, dirs, thetas, stride, lo, hi)
 
 
 def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -590,15 +585,15 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     e1, e2 = tangent_basis(nu)
     thetas = 2.0 * np.pi * np.arange(n) / n
     dirs = np.cos(thetas)[:, None] * e1[None, :] + np.sin(thetas)[:, None] * e2[None, :]
-    engine = _Engine(mat, nu)
+    engine = _Engine(mat)
     threads = resolve_threads(threads)
     stride = _ANCHOR_STRIDE if n >= _MIN_ANCHORED_ROWS else 1
     if threads == 1 or n < _MIN_CHUNKED_ROWS:
-        parts = [_scan_chunk(engine, dirs, thetas, stride, 0, n)]
+        parts = [_scan_chunk(engine, nu, dirs, thetas, stride, 0, n)]
     else:
         edges = np.linspace(0, n, threads + 1, dtype=int)
         bounds = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _scan_chunk(engine, dirs, thetas, stride, *b), bounds))
+            parts = list(pool.map(lambda b: _scan_chunk(engine, nu, dirs, thetas, stride, *b), bounds))
     columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
     return DirectionScan(thetas, *columns, directions=dirs)

@@ -159,13 +159,12 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
     worst_res = worst_herm = worst_q = 0.0
     structure_failures = 0
     for mat in mats:
-        for _ in range(per_mat):
-            frame = random_frame(rng)
-            engine = _Engine(mat, frame.nu)
-            c_lim = engine.limiting_speeds(engine.prepare(frame.tangent[None, :]), np.zeros(1, dtype=int),
-                                           np.full(1, np.nan))[0][0]
-            speed = rng.uniform(0.05, 0.95) * c_lim
-            p = build_pencil(mat, frame, 1.0 / speed)
+        draws = [(random_frame(rng), rng.uniform(0.05, 0.95)) for _ in range(per_mat)]
+        engine = _Engine(mat)
+        pre = engine.prepare([f.nu for f, _ in draws], np.array([f.tangent for f, _ in draws]))
+        c_lim = engine.limiting_speeds(pre, np.arange(per_mat), np.full(per_mat, np.nan))[0]
+        for (frame, fraction), top in zip(draws, c_lim):
+            p = build_pencil(mat, frame, 1.0 / (fraction * top))
             sf = spectral_factor(p)
             intf = factor_integral(p, check=False)
             data = impedance_tensor(p, sf)
@@ -195,10 +194,9 @@ def monotonicity_samples(mat, frame, n: int = 20):
     if pt.exists and pt.c_r >= hi:
         hi = np.sqrt(pt.c_r * c_lim)
     speeds = np.geomspace(hi, 1e-3 * c_lim, n)
-    engine = _Engine(mat, frame.nu)
-    pre = engine.prepare(frame.tangent[None, :])
-    g = engine.detz(pre, speeds, rows=np.zeros(n, dtype=int))
-    return speeds, g, pt.exists
+    engine = _Engine(mat)
+    z = engine.impedance_at(engine.prepare(frame.nu, frame.tangent[None, :]), speeds, np.zeros(n, dtype=int))[3]
+    return speeds, np.linalg.det(z).real, pt.exists
 
 
 def _check_monotonicity(seed: int, rays: int) -> tuple[int, int]:
