@@ -99,8 +99,9 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray, lam: np.ndarray | None = None)
     lower half-plane the separation is automatic and the integral
     representation X = int_0^inf exp(-rA)* B exp(-rA) dr applies, so
     Hermitian positive definite B yields Hermitian positive definite X.
-    The separation is checked on lam, the eigenvalues of A (shape
-    A.shape[:-1]) when the caller already has them, else on eigvals(A).
+    The separation min |lam_j + conj lam_k| must exceed SEPARATION_TOL max |lam_j|,
+    free of units, on lam, the eigenvalues of A (shape A.shape[:-1]) when the
+    caller already has them, else on eigvals(A).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -108,7 +109,7 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray, lam: np.ndarray | None = None)
     if lam is None:
         lam = np.linalg.eigvals(a)
     sep = np.min(np.abs(lam[..., :, None] + lam.conj()[..., None, :]), axis=(-2, -1))
-    bad = sep <= SEPARATION_TOL * np.linalg.norm(a, axis=(-2, -1))
+    bad = sep <= SEPARATION_TOL * np.abs(lam).max(axis=-1)
     if np.any(bad):
         raise SpectralSeparationError(
             f"spec(A) and spec(-A*) too close: separation {np.min(sep[bad]):.3e}"

@@ -157,6 +157,18 @@ def test_sylvester_separation_error():
         sylvester_solve(a, np.eye(3, dtype=complex))
 
 
+def test_sylvester_separation_is_free_of_the_scale():
+    # the threshold is relative to max |lam|: scaling A and B by a power of
+    # two leaves X as it is, even where |A|^2 leaves the float range
+    mat = synthetic_anisotropic(11)
+    p = build_pencil(mat, SurfaceFrame(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])), 5e-4)
+    a, b = 1j * spectral_factor(p).q, 2.0 * mat.density * np.eye(3, dtype=complex)
+    x = sylvester_solve(a, b)
+    for e in (600, -600, 1000, -1000):
+        scaled = sylvester_solve(np.ldexp(1.0, e) * a, np.ldexp(1.0, e) * b)
+        assert np.linalg.norm(scaled - x) <= 1e-14 * np.linalg.norm(x), e
+
+
 def test_radial_derivative_positive_definite():
     rng = np.random.default_rng(5)
     for _ in range(10):

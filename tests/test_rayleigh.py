@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import surfimp.polyfactor as polyfactor
 import surfimp.rayleigh as rayleigh
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL
 from surfimp.impedance import impedance_tensor, radial_derivative_z, riccati_residual
@@ -619,6 +620,57 @@ def test_solve_rows_on_a_subset_matches_all_rows(mat, normal, convex):
                 assert col.tobytes() == ref[rows].tobytes()
     empty = rayleigh._solve_rows(engine, pre, every[:0], none[:0], none[:0])
     assert len(empty) == 8 and all(col.shape[0] == 0 for col in empty)
+
+
+@pytest.mark.parametrize("mat, convex", [(synthetic_anisotropic(11), True), (poisson_solid(), True),
+                                         (isotropic_material(-0.9, 1.0, 1000.0), False)],
+                         ids=["aniso-11", "poisson", "nonconvex"])
+def test_mixed_normal_batch_matches_one_row_calls(mat, convex, rng):
+    # one engine over 32 frames, each row with its own normal, gives bit for
+    # bit the one-row results: c_lim, exists and sigma*, then q and z.  The
+    # non-convex medium reads existence from the static impedance
+    frames = [random_frame(rng) for _ in range(32)]
+    engine = rayleigh._Engine(mat)
+    pre = engine.prepare(np.array([f.nu for f in frames]), np.array([f.tangent for f in frames]))
+    every = np.arange(32)
+    limits = engine.limiting_speeds(pre, every, np.full(32, np.nan))
+    speeds = np.concatenate([0.5 * limits[0], 0.9 * limits[0]])
+    q, _, _, z, _ = engine.impedance_at(pre, speeds, np.tile(every, 2))
+    assert engine.convex == convex
+    for k, frame in enumerate(frames):
+        one = engine.prepare(frame.nu, frame.tangent[None, :])
+        for col, ref in zip(engine.limiting_speeds(one, np.zeros(1, dtype=int), np.full(1, np.nan)), limits):
+            assert col.tobytes() == ref[k:k + 1].tobytes()
+        q1, _, _, z1, _ = engine.impedance_at(one, speeds[[k, k + 32]], np.zeros(2, dtype=int))
+        assert q1.tobytes() == q[[k, k + 32]].tobytes() and z1.tobytes() == z[[k, k + 32]].tobytes()
+
+
+def test_static_rows_keep_density_zero_on_the_fallback_route(monkeypatch):
+    # existence in a non-convex medium reads z of the pencils at unit speed
+    # and density 0; re-factored on the integral route (COND_LIMIT = 0), they
+    # must keep density 0, or z moves by about 4e-7
+    mat = isotropic_material(-0.9, 1.0, 1000.0)
+    nu = _unit(np.array([1.0, 2.0, 3.0]))
+    engine = rayleigh._Engine(mat)
+    pre = engine.prepare(nu, _circle(nu, 2.0 * np.pi * np.arange(16) / 16))
+    static = []
+    impedance_at = rayleigh._Engine.impedance_at
+
+    def spy(self, pre, speeds, rows):
+        out = impedance_at(self, pre, speeds, rows)
+        if np.all(speeds == 1.0):
+            static.append(out[3])
+        return out
+
+    monkeypatch.setattr(rayleigh._Engine, "impedance_at", spy)
+    exists = [engine.limiting_speeds(pre, np.arange(16), np.full(16, np.nan))[1]]
+    monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
+    exists.append(engine.limiting_speeds(pre, np.arange(16), np.full(16, np.nan))[1])
+    assert not engine.convex and np.all(exists[0]) and np.all(exists[1])
+    eigen, fallback = static
+    assert eigen.shape == (16, 3, 3)
+    gap = np.linalg.norm(fallback - eigen, axis=(1, 2)) / np.linalg.norm(eigen, axis=(1, 2))
+    assert np.max(gap) <= 1e-8
 
 
 @pytest.mark.parametrize("ratio", [-0.9999999, -0.99999999])
