@@ -151,7 +151,7 @@ class _Engine:
         self.c4 = mat.tensor()
         self.rho = mat.density
 
-    def prepare(self, nu, dirs: np.ndarray) -> dict:
+    def prepare(self, nu: np.ndarray, dirs: np.ndarray) -> dict:
         """a = c(nu), a^-1, c_ee = c(e), c_ne = c(nu, e) and mid = c_ne + c_ne^T per row e of dirs.
 
         nu is one normal per row, or one for all, whose a is one matrix broadcast over the rows.

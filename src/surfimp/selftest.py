@@ -161,7 +161,7 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
     for mat in mats:
         draws = [(random_frame(rng), rng.uniform(0.05, 0.95)) for _ in range(per_mat)]
         engine = _Engine(mat)
-        pre = engine.prepare([f.nu for f, _ in draws], np.array([f.tangent for f, _ in draws]))
+        pre = engine.prepare(np.array([f.nu for f, _ in draws]), np.array([f.tangent for f, _ in draws]))
         c_lim = engine.limiting_speeds(pre, np.arange(per_mat), np.full(per_mat, np.nan))[0]
         for (frame, fraction), top in zip(draws, c_lim):
             p = build_pencil(mat, frame, 1.0 / (fraction * top))
