@@ -912,12 +912,50 @@ def test_monotone_determinant_along_rays():
     rng = np.random.default_rng(3)
     from surfimp.selftest import monotonicity_samples
     for mat in (isotropic_material(2.0, 1.0, 1000.0), synthetic_anisotropic(11)):
-        for _ in range(4):
-            frame = random_frame(rng)
-            _, g, has_root = monotonicity_samples(mat, frame)
+        _, gs, has_roots = monotonicity_samples(mat, [random_frame(rng) for _ in range(4)])
+        for g, has_root in zip(gs, has_roots):
             assert np.all(np.diff(g) > 0)
             crossings = int(np.sum(np.sign(g[1:]) != np.sign(g[:-1])))
             assert crossings == (1 if has_root else 0)
+
+
+@pytest.mark.parametrize("mat", [isotropic_material(25.0, 18.0, 3000.0), synthetic_anisotropic(12),
+                                 synthetic_anisotropic(27, 0.75), isotropic_material(-0.9, 1.0, 1000.0)],
+                         ids=["iso", "aniso12", "aniso27", "nonconvex"])
+def test_monotonicity_batch_equals_each_ray(monkeypatch, mat):
+    # six rays of different normals in one prepare and one _solve_rows call
+    # give each ray's c_lim, existence and root, and its det z samples, bit
+    # for bit as rayleigh_point and a one-row prepare do (the non-convex
+    # medium reads existence from the static impedance)
+    import surfimp.selftest as selftest
+    solved = []
+    solve_rows = selftest._solve_rows
+    monkeypatch.setattr(selftest, "_solve_rows", lambda *a: solved.append(solve_rows(*a)) or solved[-1])
+    rng = np.random.default_rng(5)
+    frames = [random_frame(rng) for _ in range(6)]
+    speeds, g, exists = selftest.monotonicity_samples(mat, frames)
+    c_lim, exists_rows, _, c_r = solved[0][:4]
+    engine = rayleigh._Engine(mat)
+    for k, frame in enumerate(frames):
+        pt = rayleigh_point(mat, frame)
+        assert (c_lim[k], exists_rows[k], exists[k]) == (pt.c_lim, pt.exists, pt.exists)
+        assert c_r[k] == pt.c_r if pt.exists else np.isnan(c_r[k])
+        hi = 0.98 * pt.c_lim
+        if pt.exists and pt.c_r >= hi:
+            hi = np.sqrt(pt.c_r * pt.c_lim)
+        ray = np.geomspace(hi, 1e-3 * pt.c_lim, 20)
+        z = engine.impedance_at(engine.prepare(frame.nu, frame.tangent[None, :]), ray, np.zeros(20, dtype=int))[3]
+        np.testing.assert_array_equal(speeds[k], ray)
+        np.testing.assert_array_equal(g[k], np.linalg.det(z).real)
+
+
+def test_monotonicity_check_builds_one_engine_per_material(monkeypatch):
+    import surfimp.selftest as selftest
+    built = []
+    init = rayleigh._Engine.__init__
+    monkeypatch.setattr(rayleigh._Engine, "__init__", lambda self, mat: built.append(mat) or init(self, mat))
+    assert selftest._check_monotonicity(0, 6) == (0, 12)
+    assert len(built) == 2
 
 
 def test_radial_sign_validation_sphere_collar():
