@@ -183,8 +183,12 @@ class _Engine:
         gap = lam[:, 1:] - lam[:, :1]
         ok = gap[:, 0] > _GAP_RTOL * lam[:, 2]
         curv = 2.0 * np.einsum("mi,mij,mj->m", v0, a, v0)
+        # the squared couplings are summed at the spectrum's binary scale 2^e,
+        # exact and in range for any units of the input
+        e = np.frexp(lam[:, 2:])[1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            d2 = curv - 2.0 * np.sum(coupling[:, 1:] ** 2 / gap, axis=1)
+            scaled = np.sum(np.ldexp(coupling[:, 1:], -e) ** 2 / np.ldexp(gap, -e), axis=1)
+        d2 = curv - 2.0 * np.ldexp(scaled, e[:, 0])
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
     def limiting_speeds(self, pre: dict, rows: np.ndarray, start: np.ndarray):

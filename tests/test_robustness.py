@@ -100,10 +100,12 @@ def test_identities_are_free_of_the_units_of_the_input(s, name, fraction):
     # C and rho times s keep every speed and q, and scale z and f0^-1 by s
     # exactly: the factor, the impedance, their residuals and the integral
     # route's node count must not see s, even where |z|^2 or |f0|^2 leaves
-    # the float range
+    # the float range; c_lim's Newton steps take f'' at the spectrum's scale
     mat = _preset(name)
     frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
-    xi = 1.0 / (fraction * rayleigh_point(mat, frame).c_lim)
+    c_lim = rayleigh_point(mat, frame).c_lim
+    assert abs(rayleigh_point(_rescaled(mat, s, s), frame).c_lim - c_lim) <= 1e-15 * c_lim
+    xi = 1.0 / (fraction * c_lim)
     runs = []
     for m in (mat, _rescaled(mat, s, s)):
         p = build_pencil(m, frame, xi)
