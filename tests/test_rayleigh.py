@@ -7,6 +7,7 @@ import pytest
 
 import surfimp.polyfactor as polyfactor
 import surfimp.rayleigh as rayleigh
+import surfimp.selftest as selftest
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL
 from surfimp.impedance import impedance_tensor, radial_derivative_z, riccati_residual
 from surfimp.material import (
@@ -927,18 +928,17 @@ def test_monotonicity_batch_equals_each_ray(monkeypatch, mat):
     # give each ray's c_lim, existence and root, and its det z samples, bit
     # for bit as rayleigh_point and a one-row prepare do (the non-convex
     # medium reads existence from the static impedance)
-    import surfimp.selftest as selftest
     solved = []
     solve_rows = selftest._solve_rows
     monkeypatch.setattr(selftest, "_solve_rows", lambda *a: solved.append(solve_rows(*a)) or solved[-1])
     rng = np.random.default_rng(5)
     frames = [random_frame(rng) for _ in range(6)]
     speeds, g, exists = selftest.monotonicity_samples(mat, frames)
-    c_lim, exists_rows, _, c_r = solved[0][:4]
+    c_lim, _, _, c_r = solved[0][:4]
     engine = rayleigh._Engine(mat)
     for k, frame in enumerate(frames):
         pt = rayleigh_point(mat, frame)
-        assert (c_lim[k], exists_rows[k], exists[k]) == (pt.c_lim, pt.exists, pt.exists)
+        assert (c_lim[k], exists[k]) == (pt.c_lim, pt.exists)
         assert c_r[k] == pt.c_r if pt.exists else np.isnan(c_r[k])
         hi = 0.98 * pt.c_lim
         if pt.exists and pt.c_r >= hi:
@@ -950,7 +950,6 @@ def test_monotonicity_batch_equals_each_ray(monkeypatch, mat):
 
 
 def test_monotonicity_check_builds_one_engine_per_material(monkeypatch):
-    import surfimp.selftest as selftest
     built = []
     init = rayleigh._Engine.__init__
     monkeypatch.setattr(rayleigh._Engine, "__init__", lambda self, mat: built.append(mat) or init(self, mat))
