@@ -8,9 +8,11 @@ representation a q f0 = -pi i Id + f1 built from f(s)^{-1} over the real
 line (derivative-free, robust fallback and cross-check), one periodic
 trapezoid sum in theta = arctan(s / scale).
 The eigen route has one batched implementation, companion_eig then
-factor_from_eig, whose guard every eigen-route q passes, in a batch of one
-(spectral_factor) or of many (the Rayleigh scan engine): build_pencil at
-xi_mag = 1 / c gives the engine row at speed c, so q and z agree bit for bit.
+factor_from_eig, in a batch of one (spectral_factor) or of many (the
+Rayleigh scan engine), and so has the rule that accepts a q: a row failing
+factor_from_eig's guard or residual_breaches is re-factored by
+integral_fallback.  build_pencil at xi_mag = 1 / c gives the engine row at
+speed c, so q and z agree bit for bit.
 """
 
 from __future__ import annotations
@@ -250,17 +252,16 @@ class IntegralFactor:
     nodes: int
 
 
-def factor_integral(p: QuadraticPencil, check: bool = True) -> IntegralFactor:
+def factor_integral(p: QuadraticPencil) -> IntegralFactor:
     """Integral route: f0 = int f(s)^{-1} ds (Hermitian positive definite),
     f1 = lim_R int_-R^R s a f(s)^{-1} ds, and q = a^{-1} (-pi i Id + f1) f0^{-1}.
 
+    The pencil must be elliptic (is_elliptic); this is not checked here.
     Nodes per period double (64, 128, ...) until each factor of q, f0 and
     f1 - pi i Id, changes by less than QUAD_RELTOL of its own norm (norm_ratio,
     free of units); past QUAD_MAX_NODES, after at most 64 + 128 + ... + 16384
     = 32704 3x3 inversions, QuadratureError is raised.
     """
-    if check and not is_elliptic(p).elliptic:
-        raise NonEllipticError("integral factor requires an elliptic pencil")
     n = 64
     prev = None
     while n <= QUAD_MAX_NODES:
@@ -278,36 +279,44 @@ def factor_integral(p: QuadraticPencil, check: bool = True) -> IntegralFactor:
     return IntegralFactor(f0=f0, f1=f1, q=q, nodes=n)
 
 
+def residual_breaches(p: QuadraticPencil, q: np.ndarray):
+    """factor_residual_rows of q, preceded by the mask of rows breaking RESIDUAL_TOL (as a NaN does)."""
+    solvency, factor_max = factor_residual_rows(p, q)
+    return ~(np.maximum(solvency, factor_max) <= RESIDUAL_TOL), solvency, factor_max
+
+
+def integral_fallback(p: QuadraticPencil, q: np.ndarray, s: np.ndarray, rows: np.ndarray):
+    """Re-factor q and s = spec(q) in place by factor_integral on the rows in the mask rows.
+
+    Over a leading row axis of p, q and s; each pencil row must be elliptic, and
+    FactorizationError is raised where a new q breaches RESIDUAL_TOL.
+    """
+    for k in np.flatnonzero(rows):
+        row = QuadraticPencil(p.a[k], p.a1[k], p.a2[k], p.rho)
+        q[k] = factor_integral(row).q
+        breach, solvency, factor_max = residual_breaches(row, q[k])
+        if breach:
+            raise FactorizationError(f"both routes exceeded residual tolerance: solvency {solvency:.3e}, "
+                                     f"factorization {factor_max:.3e}")
+        s[k] = np.linalg.eigvals(q[k])
+
+
 def spectral_factor(p: QuadraticPencil) -> SpectralFactor:
     """Unique q with f(s) = (s - q*) a (s - q) and spec(q) in Im < 0.
 
     One companion eigensolve gives the ellipticity test and the primary
-    route, q V = V diag(S) on the three decaying eigenpairs, which must pass
-    factor_from_eig's guard and the residual bound RESIDUAL_TOL.  Otherwise
-    q comes from the integral representation.
+    route, q V = V diag(S) on the three decaying eigenpairs; a q failing
+    factor_from_eig's guard or residual_breaches comes from integral_fallback.
     """
     vals, vecs = companion_eig(np.linalg.inv(p.a), p.a1[None], p.a2[None], p.rho)
     ell = _ellipticity(p, vals)
     if not ell.elliptic:
         raise NonEllipticError(f"pencil is not elliptic (margin {ell.margin:.3e})")
-    method = "eigen"
-    q, _, ok = factor_from_eig(vals, vecs)
-    q = q[0]
-    res = factor_residuals(p, q)
-    # written so that a NaN residual fails
-    if not (ok[0] and np.maximum(res.solvency, res.factor_max) <= RESIDUAL_TOL):
-        method = "integral"
-        q = factor_integral(p, check=False).q
-        res = factor_residuals(p, q)
-        if not np.maximum(res.solvency, res.factor_max) <= RESIDUAL_TOL:
-            raise FactorizationError(
-                f"both routes exceeded residual tolerance: solvency {res.solvency:.3e}, "
-                f"factorization {res.factor_max:.3e}"
-            )
-    return SpectralFactor(
-        q=q,
-        method=method,
-        residual_solvency=res.solvency,
-        residual_factorization=res.factor_max,
-        spectral_margin=ell.margin,
-    )
+    q, s3, ok = factor_from_eig(vals, vecs)
+    breach, solvency, factor_max = residual_breaches(p, q[0])
+    integral = not ok[0] or breach
+    if integral:
+        integral_fallback(QuadraticPencil(p.a[None], p.a1[None], p.a2[None], p.rho), q, s3, [True])
+        _, solvency, factor_max = residual_breaches(p, q[0])
+    return SpectralFactor(q[0], "integral" if integral else "eigen", float(solvency), float(factor_max),
+                          ell.margin)

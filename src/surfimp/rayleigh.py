@@ -21,8 +21,8 @@ the square-root branch of z at c_lim is smooth, converge inside the bracket
 exists (_Engine.limiting_speeds).  Each speed is eigensolved once: c_r is
 the speed of the last Newton round, whose evaluation gives the kernel,
 residuals and radial slope.
-Every impedance row passes the eigen-route guard of
-polyfactor.factor_from_eig or is re-factored by spectral_factor.
+Every impedance row passes polyfactor.factor_from_eig's guard, and each
+root's q polyfactor.residual_breaches, or is re-factored by integral_fallback.
 c_r and the argmin sigma* are smooth functions of the direction in the
 elliptic region, so in a scan of at least _MIN_ANCHORED_ROWS directions the
 anchors, rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE, ..., are solved first,
@@ -60,9 +60,9 @@ from .polyfactor import (
     QuadraticPencil,
     companion_eig,
     factor_from_eig,
-    factor_residual_rows,
+    integral_fallback,
+    residual_breaches,
     root_margins,
-    spectral_factor,
 )
 
 ROOT_RTOL = 1e-12
@@ -301,25 +301,13 @@ class _Engine:
     def _factor(self, vals, vecs, a, a1, a2):
         """q, a1, a2, z (Hermitian part) and spec(q) from companion eigenpairs.
 
-        Each row's eigen-route q must pass polyfactor.factor_from_eig's
-        guard (three decaying roots, spectral margin, eigenvector
-        conditioning).  A failing row is re-factored by spectral_factor,
-        which raises when neither of its routes succeeds, and its spec(q)
-        is then eigvals of the new q.
+        A row failing polyfactor.factor_from_eig's guard (three decaying
+        roots, spectral margin, eigenvector conditioning) goes straight to
+        integral_fallback, which gives it the spec(q) of its new q.
         """
         q, s3, ok = factor_from_eig(vals, vecs)
-        return self._refactor(a, q, a1, a2, s3, ~ok)
-
-    def _unfactored(self, a, q, a1, a2) -> np.ndarray:
-        """Rows whose q breaks the factor_residuals bounds (RESIDUAL_TOL)."""
-        solvency, factor_max = factor_residual_rows(QuadraticPencil(a, a1, a2, self.rho), q)
-        return ~(np.maximum(solvency, factor_max) <= polyfactor.RESIDUAL_TOL)
-
-    def _refactor(self, a, q, a1, a2, s3, bad):
-        """q, a1, a2, z and spec(q) once spectral_factor has re-factored the rows in bad at self.rho."""
-        for k in np.flatnonzero(bad):
-            q[k] = spectral_factor(QuadraticPencil(a[k], a1[k], a2[k], self.rho)).q
-            s3[k] = np.linalg.eigvals(q[k])
+        if not np.all(ok):
+            integral_fallback(QuadraticPencil(a, a1, a2, self.rho), q, s3, ~ok)
         return q, a1, a2, impedance_from_factor(a, a1, q)[1], s3
 
     def impedance_at(self, pre: dict, speeds: np.ndarray, rows: np.ndarray):
@@ -506,11 +494,13 @@ def _solve(engine: _Engine, nu, dirs: np.ndarray, thetas: np.ndarray, stride: in
 
 
 def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
-    """Kernel, slope and residuals at the roots of the rows of pre; q breaking factor_residuals is re-factored."""
+    """Kernel, slope and residuals at the roots of the rows of pre; q breaching RESIDUAL_TOL is re-factored."""
     a, dirs = pre["a"][rows], pre["dirs"][rows]
-    bad = engine._unfactored(a, q, a1, a2)
+    p = QuadraticPencil(a, a1, a2, engine.rho)
+    bad = residual_breaches(p, q)[0]
     if np.any(bad):
-        q, _, _, z, s = engine._refactor(a, q, a1, a2, s, bad)
+        integral_fallback(p, q, s, bad)
+        z[bad] = impedance_from_factor(a[bad], a1[bad], q[bad])[1]
         w[bad], u[bad] = np.linalg.eigh(z[bad])
         zdot[bad] = radial_derivative_z(z[bad], q[bad], engine.rho, s[bad])
     kmin = np.argmin(np.abs(w), axis=1)
@@ -526,7 +516,7 @@ def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
     cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
     adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
     slope = np.einsum("mij,mji->m", adj, zdot).real
-    return v, slope, res_kernel, riccati_residual(z, QuadraticPencil(a, a1, a2, engine.rho))
+    return v, slope, res_kernel, riccati_residual(z, p)
 
 
 def _scan_chunk(engine: _Engine, nu, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):

@@ -166,7 +166,7 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
         for (frame, fraction), top in zip(draws, c_lim):
             p = build_pencil(mat, frame, 1.0 / (fraction * top))
             sf = spectral_factor(p)
-            intf = factor_integral(p, check=False)
+            intf = factor_integral(p)
             data = impedance_tensor(p, sf)
             worst_res = max(worst_res, data.riccati, sf.residual_solvency,
                             sf.residual_factorization, barnett_lothe_residual(data.z, intf.f0))

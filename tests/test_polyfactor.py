@@ -186,7 +186,7 @@ def test_factor_routes_agree_on_random_pencils():
         if not is_elliptic(p).elliptic:
             continue
         sf = spectral_factor(p)
-        intf = factor_integral(p, check=False)
+        intf = factor_integral(p)
         rel = np.linalg.norm(sf.q - intf.q) / np.linalg.norm(sf.q)
         assert rel < 1e-8
 

@@ -9,7 +9,7 @@ import surfimp.polyfactor as polyfactor
 import surfimp.rayleigh as rayleigh
 import surfimp.selftest as selftest
 from surfimp.cli import RES_KERNEL_TOL, RES_RICCATI_TOL
-from surfimp.impedance import impedance_tensor, radial_derivative_z, riccati_residual
+from surfimp.impedance import impedance_from_factor, impedance_tensor, radial_derivative_z, riccati_residual
 from surfimp.material import (
     Material,
     StiffnessTensor,
@@ -715,7 +715,9 @@ def _root_evaluation_step(mat, nu, scan):
     pre = engine.prepare(nu, scan.directions)
     c_r, c_lim, a = scan.c_r[rows], scan.c_lim[rows], pre["a"][rows]
     q, a1, a2, z, s = engine.impedance_at(pre, c_r, rows)
-    q, a1, a2, z, s = engine._refactor(a, q, a1, a2, s, engine._unfactored(a, q, a1, a2))
+    p = QuadraticPencil(a, a1, a2, engine.rho)
+    polyfactor.integral_fallback(p, q, s, polyfactor.residual_breaches(p, q)[0])
+    z = impedance_from_factor(a, a1, q)[1]
     w, u = np.linalg.eigh(z)
     kernel = scan.kernels[rows]
     v = u[np.arange(rows.size), :, np.argmin(np.abs(w), axis=1)]
@@ -724,7 +726,7 @@ def _root_evaluation_step(mat, nu, scan):
     res_kernel = (np.linalg.norm(np.einsum("mij,mj->mi", z, kernel), axis=1)
                   / np.linalg.norm(z, axis=(1, 2)))
     assert np.max(np.abs(res_kernel - scan.res_kernel[rows])) <= 1e-12
-    res_riccati = riccati_residual(z, QuadraticPencil(a, a1, a2, engine.rho))
+    res_riccati = riccati_residual(z, p)
     assert np.max(np.abs(res_riccati - scan.res_riccati[rows])) <= 1e-12
     zdot = radial_derivative_z(z, q, mat.density, s)
     cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
@@ -773,19 +775,27 @@ def test_scalar_path_reproduces_engine_rows(mat, normal):
 
 def test_root_factor_residual_breach_refactors_the_row(aniso, monkeypatch):
     # a root whose q breaks the factor-residual bounds is re-factored by
-    # spectral_factor, and its kernel, slope and residuals follow the new q;
-    # the new q is that of a pencil with rho raised by 1e-6, so that any
-    # quantity left from the old q shows
+    # the integral route, and its kernel, slope and residuals follow the new q;
+    # the residual gate and the integral route both see a pencil with rho
+    # raised by 1e-6, so that every root's q breaks the gate and any quantity
+    # left from the old q shows
     nu = _unit(np.array([0.3, -0.2, 1.0]))
     reference = scan_directions(aniso, nu, 8)
     factored = []
 
-    def perturbed(p, spectral=rayleigh.spectral_factor):
-        factored.append(p)
-        return spectral(dataclasses.replace(p, rho=p.rho * (1.0 + 1e-6)))
+    def raised(p):
+        return dataclasses.replace(p, rho=p.rho * (1.0 + 1e-6))
 
-    monkeypatch.setattr(rayleigh._Engine, "_unfactored", lambda self, a, q, a1, a2: np.ones(len(q), bool))
-    monkeypatch.setattr(rayleigh, "spectral_factor", perturbed)
+    def perturbed(p, integral=polyfactor.factor_integral):
+        factored.append(p)
+        return integral(raised(p))
+
+    def gate(p, q, breaches=polyfactor.residual_breaches):
+        return breaches(raised(p), q)
+
+    monkeypatch.setattr(polyfactor, "residual_breaches", gate)
+    monkeypatch.setattr(rayleigh, "residual_breaches", gate)
+    monkeypatch.setattr(polyfactor, "factor_integral", perturbed)
     scan = scan_directions(aniso, nu, 8)
     assert len(factored) == np.count_nonzero(reference.exists) > 0
     np.testing.assert_array_equal(scan.c_r, reference.c_r)

@@ -326,29 +326,40 @@ def test_uncertifiable_c_lim_raises_bracket_error(monkeypatch, capsys, tmp_path)
 
 def test_engine_guard_falls_back_to_integral_route(monkeypatch):
     # with every eigenvector basis rejected, each det z row is re-factored by
-    # spectral_factor's integral route and det z is unchanged
+    # the integral route alone, with no second companion eigensolve, into
+    # spectral_factor's q of its pencil, and det z is unchanged
     nu = np.array([0.0, 0.0, 1.0])
     e1v, e2v = tangent_basis(nu)
     th = 2.0 * np.pi * np.arange(6) / 6
     dirs = np.cos(th)[:, None] * e1v + np.sin(th)[:, None] * e2v
-    engine = rayleigh._Engine(synthetic_anisotropic(11))
+    mat = synthetic_anisotropic(11)
+    engine = rayleigh._Engine(mat)
     pre = engine.prepare(nu, dirs)
     c_lim = engine.limiting_speeds(pre, np.arange(6), np.full(6, np.nan))[0]
     speeds = np.concatenate([0.5 * c_lim, 0.9 * c_lim])
     rows = np.tile(np.arange(6), 2)
     reference = np.linalg.det(engine.impedance_at(pre, speeds, rows=rows)[3]).real
-    integrals = []
-    factor_integral = polyfactor.factor_integral
+    integrals, eigensolves = [], []
+    factor_integral, companion_eig = polyfactor.factor_integral, polyfactor.companion_eig
 
-    def counted(p, check=True):
+    def counted(p):
         integrals.append(p)
-        return factor_integral(p, check=check)
+        return factor_integral(p)
+
+    def counted_eig(*args):
+        eigensolves.append(args)
+        return companion_eig(*args)
 
     monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
     monkeypatch.setattr(polyfactor, "factor_integral", counted)
+    monkeypatch.setattr(polyfactor, "companion_eig", counted_eig)
     q, _, _, z, s = engine.impedance_at(pre, speeds, rows=rows)
     fallback = np.linalg.det(z).real
     assert len(integrals) == speeds.size
+    assert len(eigensolves) == 0
+    for k in range(speeds.size):
+        p = build_pencil(mat, SurfaceFrame(nu, dirs[rows[k]]), 1.0 / speeds[k])
+        np.testing.assert_array_equal(spectral_factor(p).q, q[k])
     assert np.all(np.abs(fallback - reference) <= 1e-8 * np.abs(reference))
     # each re-factored row reports the spectrum of its new q
     spec = np.sort(np.linalg.eigvals(q), axis=1)
