@@ -512,10 +512,13 @@ def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
     comp[small] = v[small, np.argmax(np.abs(v[small]), axis=1)]
     v = v * (comp.conj() / np.abs(comp))[:, None]
     res_kernel = norm_ratio(z @ v[:, :, None], z)
-    # radial slope of det z: tr(adj(z) zdot)
-    cof = np.stack([w[:, 1] * w[:, 2], w[:, 0] * w[:, 2], w[:, 0] * w[:, 1]], axis=1)
+    # radial slope of det z: tr(adj(z) zdot), its cofactors formed at the binary scale 2^e of max |w|
+    e = np.frexp(np.abs(w).max(axis=1))[1]
+    ws = np.ldexp(w, -e[:, None])
+    cof = np.stack([ws[:, 1] * ws[:, 2], ws[:, 0] * ws[:, 2], ws[:, 0] * ws[:, 1]], axis=1)
     adj = (u * cof[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    slope = np.einsum("mij,mji->m", adj, zdot).real
+    with np.errstate(over="ignore"):
+        slope = np.ldexp(np.einsum("mij,mji->m", adj, zdot).real, 2 * e)
     return v, slope, res_kernel, riccati_residual(z, p)
 
 

@@ -3,6 +3,7 @@ failures, the integral fallback path, and off-axis normals."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,11 +101,17 @@ def test_identities_are_free_of_the_units_of_the_input(s, name, fraction):
     # C and rho times s keep every speed and q, and scale z and f0^-1 by s
     # exactly: the factor, the impedance, their residuals and the integral
     # route's node count must not see s, even where |z|^2 or |f0|^2 leaves
-    # the float range; c_lim's Newton steps take f'' at the spectrum's scale
+    # the float range; c_lim's Newton steps take f'' at the spectrum's scale,
+    # and the slope's cofactors are formed at the scale of z: the slope, of
+    # the units of s^3, overflows to inf or underflows to 0, with no warning
     mat = _preset(name)
     frame = SurfaceFrame(NU, np.array([1.0, 0.0, 0.0]))
     c_lim = rayleigh_point(mat, frame).c_lim
-    assert abs(rayleigh_point(_rescaled(mat, s, s), frame).c_lim - c_lim) <= 1e-15 * c_lim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = rayleigh_point(_rescaled(mat, s, s), frame)
+    assert abs(scaled.c_lim - c_lim) <= 1e-15 * c_lim
+    assert scaled.slope == (math.inf if s > 1.0 else 0.0)
     xi = 1.0 / (fraction * c_lim)
     runs = []
     for m in (mat, _rescaled(mat, s, s)):
