@@ -280,7 +280,7 @@ def factor_integral(p: QuadraticPencil) -> IntegralFactor:
 
 
 def residual_breaches(p: QuadraticPencil, q: np.ndarray):
-    """factor_residual_rows of q, preceded by the mask of rows breaking RESIDUAL_TOL (as a NaN does)."""
+    """(breach, solvency, factor_max): rows of q breaking RESIDUAL_TOL, NaN included, and their residuals."""
     solvency, factor_max = factor_residual_rows(p, q)
     return ~(np.maximum(solvency, factor_max) <= RESIDUAL_TOL), solvency, factor_max
 

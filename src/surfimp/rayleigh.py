@@ -21,8 +21,8 @@ the square-root branch of z at c_lim is smooth, converge inside the bracket
 exists (_Engine.limiting_speeds).  Each speed is eigensolved once: c_r is
 the speed of the last Newton round, whose evaluation gives the kernel,
 residuals and radial slope.
-Every impedance row passes polyfactor.factor_from_eig's guard, and each
-root's q polyfactor.residual_breaches, or is re-factored by integral_fallback.
+Rows failing polyfactor.factor_from_eig's guard, and roots whose q fails
+polyfactor.residual_breaches, are re-factored by polyfactor.integral_fallback.
 c_r and the argmin sigma* are smooth functions of the direction in the
 elliptic region, so in a scan of at least _MIN_ANCHORED_ROWS directions the
 anchors, rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE, ..., are solved first,
