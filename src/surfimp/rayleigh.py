@@ -32,13 +32,13 @@ theta and wrapped by 2 pi, of its four nearest anchors' sigma*, and its
 root's at (1 - 1e-8) times that of their c_r, or at 0.95 c_lim where one of
 them has no root.  In smaller scans every row is an anchor.  Each pass, the
 anchors' and then the other rows', is one _solve_rows call on those rows and
-their sigma and c_r starts.  A scan of at least _MIN_CHUNKED_ROWS directions
-is cut into one run of rows per RAYLEIGH_THREADS worker (numpy releases the
-GIL inside LAPACK).  Each worker solves its run end to end on one prepare,
-with the up to four anchors beyond it that its rows interpolate through.  A
-row depends only on itself and its anchors, so an anchor solved by two
-workers is the same in both, and no byte of a scan depends on the worker
-count.
+their sigma and c_r starts.  A scan is cut into blocks of consecutive rows,
+one share per RAYLEIGH_THREADS worker clamped to [_MIN_CHUNKED_ROWS,
+_BLOCK_ROWS], which the workers take from one queue (numpy releases the GIL
+inside LAPACK), so its memory grows with the block, not with n.  Each block
+is solved end to end on one prepare, with the up to four anchors beyond it
+that its rows interpolate through.  A row depends only on itself and its
+anchors, so no byte of a scan depends on the block size or the worker count.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ _ANCHOR_STRIDE = 8
 # smaller scans solve every row as an anchor: there the anchors lie too far
 # apart for the interior rows' shorter Newton runs to repay a second root pass
 _MIN_ANCHORED_ROWS = 512
-_MIN_CHUNKED_ROWS = 64  # a scan of fewer rows runs as one chunk
+_MIN_CHUNKED_ROWS = 64  # the smallest block: a scan of fewer rows runs as one, in the caller's thread
+_BLOCK_ROWS = 1024  # the largest block, a multiple of _ANCHOR_STRIDE; it bounds a scan's memory
 KERNEL_PHASE_CUTOFF = 1e-6
 
 SCAN_CSV_HEADER = (
@@ -169,17 +170,10 @@ class _Engine:
         f' = v0.M'v0 and f'' = 2 v0.a v0 + 2 sum_k (v_k.M'v0)^2 / (f - lam_k).
         f'' is nan where the lowest gap is degenerate (below _GAP_RTOL lam_max).
         """
-        s, a = sigma[:, None, None], pre["a"][rows]
-        # built in place from row copies, so that a whole Newton batch holds
-        # few (m, 3, 3) temporaries at once
-        mats = s * pre["mid"][rows]
-        mats += pre["c_ee"][rows]
-        mats += (s * s) * a
-        lam, vec = np.linalg.eigh(mats)
-        mats = 2.0 * s * a
-        mats += pre["mid"][rows]
+        s, a, mid = sigma[:, None, None], pre["a"][rows], pre["mid"][rows]
+        lam, vec = np.linalg.eigh(s * mid + pre["c_ee"][rows] + (s * s) * a)
         v0 = vec[:, :, 0]
-        coupling = np.einsum("mik,mij,mj->mk", vec, mats, v0)
+        coupling = np.einsum("mik,mij,mj->mk", vec, 2.0 * s * a + mid, v0)
         gap = lam[:, 1:] - lam[:, :1]
         ok = gap[:, 0] > _GAP_RTOL * lam[:, 2]
         curv = 2.0 * np.einsum("mi,mij,mj->m", v0, a, v0)
@@ -523,7 +517,7 @@ def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
 
 
 def _scan_chunk(engine: _Engine, nu, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
-    """One worker's share of a scan: the columns of rows lo:hi (_solve)."""
+    """One block of a scan: the columns of rows lo:hi (_solve)."""
     return _solve(engine, nu, dirs, thetas, stride, lo, hi)
 
 
@@ -567,10 +561,11 @@ def resolve_threads(threads: int | None) -> int:
 def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> DirectionScan:
     """Rayleigh data for n equally spaced tangential directions, n an integer of at least 4.
 
-    Anchored from _MIN_ANCHORED_ROWS directions on, and cut into one chunk
-    per worker (_scan_chunk) from _MIN_CHUNKED_ROWS on, as the module
-    docstring describes; an anchor's row is solved as rayleigh_point solves
-    its direction.
+    Anchored from _MIN_ANCHORED_ROWS directions on, and cut into blocks of
+    size = min(_BLOCK_ROWS, max(_MIN_CHUNKED_ROWS, ceil(n / threads))) rows
+    (_scan_chunk), as the module docstring describes; they run in the calling
+    thread when threads is 1 or there is one block.  An anchor's row is solved
+    as rayleigh_point solves its direction.
     """
     try:
         n = operator.index(n)
@@ -585,12 +580,16 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     engine = _Engine(mat)
     threads = resolve_threads(threads)
     stride = _ANCHOR_STRIDE if n >= _MIN_ANCHORED_ROWS else 1
-    if threads == 1 or n < _MIN_CHUNKED_ROWS:
-        parts = [_scan_chunk(engine, nu, dirs, thetas, stride, 0, n)]
+    size = min(_BLOCK_ROWS, max(_MIN_CHUNKED_ROWS, -(-n // threads)))
+    starts = range(0, n, size)
+
+    def block(lo):
+        return _scan_chunk(engine, nu, dirs, thetas, stride, lo, min(lo + size, n))
+
+    if threads == 1 or len(starts) == 1:
+        parts = list(map(block, starts))
     else:
-        edges = np.linspace(0, n, threads + 1, dtype=int)
-        bounds = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if lo < hi]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _scan_chunk(engine, nu, dirs, thetas, stride, *b), bounds))
+            parts = list(pool.map(block, starts))
     columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
     return DirectionScan(thetas, *columns, directions=dirs)

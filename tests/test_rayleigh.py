@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -471,10 +472,10 @@ def test_anchored_scan_matches_all_anchor_path(monkeypatch, mat, normal, n, edge
 
 @pytest.mark.parametrize("n", [64, 65, 100, 1001])
 def test_anchored_scan_threads_byte_equal(aniso, monkeypatch, n):
-    # each worker solves its rows with the anchors they interpolate through;
-    # the chunk edges and the 2 pi wrap must not change a byte.  With 16
-    # workers at n = 64 the chunks have 4 rows, and half of them hold no
-    # anchor of their own.  Scans from 64 directions on are anchored here
+    # each block solves its rows with the anchors they interpolate through;
+    # the block edges and the 2 pi wrap must not change a byte.  With 16
+    # workers the blocks have _MIN_CHUNKED_ROWS = 64 rows, so n = 64 is one
+    # block and n = 1001 sixteen.  Scans from 64 directions on are anchored here
     monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 16)
     monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
     nu = np.array([0.0, 0.0, 1.0])
@@ -533,9 +534,11 @@ def test_wrong_valley_interior_starts_are_recertified(monkeypatch):
 
 
 def test_scan_is_one_pass_per_worker(aniso, monkeypatch):
-    # each worker runs one _scan_chunk, which prepares its rows once for
+    # each block runs one _scan_chunk, which prepares its rows once for
     # c_lim, the anchors' roots and the interior roots, with at most four
-    # anchors beyond its rows; a point runs no chunk
+    # anchors beyond its rows; a point runs no chunk.  A scan of at most
+    # threads x _BLOCK_ROWS rows is one block per worker, a larger one is cut
+    # into blocks of _BLOCK_ROWS rows
     calls = {"_scan_chunk": 0, "prepare": 0}
     prepared = []
     scan_chunk, prepare = rayleigh._scan_chunk, rayleigh._Engine.prepare
@@ -554,15 +557,54 @@ def test_scan_is_one_pass_per_worker(aniso, monkeypatch):
     monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
     nu = np.array([0.0, 0.0, 1.0])
-    for threads in (2, 1):
+    for block_rows, threads, chunks in ((1024, 2, [500, 501]), (1024, 1, [1001]),
+                                        (256, 2, [233, 256, 256, 256]), (256, 1, [233, 256, 256, 256])):
+        monkeypatch.setattr(rayleigh, "_BLOCK_ROWS", block_rows)
         scan_directions(aniso, nu, 1001, threads=threads)
-        assert calls == {"_scan_chunk": threads, "prepare": threads}, threads
-        chunks = {2: [500, 501], 1: [1001]}[threads]
+        assert calls == {"_scan_chunk": len(chunks), "prepare": len(chunks)}, (block_rows, threads)
         assert all(m <= rows + 4 for m, rows in zip(sorted(prepared), chunks)), prepared
         calls.update(_scan_chunk=0, prepare=0)
         prepared.clear()
     rayleigh_point(aniso, SurfaceFrame(nu, np.array([1.0, 0.0, 0.0])))
     assert calls == {"_scan_chunk": 0, "prepare": 1}
+
+
+def test_scan_bytes_do_not_depend_on_blocks_or_threads(monkeypatch):
+    # one block, blocks of 512 rows, and blocks of 200, which is not a
+    # multiple of the anchor stride, at 1 and 2 threads: each block solves
+    # the anchors beyond it that its rows interpolate through
+    monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 2)
+    mat, nu = synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0])
+    texts = set()
+    for block_rows in (2048, 512, 200):
+        monkeypatch.setattr(rayleigh, "_BLOCK_ROWS", block_rows)
+        for threads in (1, 2):
+            texts.add(scan_directions(mat, nu, 2048, threads=threads).to_csv())
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_memory_is_flat_in_n(monkeypatch, threads):
+    # in blocks of 256 rows a scan holds its output columns (about 121 bytes
+    # a row: theta, direction, c_lim, exists, c_r, slope, kernel and two
+    # residuals) and the arrays of the blocks in flight, so its tracemalloc
+    # peak grows with n by the extra rows' columns, 130 bytes a row, plus a
+    # slack of 256 kB.  The two workers' block peaks coincide in some scans
+    # and not in others, so at 2 threads the slack is 2 MB, one more block's
+    # working set (about 1.3 MB) with room; one batch per worker grows by 15 MB
+    monkeypatch.setattr(rayleigh, "_BLOCK_ROWS", 256, raising=False)
+    monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 2)
+    mat, nu = synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0])
+    scan_directions(mat, nu, 1024, threads=threads)
+    peaks = {}
+    for n in (1024, 4096):
+        tracemalloc.start()
+        try:
+            scan_directions(mat, nu, n, threads=threads)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] - peaks[1024] <= 130 * (4096 - 1024) + {1: 256 * 1024, 2: 2 << 20}[threads], peaks
 
 
 def test_anchor_starts_wrap_through_anchor_zero():
