@@ -16,13 +16,14 @@ threshold, the 10 000-direction scan at 1 and 2 threads, an anchored
 (lam = -0.9 mu, normal (1, 2, 3)), where existence is read from the static
 impedance, an anchored 536-direction scan of
 synthetic_anisotropic(561807780, 0.7) whose c_lim certificate restarts rows
-from a valley the first Newton steps missed, 40 rayleigh_point CSV rows on
-random frames of aniso11 and aniso27, the `surfimp selftest --seed 0`
-JSON, and the JSON of three more CLI commands on input files written to a
-temporary directory: `validate` of aniso11's Voigt matrix (in GPa) with entry
-(0, 1) times 1 + 3e-14, `rayleigh` of the Poisson solid with normal z and
-tangent x, and `subprincipal` of the Poisson solid with curvature
-{"s22": 0.1, "trS": 0.2} and xi-dir x.
+from a valley the first Newton steps missed, the anchored 536- to
+1 024-direction scans again at 2 threads (each line must equal its 1-thread
+line), 40 rayleigh_point CSV rows on random frames of aniso11 and aniso27,
+the `surfimp selftest --seed 0` JSON, and the JSON of three more CLI
+commands on input files written to a temporary directory: `validate` of
+aniso11's Voigt matrix (in GPa) with entry (0, 1) times 1 + 3e-14, `rayleigh`
+of the Poisson solid with normal z and tangent x, and `subprincipal` of the
+Poisson solid with curvature {"s22": 0.1, "trS": 0.2} and xi-dir x.
 """
 
 import contextlib
@@ -51,7 +52,8 @@ MATERIALS = {"aniso11": (synthetic_anisotropic(11), (0.0, 0.0, 1.0)),
 # (material, directions, threads)
 SCANS = [("aniso11", 10000, 1), ("aniso11", 10000, 2), ("aniso11", 720, 1), ("aniso11", 1001, 1),
          ("aniso11", 513, 1), ("aniso11", 48, 1), ("aniso27", 512, 1), ("aniso27", 1024, 1),
-         ("aniso27", 48, 1), ("nonconvex", 600, 1), ("aniso561807780", 536, 1)]
+         ("aniso27", 48, 1), ("nonconvex", 600, 1), ("aniso561807780", 536, 1),
+         ("aniso11", 1001, 2), ("aniso27", 1024, 2), ("nonconvex", 600, 2), ("aniso561807780", 536, 2)]
 
 
 def digest(text: str) -> str:

@@ -401,20 +401,27 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
     zdot2, zdot3 = derivs.zeta_dot[1], derivs.zeta_dot[2]
     s22, trS = curv.s22, curv.trS
 
-    w = (m * t / 2.0) * np.array([1j * (2.0 - t), 2.0 * math.sqrt(1.0 - t)])
+    # the assembly runs at m's binary scale 2^e, in range for any units: w,
+    # re_zminus_vv, im_trace and gamma2_lambda0dot are scaled exactly by 2^-e,
+    # 2^-2e, 2^-3e and 2^-3e (the cube is m ** 3 scaled where that is a normal
+    # float), so results in the float range keep every bit
+    e = math.frexp(m)[1]
+    w = (math.ldexp(m, -e) * t / 2.0) * np.array([1j * (2.0 - t), 2.0 * math.sqrt(1.0 - t)])
     re_zminus_vv = 0.5 * float(np.vdot(w, X @ w).real)
-
-    im_trace = (
-        m ** 3 / mu * c_r ** 2 * ss2 ** 3 * (4.0 - ss2) * (2.0 - ss2)
-        * (2.0 * tau_s * zdot3 - (2.0 - ss2) * zdot2) * s22
-        + 2.0 * m ** 3 * c_r * ss2 ** 3 * (2.0 - ss2)
-        * (5.0 * ss2 - 4.0 - ss2 * ss2) * (trS - s22)
-    ) / 16.0
-
-    N = tau_s * (tau_p / tau_s + st.u * tau_s / tau_p + ss2 - 2.0)
-    gamma2_lambda0dot = m ** 3 * ss2 ** 3 * (4.0 - ss2) * N
-
-    psub_assembled = (re_zminus_vv + im_trace) / gamma2_lambda0dot
+    with np.errstate(over="ignore", under="ignore"):
+        cube = np.float64(m) ** 3
+        cube = np.ldexp(cube, -3 * e) if sys.float_info.min <= cube < np.inf else math.ldexp(m, -e) ** 3
+        im_trace = (
+            cube / mu * c_r ** 2 * ss2 ** 3 * (4.0 - ss2) * (2.0 - ss2)
+            * (2.0 * tau_s * zdot3 - (2.0 - ss2) * zdot2) * s22
+            + 2.0 * cube * c_r * ss2 ** 3 * (2.0 - ss2)
+            * (5.0 * ss2 - 4.0 - ss2 * ss2) * (trS - s22)
+        ) / 16.0
+        N = tau_s * (tau_p / tau_s + st.u * tau_s / tau_p + ss2 - 2.0)
+        gamma2_lambda0dot = cube * ss2 ** 3 * (4.0 - ss2) * N
+        psub_assembled = (np.ldexp(re_zminus_vv, -e) + im_trace) / gamma2_lambda0dot
+        re_zminus_vv, im_trace, gamma2_lambda0dot = np.ldexp(
+            [re_zminus_vv, im_trace, gamma2_lambda0dot], [2 * e, 3 * e, 3 * e])
 
     x11 = float(X[0, 0].real)
     x22 = float(X[1, 1].real)
@@ -430,7 +437,7 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
         Y1=Y1, Y2=Y2, Y3=Y3, K=K, A=A, M=M,
         Kdot=derivs.Kdot, Ks=derivs.Ks, Kp=derivs.Kp,
         w1=w1, w2=w2, X=X,
-        re_zminus_vv=re_zminus_vv,
+        re_zminus_vv=float(re_zminus_vv),
         im_trace=float(im_trace),
         gamma2_lambda0dot=float(gamma2_lambda0dot),
         N=float(N),

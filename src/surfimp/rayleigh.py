@@ -30,19 +30,19 @@ their c_lim from the trace minimiser and their roots from 0.95 c_lim.  Each
 other row then starts its c_lim Newton steps at the cubic interpolant, in
 theta and wrapped by 2 pi, of its four nearest anchors' sigma*, and its
 root's at (1 - 1e-8) times that of their c_r, or at 0.95 c_lim where one of
-them has no root.  In smaller scans every row is an anchor.  Each pass, the
-anchors' and then the other rows', is one _solve_rows call on those rows and
-their sigma and c_r starts.  A scan is cut into blocks of consecutive rows,
-one share per RAYLEIGH_THREADS worker clamped to [_MIN_CHUNKED_ROWS,
-_BLOCK_ROWS], which the workers take from one queue (numpy releases the GIL
-inside LAPACK), so its memory grows with the block, not with n.  Each block
-is solved end to end on one prepare, with the up to four anchors beyond it
-that its rows interpolate through.  A row depends only on itself and its
-anchors, so no byte of a scan depends on the block size or the worker count.
+them has no root.  In smaller scans every row is an anchor.  A scan runs in
+two passes, the anchors and then the other rows, each cut into blocks of one
+share per RAYLEIGH_THREADS worker clamped to [_MIN_CHUNKED_ROWS, _BLOCK_ROWS]
+rows, which the workers of one pool take from one queue (numpy releases the
+GIL inside LAPACK).  A block is one prepare and one _solve_rows call
+(_scan_chunk), so each row is solved once and memory grows with the block,
+not with n.  A row depends only on itself and its anchors' columns, so no
+byte of a scan depends on the block size or the worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import io
 import math
@@ -75,7 +75,7 @@ _ANCHOR_STRIDE = 8
 # smaller scans solve every row as an anchor: there the anchors lie too far
 # apart for the interior rows' shorter Newton runs to repay a second root pass
 _MIN_ANCHORED_ROWS = 512
-_MIN_CHUNKED_ROWS = 64  # the smallest block: a scan of fewer rows runs as one, in the caller's thread
+_MIN_CHUNKED_ROWS = 64  # the smallest block: a pass of at most this many rows is one block, a scan of them no pool
 _BLOCK_ROWS = 1024  # the largest block, a multiple of _ANCHOR_STRIDE; it bounds a scan's memory
 KERNEL_PHASE_CUTOFF = 1e-6
 
@@ -112,9 +112,9 @@ def rayleigh_point(mat: Material, frame: SurfaceFrame) -> RayleighPoint:
     relative 1e-12 and whose evaluation gives the kernel, slope and residuals.
     exists=False when lambda_min z > 0 at (1 - 1e-6) c_lim or <= 0 at c -> 0.
     """
-    dirs = frame.tangent[None, :]
-    columns = _solve(_Engine(mat), frame.nu, dirs, np.zeros(1), 1, 0, 1)
-    return DirectionScan(np.zeros(1), *columns, directions=dirs).point(0)
+    dirs, none = frame.tangent[None, :], np.full(1, np.nan)
+    c_lim, exists, _, *rest = _scan_chunk(_Engine(mat), frame.nu, dirs, none, none)
+    return DirectionScan(np.zeros(1), c_lim, exists, *rest, directions=dirs).point(0)
 
 
 def eval_p(mat: Material, frame: SurfaceFrame, xi) -> float:
@@ -447,44 +447,11 @@ def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray
         finished.append([r[done] for r in (solve[live], xl, q, a1, a2, z, s, w, u, zdot)])
         live = live[~done]
     if solve.size:
-        k, c, *state = (np.concatenate(col) for col in zip(*finished))
+        k, c, *state = [np.concatenate(col) for col in zip(*finished)]
+        del finished  # the rounds' copies, before _post's temporaries
         c_r[k] = c
         kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre, rows[k], *state)
     return c_lim, exists, sigma, c_r, slope, kernels, res_kernel, res_riccati
-
-
-def _solve(engine: _Engine, nu, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
-    """DirectionScan columns, c_lim to res_riccati, of rows lo:hi of the directions dirs at thetas, normal nu.
-
-    The anchors are the rows whose index is a multiple of stride (module
-    docstring).  Rows lo:hi are solved on one prepare with the anchors beyond
-    them that they interpolate through: one _solve_rows call on the anchors
-    with no (nan) starts, then, where there are other rows, one on those,
-    started at _anchor_starts of the anchors' sigma* and c_r.
-    """
-    n = thetas.size
-    anchors = -(-n // stride)
-    need = np.zeros(n, dtype=bool)
-    need[lo:hi] = True
-    j = np.arange(lo, hi)
-    j = j[j % stride != 0] // stride  # none at stride 1
-    need[(j + np.arange(-1, 3)[:, None]) % anchors * stride] = True
-    rows = np.flatnonzero(need)
-    pre = engine.prepare(nu, dirs[rows])
-    anchor, inner = np.flatnonzero(rows % stride == 0), np.flatnonzero(rows % stride != 0)
-    none = np.full(anchor.size, np.nan)
-    cols = _solve_rows(engine, pre, anchor, none, none)
-    if inner.size:
-        sigma_at, c_r_at = np.full((2, anchors), np.nan)  # by anchor, nan where not solved here
-        sigma_at[rows[anchor] // stride], c_r_at[rows[anchor] // stride] = cols[2], cols[3]
-        # c_r's start is lowered by 1e-8 relative, so that even where the
-        # interpolant is exact the root is the result of a Newton step
-        more = _solve_rows(engine, pre, inner, _anchor_starts(thetas, stride, sigma_at, rows[inner]),
-                           (1.0 - 1e-8) * _anchor_starts(thetas, stride, c_r_at, rows[inner]))
-        order = np.argsort(np.concatenate([anchor, inner]))
-        cols = [np.concatenate(pair)[order] for pair in zip(cols, more)]
-    own = (rows >= lo) & (rows < hi)
-    return tuple(col[own] for col in (*cols[:2], *cols[3:]))  # all but sigma*
 
 
 def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
@@ -516,21 +483,20 @@ def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
     return v, slope, res_kernel, riccati_residual(z, p)
 
 
-def _scan_chunk(engine: _Engine, nu, dirs: np.ndarray, thetas: np.ndarray, stride: int, lo: int, hi: int):
-    """One block of a scan: the columns of rows lo:hi (_solve)."""
-    return _solve(engine, nu, dirs, thetas, stride, lo, hi)
+def _scan_chunk(engine: _Engine, nu, dirs: np.ndarray, sigma0: np.ndarray, c0: np.ndarray):
+    """One block of a scan, or a point: the _solve_rows columns of the directions dirs on one prepare."""
+    return _solve_rows(engine, engine.prepare(nu, dirs), np.arange(len(dirs)), sigma0, c0)
 
 
 def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Newton starts of the scan rows indexed by rows, none a multiple of stride, from the anchors' column.
 
     The anchors are rows 0, stride, 2 stride, ...; column holds one value per
-    anchor (c_r or sigma*), nan where there is none or where the calling scan
-    chunk did not solve the anchor.  A row between anchors j and j + 1 gets
-    the cubic Lagrange interpolant through anchors j - 1 .. j + 2 at their
-    thetas, wrapped by 2 pi, so rows after the last anchor interpolate
-    through anchor 0 whether or not stride divides n.  It is nan where one of
-    its anchors' values is.
+    anchor (c_r or sigma*), nan where there is none.  A row between anchors j
+    and j + 1 gets the cubic Lagrange interpolant through anchors j - 1 .. j + 2
+    at their thetas, wrapped by 2 pi, so rows after the last anchor
+    interpolate through anchor 0 whether or not stride divides n.  It is nan
+    where one of its anchors' values is.
     """
     m = column.size
     j = rows // stride + np.arange(-1, 3)[:, None]
@@ -561,11 +527,12 @@ def resolve_threads(threads: int | None) -> int:
 def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> DirectionScan:
     """Rayleigh data for n equally spaced tangential directions, n an integer of at least 4.
 
-    Anchored from _MIN_ANCHORED_ROWS directions on, and cut into blocks of
-    size = min(_BLOCK_ROWS, max(_MIN_CHUNKED_ROWS, ceil(n / threads))) rows
-    (_scan_chunk), as the module docstring describes; they run in the calling
-    thread when threads is 1 or there is one block.  An anchor's row is solved
-    as rayleigh_point solves its direction.
+    Anchored from _MIN_ANCHORED_ROWS directions on: pass 1 solves the anchors
+    from nan starts, as rayleigh_point solves a direction, and pass 2 the
+    other rows from _anchor_starts; an unanchored scan is pass 1 alone.  A pass
+    of count rows runs in blocks of min(_BLOCK_ROWS, max(_MIN_CHUNKED_ROWS,
+    ceil(count / threads))) rows from one pool's queue (none at 1 thread or in
+    one block), and the calling thread writes each block's columns in order.
     """
     try:
         n = operator.index(n)
@@ -580,16 +547,34 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
     engine = _Engine(mat)
     threads = resolve_threads(threads)
     stride = _ANCHOR_STRIDE if n >= _MIN_ANCHORED_ROWS else 1
-    size = min(_BLOCK_ROWS, max(_MIN_CHUNKED_ROWS, -(-n // threads)))
-    starts = range(0, n, size)
+    at = np.empty((2, -(-n // stride)))  # sigma* and c_r by anchor, from pass 1
+    columns = [np.empty(n), np.empty(n, dtype=bool), np.empty(n), np.empty(n),
+               np.empty((n, 3), dtype=complex), np.empty(n), np.empty(n)]
 
-    def block(lo):
-        return _scan_chunk(engine, nu, dirs, thetas, stride, lo, min(lo + size, n))
+    def anchor_block(lo, hi):
+        rows, none = np.arange(lo, hi) * stride, np.full(hi - lo, np.nan)
+        return rows, _scan_chunk(engine, nu, dirs[rows], none, none)
 
-    if threads == 1 or len(starts) == 1:
-        parts = list(map(block, starts))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block, starts))
-    columns = [np.concatenate(col, axis=0) for col in zip(*parts)]
+    def other_block(lo, hi):
+        rows = lo + np.flatnonzero(np.arange(lo, hi) % stride)
+        # c_r's start is lowered by 1e-8 relative, so that even where the
+        # interpolant is exact the root is the result of a Newton step
+        return rows, _scan_chunk(engine, nu, dirs[rows], _anchor_starts(thetas, stride, at[0], rows),
+                                 (1.0 - 1e-8) * _anchor_starts(thetas, stride, at[1], rows))
+
+    def run(block, count):
+        """block(lo, hi) over range(count) in blocks, each block's columns written as map yields them."""
+        size = min(_BLOCK_ROWS, max(_MIN_CHUNKED_ROWS, -(-count // threads)))
+        for rows, (c_lim, exists, sigma, *rest) in (pool.map if pool else map)(
+                lambda lo: block(lo, min(lo + size, count)), range(0, count, size)):
+            for column, part in zip(columns, (c_lim, exists, *rest)):
+                column[rows] = part
+            if block is anchor_block:
+                at[:, rows // stride] = sigma, rest[0]
+
+    with (ThreadPoolExecutor(max_workers=threads) if threads > 1 and n > _MIN_CHUNKED_ROWS
+          else contextlib.nullcontext()) as pool:
+        run(anchor_block, at.shape[1])
+        if stride > 1:
+            run(other_block, n)
     return DirectionScan(thetas, *columns, directions=dirs)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from surfimp.impedance import impedance_tensor, radial_derivative_z, solve_zminus
+from surfimp.cli import TWO_ROUTE_TOL
 from surfimp.isotropic import (
     CurvatureData,
     build_Y,
@@ -309,6 +310,15 @@ def test_subprincipal_flat_is_zero():
     assert br.psub_assembled == 0.0
     assert br.re_zminus_vv == 0.0 and br.im_trace == 0.0
     assert np.all(br.X == 0)
+
+
+@pytest.mark.parametrize("rho", [1e200, 1e240, 1e250])
+def test_subprincipal_routes_agree_where_m_cubed_overflows(rho):
+    # lam = mu = 1e-10 Pa: m^3 overflows from rho = 1e240, but the assembly
+    # runs at m's binary scale, so both routes stay finite and agree
+    br = subprincipal_p(iso_state_on_sigma(1e-10, 1e-10, rho), CurvatureData(0.1, 0.2))
+    assert math.isfinite(br.psub_direct) and math.isfinite(br.psub_assembled)
+    assert abs(br.psub_direct - br.psub_assembled) <= TWO_ROUTE_TOL * (1.0 + abs(br.psub_direct))
 
 
 def test_subprincipal_two_routes_and_linearity():

@@ -533,46 +533,57 @@ def test_wrong_valley_interior_starts_are_recertified(monkeypatch):
     assert np.all(np.abs(scan.c_r[rows] - ref.c_r[rows]) <= 1e-12 * ref.c_r[rows])
 
 
-def test_scan_is_one_pass_per_worker(aniso, monkeypatch):
-    # each block runs one _scan_chunk, which prepares its rows once for
-    # c_lim, the anchors' roots and the interior roots, with at most four
-    # anchors beyond its rows; a point runs no chunk.  A scan of at most
-    # threads x _BLOCK_ROWS rows is one block per worker, a larger one is cut
-    # into blocks of _BLOCK_ROWS rows
-    calls = {"_scan_chunk": 0, "prepare": 0}
-    prepared = []
+def test_scan_solves_each_row_once_in_two_passes(aniso, monkeypatch):
+    # pass 1 cuts the 126 anchors of a 1001-row scan into blocks, pass 2 cuts
+    # the 1001 rows into blocks that solve their other rows, each by the rule
+    # min(_BLOCK_ROWS, max(_MIN_CHUNKED_ROWS, ceil(count / threads))); a block
+    # is one _scan_chunk and one prepare, so every row is prepared exactly
+    # once.  A multi-block scan builds one pool for both passes, a 1-thread
+    # scan none, and a point is one block of one row
+    chunks, prepared, pools = [], [], []
     scan_chunk, prepare = rayleigh._scan_chunk, rayleigh._Engine.prepare
 
-    def counted_chunk(*args):
-        calls["_scan_chunk"] += 1
-        return scan_chunk(*args)
-
     def counted_prepare(self, nu, dirs):
-        calls["prepare"] += 1
         prepared.append(dirs.shape[0])
         return prepare(self, nu, dirs)
 
-    monkeypatch.setattr(rayleigh, "_scan_chunk", counted_chunk)
+    class CountedPool(rayleigh.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(rayleigh, "_scan_chunk", lambda *args: chunks.append(1) or scan_chunk(*args))
     monkeypatch.setattr(rayleigh._Engine, "prepare", counted_prepare)
+    monkeypatch.setattr(rayleigh, "ThreadPoolExecutor", CountedPool)
     monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
     nu = np.array([0.0, 0.0, 1.0])
-    for block_rows, threads, chunks in ((1024, 2, [500, 501]), (1024, 1, [1001]),
-                                        (256, 2, [233, 256, 256, 256]), (256, 1, [233, 256, 256, 256])):
+    # per case: the anchors of each pass-1 block, then the other rows of each
+    # pass-2 block (blocks of 501 and 500 rows, of 1001, of 256 .. 256 and 233)
+    for block_rows, threads, anchor_blocks, other_blocks in ((1024, 2, [64, 62], [438, 437]),
+                                                             (1024, 1, [126], [875]),
+                                                             (256, 2, [64, 62], [224, 224, 224, 203]),
+                                                             (256, 1, [126], [224, 224, 224, 203])):
         monkeypatch.setattr(rayleigh, "_BLOCK_ROWS", block_rows)
         scan_directions(aniso, nu, 1001, threads=threads)
-        assert calls == {"_scan_chunk": len(chunks), "prepare": len(chunks)}, (block_rows, threads)
-        assert all(m <= rows + 4 for m, rows in zip(sorted(prepared), chunks)), prepared
-        calls.update(_scan_chunk=0, prepare=0)
+        assert sum(prepared) == 1001, (block_rows, threads, prepared)
+        assert len(chunks) == len(prepared) == len(anchor_blocks) + len(other_blocks), (block_rows, threads)
+        k = len(anchor_blocks)
+        assert sorted(prepared[:k]) == sorted(anchor_blocks), prepared
+        assert sorted(prepared[k:]) == sorted(other_blocks), prepared
+        assert pools == [threads] * (threads > 1), (block_rows, threads, pools)
+        chunks.clear()
         prepared.clear()
+        pools.clear()
     rayleigh_point(aniso, SurfaceFrame(nu, np.array([1.0, 0.0, 0.0])))
-    assert calls == {"_scan_chunk": 0, "prepare": 1}
+    assert (len(chunks), prepared, pools) == (1, [1], [])
 
 
 def test_scan_bytes_do_not_depend_on_blocks_or_threads(monkeypatch):
     # one block, blocks of 512 rows, and blocks of 200, which is not a
-    # multiple of the anchor stride, at 1 and 2 threads: each block solves
-    # the anchors beyond it that its rows interpolate through
+    # multiple of the anchor stride, at 1 and 2 threads: pass 2's blocks of
+    # 200 rows start off the stride, so their rows interpolate through
+    # anchors that pass 1 solved in other blocks
     monkeypatch.setattr(rayleigh.os, "cpu_count", lambda: 2)
     mat, nu = synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0])
     texts = set()
@@ -625,8 +636,8 @@ def test_anchor_starts_wrap_through_anchor_zero():
     rootless[0] = np.nan
     reads_zero = (interior < 16) | (interior > 88)  # rows 1-15 and 89-99
     assert np.array_equal(np.isnan(rayleigh._anchor_starts(thetas, stride, rootless, interior)), reads_zero)
-    # a subset of the rows, as a scan chunk passes them, gets the same bits,
-    # nan included: the wrap through anchor 0, and a run of a chunk's rows
+    # a subset of the rows, as a pass-2 block passes them, gets the same
+    # bits, nan included: the wrap through anchor 0, and a run of a block's rows
     for column in (c_r, rootless):
         every = rayleigh._anchor_starts(thetas, stride, column, interior)
         for subset in (np.arange(97, 100), np.arange(40, 61)):

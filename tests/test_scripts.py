@@ -56,8 +56,8 @@ def _load_script(name, scripts=SCRIPTS):
 
 
 def test_output_digest_is_reproducible():
-    # the anchored 513- and 600-direction scans are cut into two chunks at 2
-    # threads; the 600-direction medium is not convex, so existence is read
+    # at 2 threads the anchored 513- and 600-direction scans run each pass in
+    # two blocks; the 600-direction medium is not convex, so existence is read
     # from the static impedance
     output_digest = _load_script("output_digest")
     for name, n in (("aniso11", 513), ("nonconvex", 600)):
