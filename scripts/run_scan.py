@@ -28,6 +28,7 @@ def main():
     ap.add_argument("--count", type=int, default=720)
     ap.add_argument("--normal", default="0,0,1")
     ap.add_argument("--out", default=None, help="write the per-direction CSV here")
+    ap.error = lambda message: sys.exit(f"error: {message}")  # a usage error is an input error: exit 1
     args = ap.parse_args()
 
     # malformed input ends in one error line and exit status 1, as in `surfimp scan`;

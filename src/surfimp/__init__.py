@@ -20,7 +20,6 @@ from .polyfactor import (
     SpectralFactor,
     build_pencil,
     factor_integral,
-    factor_residuals,
     is_elliptic,
     spectral_factor,
 )

@@ -11,7 +11,6 @@ Randomized commands take --seed and are bit-reproducible.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -152,10 +151,11 @@ def cmd_scan(args) -> int:
     if not np.any(normal):
         raise MaterialError("schema", "normal must be nonzero")
     threads = resolve_threads(None)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
-    with out or contextlib.nullcontext():
-        scan = scan_directions(mat, normal, args.count, threads=threads)
-        if out:
+    if args.out:  # an unwritable path fails before the scan, which leaves an existing file as it was
+        open(args.out, "a", encoding="utf-8").close()
+    scan = scan_directions(mat, normal, args.count, threads=threads)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
             out.write(scan.to_csv())
     found = scan.exists.any()
     summary = {
@@ -230,8 +230,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error, which main reports
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surfimp",
         description="Surface impedance, Rayleigh speeds, and subprincipal symbols "
                     "for elastic half-spaces",
@@ -272,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # the warnings filters, unlike np.errstate, reach the scan's worker threads
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
         except _NUMERICAL_ERRORS as exc:  # first: some of them are ValueErrors
             return _fail(str(exc), EXIT_NUMERICAL)

@@ -279,10 +279,6 @@ class CurvatureData:
     dn_mu: float = 0.0
     dn_rho: float = 0.0
 
-    @classmethod
-    def zero(cls) -> "CurvatureData":
-        return cls()
-
     def scaled(self, alpha: float) -> "CurvatureData":
         return CurvatureData(*(alpha * x for x in astuple(self)))
 

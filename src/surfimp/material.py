@@ -99,15 +99,6 @@ class StiffnessTensor:
         """Kelvin/Mandel-weighted 6x6; its spectrum is the tensor spectrum."""
         return _MANDEL_W @ self.voigt @ _MANDEL_W
 
-    @property
-    def voigt_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.voigt)
-
-    @property
-    def is_convex(self) -> bool:
-        """Strong convexity: all six Voigt eigenvalues strictly positive."""
-        return bool(np.all(self.voigt_eigenvalues > 0.0))
-
 
 def stiffness_from_tensor(c: np.ndarray) -> StiffnessTensor:
     """Voigt packing of C^{ijkl}, read at the pairs of VOIGT_PAIRS."""
@@ -250,7 +241,7 @@ def validate_stiffness(stiffness: StiffnessTensor) -> StiffnessReport:
     bounds c(eta) >= delta |eta|^2 from below (up to sampling).
     """
     delta = float(np.min(np.linalg.eigvalsh(acoustic_tensor(stiffness, _ELLIPTICITY_DIRS))))
-    eigs = stiffness.voigt_eigenvalues
+    eigs = np.linalg.eigvalsh(stiffness.voigt)
     return StiffnessReport(
         symmetry_defect=stiffness.symmetry_defect,
         voigt_eigenvalues=eigs,

@@ -99,11 +99,6 @@ def root_margins(values: np.ndarray) -> np.ndarray:
     return np.abs(values.imag) / (mag.max(axis=-1, keepdims=True) + mag)
 
 
-def spectral_margin(values: np.ndarray):
-    """min over the last axis of root_margins: the distance of the spectrum from the real axis."""
-    return root_margins(values).min(axis=-1)
-
-
 def companion_eig(a_inv: np.ndarray, a1: np.ndarray, a2: np.ndarray, rho: float):
     """Eigenpairs of the first companion forms of a^{-1} f, one per row of a1, a2.
 
@@ -141,7 +136,7 @@ def factor_from_eig(vals: np.ndarray, vecs: np.ndarray):
     # a real matrix has a conjugation-closed spectrum: when the three
     # lowest roots lie below the real axis, exactly three do
     ok = ((s3[:, 2].imag < 0.0)
-          & (spectral_margin(vals) > ELLIPTICITY_MARGIN)
+          & (root_margins(vals).min(axis=1) > ELLIPTICITY_MARGIN)
           & (cond_sq <= COND_LIMIT ** 2))
     return q, s3, ok
 
@@ -163,7 +158,7 @@ def is_elliptic(p: QuadraticPencil) -> EllipticityResult:
 
 def _ellipticity(p: QuadraticPencil, vals: np.ndarray) -> EllipticityResult:
     """is_elliptic from the (1, 6) eigenvalues of the pencil's companion form."""
-    margin = float(spectral_margin(vals[0]))
+    margin = float(root_margins(vals[0]).min())
     f0_pd = bool(np.linalg.eigvalsh(0.5 * (p.c + p.c.T))[0] > 0.0)
     return EllipticityResult(elliptic=bool(margin > ELLIPTICITY_MARGIN) and f0_pd, margin=margin)
 
@@ -179,23 +174,6 @@ class SpectralFactor:
     spectral_margin: float
 
 
-@dataclass(frozen=True)
-class FactorResiduals:
-    solvency: float
-    factor_max: float
-
-
-def factor_residuals(p: QuadraticPencil, q: np.ndarray) -> FactorResiduals:
-    """Residuals of the solvency equation and of the factorization identity.
-
-    solvency   = |a q^2 + (a1+a1^T) q + a2 - rho| / |a2|
-    factor_max = max over s in {-3,-1,0,1,3} * scale of
-                 |f(s) - (s-q*) a (s-q)| / |f(s)|
-    """
-    solvency, factor_max = factor_residual_rows(p, q)
-    return FactorResiduals(solvency=float(solvency), factor_max=float(factor_max))
-
-
 def _root_scale(a: np.ndarray, c: np.ndarray):
     """sqrt(|c| / |a|), the pencil's root magnitude, over a leading row axis of c.
 
@@ -209,11 +187,13 @@ def _root_scale(a: np.ndarray, c: np.ndarray):
 
 
 def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
-    """factor_residuals over a leading row axis of q, a1 and a2.
+    """(solvency, factor_max) of q, one entry per row over a leading row axis of q, a1 and a2, if any.
 
-    Returns the (solvency, factor_max) arrays, one entry per row.  The
-    factorization gap is f(s) - (s-q*) a (s-q) = s (b + a q + q* a) + c - q* a q,
-    evaluated at the five speeds at once.
+    solvency   = |a q^2 + (a1+a1^T) q + a2 - rho| / |a2|
+    factor_max = max over s in {-3,-1,0,1,3} * _root_scale of
+                 |f(s) - (s-q*) a (s-q)| / |f(s)|
+    The factorization gap f(s) - (s-q*) a (s-q) = s (b + a q + q* a) + c - q* a q
+    is evaluated at the five speeds at once.
     """
     a, b, c = p.a, p.b, p.c
     solvency = norm_ratio(a @ q @ q + b @ q + c, p.a2)

@@ -185,8 +185,8 @@ class _Engine:
         d2 = curv - 2.0 * np.ldexp(scaled, e[:, 0])
         return np.stack([lam[:, 0], coupling[:, 0], np.where(ok, d2, np.nan)], axis=1)
 
-    def limiting_speeds(self, pre: dict, rows: np.ndarray, start: np.ndarray):
-        """c_lim, exists and sigma* of the rows of pre indexed by rows, from min over sigma of eig_min c(e + sigma nu).
+    def limiting_speeds(self, pre: dict, start: np.ndarray):
+        """c_lim, exists and sigma* of each row of pre, from min over sigma of eig_min c(e + sigma nu).
 
         The minimum value over the line equals rho * c_lim^2: smaller speeds
         keep c(xi + s nu) - rho |xi|^-2-scaled positive definite for all real s.
@@ -209,13 +209,13 @@ class _Engine:
         BracketError is raised when a minimum is not positive, or when a round
         does not strictly lower a failing row's minimum.
         """
-        m = rows.size
-        sigma = (-np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(pre["a"], axis1=1, axis2=2)))[rows]
+        m = len(pre["dirs"])
+        sigma = -np.trace(pre["mid"], axis1=1, axis2=2) / (2.0 * np.trace(pre["a"], axis1=1, axis2=2))
         sigma = np.where(np.isfinite(start), start, sigma)
         todo = np.arange(m)
         fmin, argmin, lowest = np.full(m, np.inf), np.empty(m), np.empty(m)
         while True:
-            f, x = self._newton_min(pre, rows[todo], sigma, self.sigma_max + np.abs(sigma))
+            f, x = self._newton_min(pre, todo, sigma, self.sigma_max + np.abs(sigma))
             if np.any(f >= fmin[todo]):
                 raise BracketError("c_lim not certified: refining the valley below the estimate "
                                    "did not lower it")
@@ -224,7 +224,7 @@ class _Engine:
                                    "material is not strongly elliptic")
             fmin[todo], argmin[todo] = f, x
             c = (1.0 - START_OFFSET) * np.sqrt(f / self.rho)
-            vals, vecs, a, a1, a2 = self._eig(pre, c, rows[todo])
+            vals, vecs, a, a1, a2 = self._eig(pre, c, todo)
             margin = root_margins(vals)
             ok = margin.min(axis=1) > polyfactor.ELLIPTICITY_MARGIN
             z = self._factor(vals[ok], vecs[ok], a[ok], a1[ok], a2[ok])[3]
@@ -240,7 +240,7 @@ class _Engine:
         if not self.convex:  # f may be negative at every speed: test c f at c -> 0
             k, static = np.flatnonzero(exists), copy.copy(self)
             static.rho = 0.0  # c z(e / c) -> z of the pencil at unit speed without inertia
-            exists[k] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(k.size), rows[k])[3])[:, 0] > 0.0
+            exists[k] = np.linalg.eigvalsh(static.impedance_at(pre, np.ones(k.size), k)[3])[:, 0] > 0.0
         return np.sqrt(fmin / self.rho), exists, argmin
 
     def _newton_min(self, pre, rows, x, h):
@@ -392,8 +392,8 @@ def tangent_basis(nu: np.ndarray):
     return e1, np.cross(nu, e1)
 
 
-def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray, c0: np.ndarray):
-    """c_lim, exists, sigma*, c_r, slope, kernels, res_kernel and res_riccati of the rows of pre indexed by rows.
+def _solve_rows(engine: _Engine, pre: dict, sigma0: np.ndarray, c0: np.ndarray):
+    """c_lim, exists, sigma*, c_r, slope, kernels, res_kernel and res_riccati of each row of pre.
 
     c_lim, exists and sigma* come from limiting_speeds, whose Newton steps
     start at sigma0, one entry per row, where it is finite, else (nan) at
@@ -409,8 +409,8 @@ def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray
     spec(q) from impedance_at.  The root columns are nan where exists is
     False.  Each row's columns depend only on its own pre row and starts.
     """
-    c_lim, exists, sigma = engine.limiting_speeds(pre, rows, sigma0)
-    m = rows.size
+    c_lim, exists, sigma = engine.limiting_speeds(pre, sigma0)
+    m = len(pre["dirs"])
     c_r, slope, res_kernel, res_riccati = np.full((4, m), np.nan)
     kernels = np.full((m, 3), np.nan, dtype=complex)
     solve = np.flatnonzero(exists)
@@ -424,7 +424,7 @@ def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray
         if live.size == 0:
             break
         xl = x[live]
-        q, a1, a2, z, s = engine.impedance_at(pre, xl, rows[solve[live]])
+        q, a1, a2, z, s = engine.impedance_at(pre, xl, solve[live])
         w, u = np.linalg.eigh(z)
         f, u0 = w[:, 0], u[:, :, 0]
         zdot = radial_derivative_z(z, q, engine.rho, s)
@@ -450,7 +450,7 @@ def _solve_rows(engine: _Engine, pre: dict, rows: np.ndarray, sigma0: np.ndarray
         k, c, *state = [np.concatenate(col) for col in zip(*finished)]
         del finished  # the rounds' copies, before _post's temporaries
         c_r[k] = c
-        kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre, rows[k], *state)
+        kernels[k], slope[k], res_kernel[k], res_riccati[k] = _post(engine, pre, k, *state)
     return c_lim, exists, sigma, c_r, slope, kernels, res_kernel, res_riccati
 
 
@@ -485,7 +485,7 @@ def _post(engine: _Engine, pre: dict, rows, q, a1, a2, z, s, w, u, zdot):
 
 def _scan_chunk(engine: _Engine, nu, dirs: np.ndarray, sigma0: np.ndarray, c0: np.ndarray):
     """One block of a scan, or a point: the _solve_rows columns of the directions dirs on one prepare."""
-    return _solve_rows(engine, engine.prepare(nu, dirs), np.arange(len(dirs)), sigma0, c0)
+    return _solve_rows(engine, engine.prepare(nu, dirs), sigma0, c0)
 
 
 def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -162,7 +162,7 @@ def _check_identities(seed: int, per_mat: int) -> tuple[float, float, int, float
         draws = [(random_frame(rng), rng.uniform(0.05, 0.95)) for _ in range(per_mat)]
         engine = _Engine(mat)
         pre = engine.prepare(np.array([f.nu for f, _ in draws]), np.array([f.tangent for f, _ in draws]))
-        c_lim = engine.limiting_speeds(pre, np.arange(per_mat), np.full(per_mat, np.nan))[0]
+        c_lim = engine.limiting_speeds(pre, np.full(per_mat, np.nan))[0]
         for (frame, fraction), top in zip(draws, c_lim):
             p = build_pencil(mat, frame, 1.0 / (fraction * top))
             sf = spectral_factor(p)
@@ -194,7 +194,7 @@ def monotonicity_samples(mat, frames, n: int = 20):
     engine = _Engine(mat)
     pre = engine.prepare(np.array([f.nu for f in frames]), np.array([f.tangent for f in frames]))
     none = np.full(k, np.nan)
-    c_lim, exists, _, c_r = _solve_rows(engine, pre, np.arange(k), none, none)[:4]
+    c_lim, exists, _, c_r = _solve_rows(engine, pre, none, none)[:4]
     hi = np.where(exists & (c_r >= 0.98 * c_lim), np.sqrt(c_r * c_lim), 0.98 * c_lim)
     speeds = np.geomspace(hi, 1e-3 * c_lim, n, axis=1)
     z = engine.impedance_at(pre, speeds.ravel(), np.repeat(np.arange(k), n))[3]
@@ -220,7 +220,7 @@ def _check_subprincipal(seed: int, draws: int) -> tuple[float, float, float, flo
     over random on-variety states."""
     rng = np.random.default_rng([seed, 6])
     st = iso_state_on_sigma(2.0e9, 1.0e9, 1000.0)
-    flat = subprincipal_p(st, CurvatureData.zero())
+    flat = subprincipal_p(st, CurvatureData())
     flat_terms = max(abs(flat.psub_direct), abs(flat.psub_assembled),
                      abs(flat.re_zminus_vv) / st.mu, abs(flat.im_trace) / st.mu,
                      float(np.abs(flat.X).max()) / st.mu)

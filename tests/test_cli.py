@@ -320,6 +320,42 @@ def test_scan_unwritable_out_fails_before_the_scan(capsys, iso_file, tmp_path, m
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_failing_scan_leaves_out_as_it_was(capsys, iso_file, tmp_path):
+    # the scan of a medium that is not strongly elliptic fails (exit 2) after
+    # --out was checked; the CSV of an earlier scan keeps its bytes
+    out_csv = tmp_path / "scan.csv"
+    assert run(capsys, "scan", "--material", iso_file, "--normal", "0,0,1", "--count", "8",
+               "--out", str(out_csv))[0] == 0
+    before = out_csv.read_bytes()
+    path = tmp_path / "bad.json"
+    path.write_text(_ISO_TEXT % ("1000.0", "-3.0"))
+    code, out, err = run(capsys, "scan", "--material", str(path), "--normal", "0,0,1", "--count", "8",
+                         "--out", str(out_csv))
+    assert code == 2 and out == ""
+    assert err == "error: material is not strongly elliptic\n"
+    assert len(before) > 0 and out_csv.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [("scan", "--normal", "0,0,1", "--count", "abc"),
+                                  ("scan", "--normal", "0,0,1"),
+                                  ("scan", "--normal", "0,0,1", "--count", "8", "--unknown"),
+                                  ("unknown",)],
+                         ids=["count-abc", "count-missing", "unknown-option", "unknown-command"])
+def test_usage_errors_are_input_errors(capsys, iso_file, argv):
+    # one error line and exit 1, not argparse's usage block and exit 2
+    code, out, err = run(capsys, argv[0], "--material", iso_file, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.out.startswith("usage: surfimp scan") and out.err == ""
+
+
 def test_subprincipal_zero_curvature(capsys, iso_file, zero_curv_file):
     code, out, _ = run(capsys, "subprincipal", "--material", iso_file,
                        "--curvature", zero_curv_file, "--xi-dir", "1,0,0")

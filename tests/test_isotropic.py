@@ -76,7 +76,7 @@ def test_subprincipal_solves_the_cubic_once(monkeypatch):
     calls = []
     monkeypatch.setattr(isotropic, "rayleigh_cubic_root",
                         lambda u: calls.append(u) or rayleigh_cubic_root(u))
-    subprincipal_p(iso_state_on_sigma(2e9, 1e9, 1000.0), CurvatureData.zero())
+    subprincipal_p(iso_state_on_sigma(2e9, 1e9, 1000.0), CurvatureData())
     assert calls == [0.25]
 
 
@@ -166,7 +166,7 @@ def test_nonpositive_xi_mag_is_a_value_error(unit_iso, std_frame, xi_mag):
 
 def test_subprincipal_needs_an_on_variety_state():
     with pytest.raises(ValueError, match="characteristic variety"):
-        subprincipal_p(iso_state(2.0, 1.0, 1.0, 2.0), CurvatureData.zero())
+        subprincipal_p(iso_state(2.0, 1.0, 1.0, 2.0), CurvatureData())
 
 
 def test_blocks_match_general_route():
@@ -258,7 +258,7 @@ def sample_curvature():
 
 def test_build_Y_zero_curvature():
     st = sigma_state()
-    y1, y2, y3 = build_Y(st, CurvatureData.zero())
+    y1, y2, y3 = build_Y(st, CurvatureData())
     assert np.all(y1 == 0) and np.all(y2 == 0) and np.all(y3 == 0)
 
 
@@ -305,7 +305,7 @@ def test_Y2_consistent_with_tangential_coefficient():
 
 
 def test_subprincipal_flat_is_zero():
-    br = subprincipal_p(sigma_state(), CurvatureData.zero())
+    br = subprincipal_p(sigma_state(), CurvatureData())
     assert br.psub_direct == 0.0
     assert br.psub_assembled == 0.0
     assert br.re_zminus_vv == 0.0 and br.im_trace == 0.0
@@ -339,7 +339,7 @@ def test_subprincipal_radial_slope_against_general_route(soft_iso, std_frame):
     v = rot @ iso_kernel_vector(st.t)
     gamma = st.m * st.t / 2.0 * math.hypot(2.0 - st.t, 2.0 * math.sqrt(1.0 - st.t))
     lhs = gamma ** 2 * float(np.vdot(v, zdot @ v).real)
-    br = subprincipal_p(st, CurvatureData.zero())
+    br = subprincipal_p(st, CurvatureData())
     assert lhs == pytest.approx(br.gamma2_lambda0dot, rel=1e-8)
 
 
@@ -355,7 +355,7 @@ def test_subprincipal_radial_slope_against_finite_difference():
     gamma2 = blocks.z11[0, 0].real ** 2 + blocks.z11[1, 0].imag ** 2
     h = 1e-6
     fd = gamma2 * (lam0(1 + h) - lam0(1 - h)) / (2 * h)
-    br = subprincipal_p(st, CurvatureData.zero())
+    br = subprincipal_p(st, CurvatureData())
     assert fd == pytest.approx(br.gamma2_lambda0dot, rel=1e-8)
 
 

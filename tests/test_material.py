@@ -36,9 +36,9 @@ def test_isotropic_voigt_pattern():
 
 def test_isotropic_strong_convexity():
     # positive definiteness is mu > 0 and 3 lam + 2 mu > 0
-    assert isotropic_stiffness(2.0, 1.0).is_convex
-    assert isotropic_stiffness(-0.5, 1.0).is_convex  # 3(-0.5) + 2 = 0.5 > 0
-    assert not isotropic_stiffness(-1.0, 1.0).is_convex
+    assert validate_stiffness(isotropic_stiffness(2.0, 1.0)).convex
+    assert validate_stiffness(isotropic_stiffness(-0.5, 1.0)).convex  # 3(-0.5) + 2 = 0.5 > 0
+    assert not validate_stiffness(isotropic_stiffness(-1.0, 1.0)).convex
 
 
 def test_acoustic_isotropic_axis():

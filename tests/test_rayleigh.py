@@ -195,7 +195,7 @@ def test_isotropic_c_lim_is_c_s():
         nu = _unit(rng.standard_normal(3))
         engine = rayleigh._Engine(isotropic_material(lam_gpa, mu_gpa, rho))
         c_lim = engine.limiting_speeds(engine.prepare(nu, _circle(nu, rng.uniform(0.0, 2.0 * np.pi, 64))),
-                                       np.arange(64), np.full(64, np.nan))[0]
+                                       np.full(64, np.nan))[0]
         cs = math.sqrt(mu_gpa * 1e9 / rho)
         assert np.all(np.abs(c_lim - cs) <= 1e-12 * cs)
 
@@ -327,7 +327,7 @@ def test_lowest_impedance_eigenvalue_decreases_along_rays():
         nu = _unit(rng.standard_normal(3))
         engine = rayleigh._Engine(mat)
         pre = engine.prepare(nu, _circle(nu, rng.uniform(0.0, 2.0 * np.pi, 8)))
-        c_lim = engine.limiting_speeds(pre, np.arange(8), np.full(8, np.nan))[0]
+        c_lim = engine.limiting_speeds(pre, np.full(8, np.nan))[0]
         speeds = (c_lim[:, None] * fractions).ravel()
         q, a1, a2, z, s = engine.impedance_at(pre, speeds, rows=np.repeat(np.arange(8), fractions.size))
         lam_min = np.linalg.eigvalsh(z)[:, 0].reshape(8, fractions.size)
@@ -513,10 +513,10 @@ def test_wrong_valley_interior_starts_are_recertified(monkeypatch):
     nu = _unit(np.array([-0.0642, -0.9910, 0.1177]))
     limiting_speeds = rayleigh._Engine.limiting_speeds
 
-    def far(self, pre, rows, start):
+    def far(self, pre, start):
         if np.isfinite(start).any():  # the interior rows; the anchors start from nan
             start = np.full(start.shape, 0.9 * self.sigma_max)
-        return limiting_speeds(self, pre, rows, start)
+        return limiting_speeds(self, pre, start)
 
     monkeypatch.setattr(rayleigh, "_MIN_ANCHORED_ROWS", 64)
     calls = count_newton_min(monkeypatch)
@@ -650,15 +650,16 @@ def test_anchor_starts_wrap_through_anchor_zero():
     (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8), True),
     (isotropic_material(-0.9, 1.0, 1000.0), (1.0, 2.0, 3.0), False)])
 def test_solve_rows_on_a_subset_matches_all_rows(mat, normal, convex):
-    # a row's eight columns depend only on its own pre row and starts, not on
-    # the other rows of the call: scan chunks and thread counts rest on this.
-    # Where the medium is not convex, existence reads the static impedance
+    # a row's eight columns depend only on its own direction and starts, not
+    # on the other rows prepared with it: scan blocks and thread counts rest
+    # on this.  Where the medium is not convex, existence reads the static
+    # impedance
     n = 24
     nu = _unit(np.array(normal))
     engine = rayleigh._Engine(mat)
-    pre = engine.prepare(nu, _circle(nu, 2.0 * np.pi * np.arange(n) / n))
-    every, none = np.arange(n), np.full(n, np.nan)
-    c_lim, exists, sigma, c_r = rayleigh._solve_rows(engine, pre, every, none, none)[:4]
+    dirs = _circle(nu, 2.0 * np.pi * np.arange(n) / n)
+    pre, none = engine.prepare(nu, dirs), np.full(n, np.nan)
+    c_lim, exists, sigma, c_r = rayleigh._solve_rows(engine, pre, none, none)[:4]
     assert engine.convex == convex and np.all(exists)
     # finite starts near each row's own sigma* and c_r, with nan sigma0 at
     # some rows and c0 above the bracket (so 0.95 c_lim) at others
@@ -666,13 +667,13 @@ def test_solve_rows_on_a_subset_matches_all_rows(mat, normal, convex):
     sigma0[::5] = np.nan
     c0[1::7] = 2.0 * c_lim[1::7]
     for starts in ((none, none), (sigma0, c0)):
-        whole = rayleigh._solve_rows(engine, pre, every, *starts)
-        for rows in (np.arange(3, 11), np.array([20, 1, 7]), every[::-1]):
-            part = rayleigh._solve_rows(engine, pre, rows, *(s[rows] for s in starts))
+        whole = rayleigh._solve_rows(engine, pre, *starts)
+        for rows in (np.arange(3, 11), np.array([20, 1, 7]), np.arange(n)[::-1]):
+            part = rayleigh._solve_rows(engine, engine.prepare(nu, dirs[rows]), *(s[rows] for s in starts))
             assert len(part) == 8
             for col, ref in zip(part, whole):
                 assert col.tobytes() == ref[rows].tobytes()
-    empty = rayleigh._solve_rows(engine, pre, every[:0], none[:0], none[:0])
+    empty = rayleigh._solve_rows(engine, engine.prepare(nu, dirs[:0]), none[:0], none[:0])
     assert len(empty) == 8 and all(col.shape[0] == 0 for col in empty)
 
 
@@ -687,13 +688,13 @@ def test_mixed_normal_batch_matches_one_row_calls(mat, convex, rng):
     engine = rayleigh._Engine(mat)
     pre = engine.prepare(np.array([f.nu for f in frames]), np.array([f.tangent for f in frames]))
     every = np.arange(32)
-    limits = engine.limiting_speeds(pre, every, np.full(32, np.nan))
+    limits = engine.limiting_speeds(pre, np.full(32, np.nan))
     speeds = np.concatenate([0.5 * limits[0], 0.9 * limits[0]])
     q, _, _, z, _ = engine.impedance_at(pre, speeds, np.tile(every, 2))
     assert engine.convex == convex
     for k, frame in enumerate(frames):
         one = engine.prepare(frame.nu, frame.tangent[None, :])
-        for col, ref in zip(engine.limiting_speeds(one, np.zeros(1, dtype=int), np.full(1, np.nan)), limits):
+        for col, ref in zip(engine.limiting_speeds(one, np.full(1, np.nan)), limits):
             assert col.tobytes() == ref[k:k + 1].tobytes()
         q1, _, _, z1, _ = engine.impedance_at(one, speeds[[k, k + 32]], np.zeros(2, dtype=int))
         assert q1.tobytes() == q[[k, k + 32]].tobytes() and z1.tobytes() == z[[k, k + 32]].tobytes()
@@ -717,9 +718,9 @@ def test_static_rows_keep_density_zero_on_the_fallback_route(monkeypatch):
         return out
 
     monkeypatch.setattr(rayleigh._Engine, "impedance_at", spy)
-    exists = [engine.limiting_speeds(pre, np.arange(16), np.full(16, np.nan))[1]]
+    exists = [engine.limiting_speeds(pre, np.full(16, np.nan))[1]]
     monkeypatch.setattr(polyfactor, "COND_LIMIT", 0.0)
-    exists.append(engine.limiting_speeds(pre, np.arange(16), np.full(16, np.nan))[1])
+    exists.append(engine.limiting_speeds(pre, np.full(16, np.nan))[1])
     assert not engine.convex and np.all(exists[0]) and np.all(exists[1])
     eigen, fallback = static
     assert eigen.shape == (16, 3, 3)
@@ -812,7 +813,7 @@ def test_scalar_path_reproduces_engine_rows(mat, normal):
     engine = rayleigh._Engine(mat)
     dirs = _circle(nu, 2.0 * np.pi * np.arange(16) / 16)
     pre = engine.prepare(nu, dirs)
-    c_lim = engine.limiting_speeds(pre, np.arange(16), np.full(16, np.nan))[0]
+    c_lim = engine.limiting_speeds(pre, np.full(16, np.nan))[0]
     for fraction in (0.3, 0.7, 0.95):
         speeds = fraction * c_lim
         q, a1, a2, z, _ = engine.impedance_at(pre, speeds, np.arange(16))

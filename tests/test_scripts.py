@@ -31,8 +31,8 @@ def test_run_scan_script(tmp_path):
 # the first four ids predate the env parameter and are kept
 @pytest.mark.parametrize("argv, env", [(("--normal", "0,0,0"), {}), (("--normal", "nan,0,1"), {}),
                                        (("--normal", "1,2"), {}), (("--count", "3"), {}),
-                                       ((), {"RAYLEIGH_THREADS": "abc"})],
-                         ids=["argv0", "argv1", "argv2", "argv3", "threads-env"])
+                                       ((), {"RAYLEIGH_THREADS": "abc"}), (("--count", "abc"), {})],
+                         ids=["argv0", "argv1", "argv2", "argv3", "threads-env", "count-abc"])
 def test_run_scan_script_input_errors(argv, env):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "run_scan.py"), "--count", "8", *argv],
                           capture_output=True, text=True, timeout=120, env={**os.environ, **env})
