@@ -46,6 +46,8 @@ def main():
             raise MaterialError("schema", f"--normal must be 'x,y,z', got {args.normal!r}")
         unit_vector(nu, "the normal")
         threads = resolve_threads(None)
+        if args.out:  # an unwritable path fails before the scan, which leaves an existing file as it was
+            open(args.out, "a").close()
     except (OSError, ValueError) as exc:
         sys.exit(f"error: {exc}")
     start = time.perf_counter()

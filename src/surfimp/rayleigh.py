@@ -27,11 +27,11 @@ c_r and the argmin sigma* are smooth functions of the direction in the
 elliptic region, so in a scan of at least _MIN_ANCHORED_ROWS directions the
 anchors, rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE, ..., are solved first,
 their c_lim from the trace minimiser and their roots from 0.95 c_lim.  Each
-other row then starts its c_lim Newton steps at the cubic interpolant, in
-theta and wrapped by 2 pi, of its four nearest anchors' sigma*, and its
-root's at (1 - 1e-8) times that of their c_r, or at 0.95 c_lim where one of
-them has no root.  In smaller scans every row is an anchor.  A scan runs in
-two passes, the anchors and then the other rows, each cut into blocks of one
+other row then starts its c_lim Newton steps at the quintic interpolant, in
+theta and wrapped by 2 pi, of its six nearest anchors' sigma*, and its
+root's at that of their c_r, or at 0.95 c_lim where one of them has no
+root.  In smaller scans every row is an anchor.  A scan runs in two passes,
+the anchors and then the other rows, each cut into blocks of one
 share per RAYLEIGH_THREADS worker clamped to [_MIN_CHUNKED_ROWS, _BLOCK_ROWS]
 rows, which the workers of one pool take from one queue (numpy releases the
 GIL inside LAPACK).  A block is one prepare and one _solve_rows call
@@ -493,20 +493,20 @@ def _anchor_starts(thetas: np.ndarray, stride: int, column: np.ndarray, rows: np
 
     The anchors are rows 0, stride, 2 stride, ...; column holds one value per
     anchor (c_r or sigma*), nan where there is none.  A row between anchors j
-    and j + 1 gets the cubic Lagrange interpolant through anchors j - 1 .. j + 2
+    and j + 1 gets the quintic Lagrange interpolant through anchors j - 2 .. j + 3
     at their thetas, wrapped by 2 pi, so rows after the last anchor
     interpolate through anchor 0 whether or not stride divides n.  It is nan
     where one of its anchors' values is.
     """
     m = column.size
-    j = rows // stride + np.arange(-1, 3)[:, None]
+    j = rows // stride + np.arange(-2, 4)[:, None]
     nodes = thetas[(j % m) * stride] + 2.0 * np.pi * (j // m)
     values = column[j % m]
     x = thetas[rows]
     interp = np.zeros(rows.size)
-    for i in range(4):
+    for i in range(6):
         basis = values[i]
-        for l in range(4):
+        for l in range(6):
             if l != i:
                 basis = basis * (x - nodes[l]) / (nodes[i] - nodes[l])
         interp += basis
@@ -557,10 +557,10 @@ def scan_directions(mat: Material, nu, n: int, threads: int | None = None) -> Di
 
     def other_block(lo, hi):
         rows = lo + np.flatnonzero(np.arange(lo, hi) % stride)
-        # c_r's start is lowered by 1e-8 relative, so that even where the
-        # interpolant is exact the root is the result of a Newton step
+        # a start within ROOT_RTOL of c_r stops after one round and reports
+        # its own speed as c_r, from its own evaluation, as every row does
         return rows, _scan_chunk(engine, nu, dirs[rows], _anchor_starts(thetas, stride, at[0], rows),
-                                 (1.0 - 1e-8) * _anchor_starts(thetas, stride, at[1], rows))
+                                 _anchor_starts(thetas, stride, at[1], rows))
 
     def run(block, count):
         """block(lo, hi) over range(count) in blocks, each block's columns written as map yields them."""

@@ -377,8 +377,15 @@ def test_companion_rows_per_direction(monkeypatch):
     assert sum(rows) <= 6.5 * 720
     assert sum(rows) <= 5.5 * 720
     # 720 directions are anchored: rows between anchors start their Newton
-    # steps next to the root (3.66 rows per direction measured)
+    # steps next to the root (3.597 rows per direction measured with a
+    # four-anchor start, 3.275 with the six-anchor one)
     assert sum(rows) <= 3.75 * 720
+    # at 10 000 directions the six-anchor start of an interior row lies
+    # within ROOT_RTOL of its root, so the row stops after one root round
+    # (2.380 rows per direction measured; a four-anchor start takes 3.255)
+    rows.clear()
+    scan_directions(synthetic_anisotropic(11), np.array([0.0, 0.0, 1.0]), 10000)
+    assert sum(rows) <= 2.5 * 10000
     for seed in (59, 1, 4, 5):
         rows.clear()
         rng = np.random.default_rng(seed)
@@ -620,21 +627,23 @@ def test_scan_memory_is_flat_in_n(monkeypatch, threads):
 
 def test_anchor_starts_wrap_through_anchor_zero():
     # n = 100 is not a multiple of the stride 8: anchors are rows 0, 8, .., 96,
-    # and rows 97..99 interpolate through anchors 88, 96, 0 and 8, shifted by 2 pi
+    # and rows 97..99 interpolate through anchors 80, 88, 96, 0, 8 and 16,
+    # shifted by 2 pi
     n, stride = 100, 8
     thetas = 2.0 * np.pi * np.arange(n) / n
     c_r = 3000.0 + 100.0 * np.cos(thetas[::stride]) + 50.0 * np.sin(2.0 * thetas[::stride])
     interior = np.flatnonzero(np.arange(n) % stride)
     starts = rayleigh._anchor_starts(thetas, stride, c_r, interior)
     assert starts.shape == interior.shape
-    nodes = np.array([thetas[88], thetas[96], 2.0 * np.pi, 2.0 * np.pi + thetas[8]])
-    values = c_r[[11, 12, 0, 1]]
-    expected = np.polyval(np.polyfit(nodes - 2.0 * np.pi, values, 3), thetas[97:] - 2.0 * np.pi)
+    nodes = np.array([thetas[80], thetas[88], thetas[96], 2.0 * np.pi,
+                      2.0 * np.pi + thetas[8], 2.0 * np.pi + thetas[16]])
+    values = c_r[[10, 11, 12, 0, 1, 2]]
+    expected = np.polyval(np.polyfit(nodes - 2.0 * np.pi, values, 5), thetas[97:] - 2.0 * np.pi)
     assert np.allclose(starts[-3:], expected, rtol=1e-12, atol=0.0)
     # a rootless anchor 0 leaves no start exactly at the rows that read it
     rootless = c_r.copy()
     rootless[0] = np.nan
-    reads_zero = (interior < 16) | (interior > 88)  # rows 1-15 and 89-99
+    reads_zero = (interior < 24) | (interior > 80)  # rows 1-23 and 81-99
     assert np.array_equal(np.isnan(rayleigh._anchor_starts(thetas, stride, rootless, interior)), reads_zero)
     # a subset of the rows, as a pass-2 block passes them, gets the same
     # bits, nan included: the wrap through anchor 0, and a run of a block's rows

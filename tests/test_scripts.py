@@ -41,6 +41,27 @@ def test_run_scan_script_input_errors(argv, env):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_run_scan_script_out_is_checked_before_the_scan(tmp_path):
+    # a --out in a missing directory is an input error: one error line, no summary
+    argv = [sys.executable, str(SCRIPTS / "run_scan.py"), "--count", "8", "--out"]
+    proc = subprocess.run([*argv, str(tmp_path / "missing" / "scan.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    # a writable --out whose scan fails (the medium is not strongly elliptic)
+    # keeps the bytes of an earlier scan
+    out = tmp_path / "scan.csv"
+    run_script("run_scan.py", "--count", "8", "--out", str(out))
+    before = out.read_bytes()
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": "m", "density_kg_m3": 1000.0, "isotropic": {"lambda_gpa": -3.0, "mu_gpa": 1.0}}')
+    proc = subprocess.run([*argv, str(out), "--material", str(bad)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0 and "not strongly elliptic" in proc.stderr
+    assert len(before) > 0 and out.read_bytes() == before
+
+
 def test_subprincipal_sweep_script():
     header, *rows = run_script("subprincipal_sweep.py").splitlines()
     assert header.split()[-2:] == ["rel", "diff"]
