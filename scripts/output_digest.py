@@ -19,8 +19,10 @@ synthetic_anisotropic(561807780, 0.7) whose c_lim certificate restarts rows
 from a valley the first Newton steps missed, the anchored 536- to
 1 024-direction scans again at 2 threads (each line must equal its 1-thread
 line), 40 rayleigh_point CSV rows on random frames of aniso11 and aniso27,
-the `surfimp selftest --seed 0` JSON, and the JSON of three more CLI
-commands on input files written to a temporary directory: `validate` of
+the `surfimp selftest --seed 0` JSON, the release gate's criterion 3 and 4
+values (`selftest._check_identities(20240817, 50)` as a JSON list of floats),
+and the JSON of three more CLI commands on input files written to a
+temporary directory: `validate` of
 aniso11's Voigt matrix (in GPa) with entry (0, 1) times 1 + 3e-14, `rayleigh`
 of the Poisson solid with normal z and tangent x, and `subprincipal` of the
 Poisson solid with curvature {"s22": 0.1, "trS": 0.2} and xi-dir x.
@@ -42,7 +44,7 @@ from surfimp import cli
 from surfimp.material import GPA, material_to_json
 from surfimp.presets import isotropic_material, poisson_solid, synthetic_anisotropic
 from surfimp.rayleigh import csv_row, rayleigh_point, scan_directions
-from surfimp.selftest import random_frame
+from surfimp.selftest import _check_identities, random_frame
 
 MATERIALS = {"aniso11": (synthetic_anisotropic(11), (0.0, 0.0, 1.0)),
              "aniso27": (synthetic_anisotropic(27, strength=0.75), (0.3, -0.5, 0.8)),
@@ -103,6 +105,7 @@ def main() -> None:
         print(f"scan-{name}-{n}-t{threads} {digest(scan_csv(name, n, threads))}")
     print(f"points-rng5 {digest(point_rows())}")
     print(f"selftest-seed0 {digest(cli_stdout('selftest', '--seed', '0'))}")
+    print(f"identities-20240817-50 {digest(json.dumps([float(v) for v in _check_identities(20240817, 50)]))}")
     for name, text in cli_payloads().items():
         print(f"{name} {digest(text)}")
 

@@ -32,7 +32,7 @@ class ImpedanceData:
     """Hermitian-symmetrized impedance z with the relative residuals of its identities.
 
     The factor q it was built from is the caller's, in the SpectralFactor
-    passed to impedance_tensor.
+    passed to impedance_tensor.  Of a batch, every field is per row.
     """
 
     z: np.ndarray          # (3,3) complex, Hermitian part of i(aq + a1)
@@ -53,9 +53,10 @@ def riccati_residual(z: np.ndarray, p: QuadraticPencil) -> float | np.ndarray:
     return float(res) if res.ndim == 0 else res
 
 
-def barnett_lothe_residual(z: np.ndarray, f0: np.ndarray) -> float:
-    """|Re z - pi f0^{-1}| / |z|, with f0 from `polyfactor.factor_integral`."""
-    return float(norm_ratio(z.real - np.pi * np.linalg.inv(f0), z))
+def barnett_lothe_residual(z: np.ndarray, f0: np.ndarray) -> float | np.ndarray:
+    """|Re z - pi f0^{-1}| / |z| per row of z and f0, if any, with f0 from `polyfactor.factor_integral`."""
+    res = norm_ratio(z.real - np.pi * np.linalg.inv(f0), z)
+    return float(res) if res.ndim == 0 else res
 
 
 def impedance_from_factor(a: np.ndarray, a1: np.ndarray, q: np.ndarray):
@@ -72,23 +73,22 @@ def impedance_tensor(p: QuadraticPencil, sf: SpectralFactor) -> ImpedanceData:
     a non-positive eigenvalue are relative to one unit-free _norm(z_raw).  The
     Barnett-Lothe identity needs f0, which only the integral route computes: a
     caller holding `factor_integral(p).f0` checks it with `barnett_lothe_residual`.
+    Broadcasts over a leading row axis of a1, a2 and sf.q; FactorizationError
+    is raised if any row's defect is too large.
     """
     z_raw, z = impedance_from_factor(p.a, p.a1, sf.q)
-    (norm_d, e_d), (norm_z, e_z) = _norm(z_raw - z_raw.conj().T), _norm(z_raw)
-    defect = float(np.ldexp(norm_d / norm_z, e_d - e_z))
-    if defect > HERMITICITY_FAIL:
-        raise FactorizationError(
-            f"impedance hermiticity defect {defect:.3e} exceeds {HERMITICITY_FAIL}; "
-            "spectral factorization is unreliable at this point"
-        )
-    eig_z = np.ldexp(np.linalg.eigvalsh(z), -e_z)  # scaled by 2^-e_z, as norm_z is
-    return ImpedanceData(
-        z=z,
-        hermiticity=defect,
-        riccati=riccati_residual(z, p),
-        re_z_positive_definite=bool(np.linalg.eigvalsh(z.real)[0] > 0.0),
-        nonpositive_eigenvalues=int(np.sum(eig_z <= NONPOSITIVE_EIG_TOL * norm_z)),
-    )
+    (norm_d, e_d), (norm_z, e_z) = _norm(z_raw - np.swapaxes(z_raw.conj(), -1, -2)), _norm(z_raw)
+    defect = np.ldexp(norm_d / norm_z, e_d - e_z)
+    if np.any(defect > HERMITICITY_FAIL):
+        raise FactorizationError(f"impedance hermiticity defect {np.max(defect[defect > HERMITICITY_FAIL]):.3e} "
+                                 f"exceeds {HERMITICITY_FAIL}; spectral factorization is unreliable at this point")
+    eig_z = np.ldexp(np.linalg.eigvalsh(z), -e_z[..., None])  # scaled by 2^-e_z, as norm_z is
+    re_z_pd = np.linalg.eigvalsh(z.real)[..., 0] > 0.0
+    nonpositive = np.sum(eig_z <= NONPOSITIVE_EIG_TOL * norm_z[..., None], axis=-1)
+    if z.ndim == 2:
+        defect, re_z_pd, nonpositive = float(defect), bool(re_z_pd), int(nonpositive)
+    return ImpedanceData(z=z, hermiticity=defect, riccati=riccati_residual(z, p),
+                         re_z_positive_definite=re_z_pd, nonpositive_eigenvalues=nonpositive)
 
 
 def sylvester_solve(a: np.ndarray, b: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:

@@ -92,11 +92,17 @@ def _b(t, ut):
     return (ut + t - ut * t) / (1.0 + np.sqrt(1.0 - ut) * np.sqrt(1.0 - t))
 
 
+def _speed(modulus, rho):
+    """sqrt(modulus / rho) at an exact power-of-two scale: bit for bit the plain form where that is normal."""
+    e = (math.frexp(modulus)[1] - math.frexp(rho)[1]) // 2
+    return math.ldexp(math.sqrt(math.ldexp(modulus, -e) / math.ldexp(rho, e)), e)
+
+
 def _state(lam, mu, rho, xi_mag, t, t_sigma=None) -> IsoSurfaceState:
     """The state at t; t_sigma, the cubic root for this u, is solved for unless given."""
     u = mu / (lam + 2.0 * mu)
-    c_s = math.sqrt(mu / rho)
-    c_p = math.sqrt((lam + 2.0 * mu) / rho)
+    c_s = _speed(mu, rho)
+    c_p = _speed(lam + 2.0 * mu, rho)
     if t_sigma is None:
         t_sigma = rayleigh_cubic_root(u)
     c_r = c_s * math.sqrt(t_sigma)
@@ -140,7 +146,7 @@ def iso_state_on_sigma(lam: float, mu: float, rho: float) -> IsoSurfaceState:
     _require_domain(lam, mu, rho)
     u = mu / (lam + 2.0 * mu)
     t = rayleigh_cubic_root(u)
-    c_r = math.sqrt(mu / rho) * math.sqrt(t)
+    c_r = _speed(mu, rho) * math.sqrt(t)
     return _state(lam, mu, rho, 1.0 / c_r, t, t_sigma=t)
 
 
@@ -148,18 +154,21 @@ def iso_state_on_sigma(lam: float, mu: float, rho: float) -> IsoSurfaceState:
 
 
 def _zeta_forms(lam, mu, rho, xi):
-    """zeta_1, zeta_2, zeta_3 of the impedance block z11."""
-    t = rho / (mu * xi * xi)
-    ut = rho / ((lam + 2.0 * mu) * xi * xi)
+    """zeta_1, zeta_2, zeta_3 of the impedance block z11; t and ut at xi's binary scale, as in _speed."""
+    s = 2.0 ** -math.frexp(abs(xi))[1]
+    t = rho * s * s / (mu * (xi * s) * (xi * s))
+    ut = rho * s * s / ((lam + 2.0 * mu) * (xi * s) * (xi * s))
     b = _b(t, ut)
     m = mu * xi / b
     return m * t * np.sqrt(1.0 - t), m * (2.0 * b - t), m * t * np.sqrt(1.0 - ut)
 
 
 def _kappa_forms(cs, cp, xi):
-    """kappa_11, kappa_12, kappa_21, kappa_22 of the decay-factor block (iq)_11."""
-    t = 1.0 / (cs * cs * xi * xi)
-    ut = 1.0 / (cp * cp * xi * xi)
+    """kappa_11, kappa_12, kappa_21, kappa_22 of the decay-factor block (iq)_11; t and ut are scaled as in
+    _zeta_forms where |xi| < 1 only, since beyond 1e154 Ks and Kp (~|xi| / c_s) leave the float range."""
+    s = 2.0 ** -min(math.frexp(abs(xi))[1], 0)
+    t = 1.0 / (cs / s * (cs / s) * (xi * s) * (xi * s))
+    ut = 1.0 / (cp / s * (cp / s) * (xi * s) * (xi * s))
     b = _b(t, ut)
     f = xi / b
     return f * ut * np.sqrt(1.0 - t), f * (b - ut), f * (b - t), f * t * np.sqrt(1.0 - ut)
@@ -237,7 +246,8 @@ def _complex_step(forms, args) -> np.ndarray:
     """Column j holds d forms / d args[j] as Im forms(x + ih) / h, exact to rounding."""
     columns = []
     for j, x in enumerate(args):
-        h = COMPLEX_STEP * (abs(x) or 1.0)  # absolute where x = 0 (lam may be 0)
+        # absolute where x = 0 (lam may be 0), and the least subnormal where the relative step underflows
+        h = COMPLEX_STEP * (abs(x) or 1.0) or math.ulp(0.0)
         stepped = [complex(a, h) if i == j else a for i, a in enumerate(args)]
         columns.append(np.imag(forms(*stepped)) / h)
     return np.column_stack(columns)
@@ -401,14 +411,14 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
     # re_zminus_vv, im_trace and gamma2_lambda0dot are scaled exactly by 2^-e,
     # 2^-2e, 2^-3e and 2^-3e (the cube is m ** 3 scaled where that is a normal
     # float), so results in the float range keep every bit
-    e = math.frexp(m)[1]
+    e, k = math.frexp(m)[1], math.frexp(c_r)[1]  # c_r ** 2 is formed at c_r's scale 2^k too
     w = (math.ldexp(m, -e) * t / 2.0) * np.array([1j * (2.0 - t), 2.0 * math.sqrt(1.0 - t)])
     re_zminus_vv = 0.5 * float(np.vdot(w, X @ w).real)
     with np.errstate(over="ignore", under="ignore"):
         cube = np.float64(m) ** 3
         cube = np.ldexp(cube, -3 * e) if sys.float_info.min <= cube < np.inf else math.ldexp(m, -e) ** 3
         im_trace = (
-            cube / mu * c_r ** 2 * ss2 ** 3 * (4.0 - ss2) * (2.0 - ss2)
+            np.ldexp(cube / mu * math.ldexp(c_r, -k) ** 2, 2 * k) * ss2 ** 3 * (4.0 - ss2) * (2.0 - ss2)
             * (2.0 * tau_s * zdot3 - (2.0 - ss2) * zdot2) * s22
             + 2.0 * cube * c_r * ss2 ** 3 * (2.0 - ss2)
             * (5.0 * ss2 - 4.0 - ss2 * ss2) * (trS - s22)
@@ -425,7 +435,8 @@ def subprincipal_p(st: IsoSurfaceState, curv: CurvatureData) -> SubprincipalBrea
     psub_direct = (
         (c_r / (2.0 * mu)) * (x11 * (2.0 - ss2) ** 2 + 4.0 * x22 * (1.0 - ss2)
                               + 4.0 * x12.imag * (2.0 - ss2) * tau_s)
-        + (c_r ** 2 / mu) * (2.0 - ss2) * (2.0 * tau_s * zdot3 - (2.0 - ss2) * zdot2) * s22
+        + math.ldexp(math.ldexp(c_r, -k) ** 2 / mu, 2 * k) * (2.0 - ss2)
+        * (2.0 * tau_s * zdot3 - (2.0 - ss2) * zdot2) * s22
         + 2.0 * c_r / (4.0 - ss2) * (2.0 - ss2) * (5.0 * ss2 - 4.0 - ss2 * ss2) * (trS - s22)
     ) / (16.0 * N)
 

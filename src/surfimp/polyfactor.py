@@ -8,8 +8,8 @@ representation a q f0 = -pi i Id + f1 built from f(s)^{-1} over the real
 line (derivative-free, robust fallback and cross-check), one periodic
 trapezoid sum in theta = arctan(s / scale).
 The eigen route has one batched implementation, companion_eig then
-factor_from_eig, in a batch of one (spectral_factor) or of many (the
-Rayleigh scan engine), and so has the rule that accepts a q: a row failing
+factor_from_eig, called by spectral_factor (one pencil or a batch of rows)
+and by the Rayleigh scan engine, and so has the rule that accepts a q: a row failing
 factor_from_eig's guard or residual_breaches is re-factored by
 integral_fallback.  build_pencil at xi_mag = 1 / c gives the engine row at
 speed c, so q and z agree bit for bit.
@@ -153,25 +153,32 @@ def is_elliptic(p: QuadraticPencil) -> EllipticityResult:
     Equivalent check: the pencil spectrum stays off the real axis (margin
     above ELLIPTICITY_MARGIN) and f(0) is positive definite.
     """
-    return _ellipticity(p, companion_eig(np.linalg.inv(p.a), p.a1[None], p.a2[None], p.rho)[0])
+    elliptic, margin = _ellipticity(p, companion_eig(np.linalg.inv(p.a), p.a1[None], p.a2[None], p.rho)[0])
+    return EllipticityResult(elliptic=bool(elliptic[0]), margin=float(margin[0]))
 
 
-def _ellipticity(p: QuadraticPencil, vals: np.ndarray) -> EllipticityResult:
-    """is_elliptic from the (1, 6) eigenvalues of the pencil's companion form."""
-    margin = float(root_margins(vals[0]).min())
-    f0_pd = bool(np.linalg.eigvalsh(0.5 * (p.c + p.c.T))[0] > 0.0)
-    return EllipticityResult(elliptic=bool(margin > ELLIPTICITY_MARGIN) and f0_pd, margin=margin)
+def _ellipticity(p: QuadraticPencil, vals: np.ndarray):
+    """(elliptic, margin) per row of is_elliptic, from the (m, 6) eigenvalues of the companion forms."""
+    margin = root_margins(vals).min(axis=-1)
+    f0_pd = np.linalg.eigvalsh(0.5 * (p.c + np.swapaxes(p.c, -1, -2)))[..., 0] > 0.0
+    return (margin > ELLIPTICITY_MARGIN) & f0_pd, margin
 
 
 @dataclass(frozen=True)
 class SpectralFactor:
-    """Factor q with spec(q) in the lower half-plane, plus residual diagnostics."""
+    """Factor q with spec(q) in the lower half-plane, plus residual diagnostics; of a batch, per row."""
 
     q: np.ndarray
     method: str                      # "eigen" or "integral"
     residual_solvency: float
     residual_factorization: float
     spectral_margin: float
+
+
+def _rows(p: QuadraticPencil) -> QuadraticPencil:
+    """p over one leading row axis of a, a1 and a2: a batch of one if p has none, a shared a repeated."""
+    a1, a2 = p.a1.reshape(-1, 3, 3), p.a2.reshape(-1, 3, 3)
+    return QuadraticPencil(np.broadcast_to(p.a, a1.shape), a1, a2, p.rho)
 
 
 def _root_scale(a: np.ndarray, c: np.ndarray):
@@ -207,21 +214,21 @@ def factor_residual_rows(p: QuadraticPencil, q: np.ndarray):
 
 
 def _integrate_f0_f1(p: QuadraticPencil, n: int):
-    """f0, f1 by the n-node trapezoid rule over theta in [0, pi), s = scale tan(theta).
+    """f0 and f1 - pi i Id, stacked per row of p, by the n-node trapezoid rule in s = scale tan(theta).
 
     f(s) = sec^2(theta) D with D = (scale sin)^2 a + scale sin cos b + cos^2 c,
     so f0 = scale int D^-1 and, less the odd Id s / (s^2 + scale^2), f1 =
     int [(scale^2 a - c) sin cos - scale sin^2 b] D^-1: smooth pi-periodic
     integrands.  scale^2 a is formed as scale (scale a), of size |c|.
     """
-    scale = float(_root_scale(p.a, p.c))
+    scale = _root_scale(p.a, p.c)[:, None, None]
     theta = math.pi * np.arange(n) / n
     sin, cos = np.sin(theta)[:, None, None], np.cos(theta)[:, None, None]
-    a, b = scale * (scale * p.a), scale * p.b
-    d_inv = np.linalg.inv(sin * sin * a + sin * cos * b + cos * cos * p.c)
-    f0 = (scale * math.pi / n) * d_inv.sum(axis=0)
-    f1 = (math.pi / n) * np.einsum("mij,mjk->ik", sin * cos * (a - p.c) - sin * sin * b, d_inv)
-    return f0, f1
+    a, b, c = (scale * (scale * p.a))[:, None], (scale * p.b)[:, None], p.c[:, None]
+    d_inv = np.linalg.inv(sin * sin * a + sin * cos * b + cos * cos * c)
+    f0 = (scale * math.pi / n) * d_inv.sum(axis=1)
+    f1 = (math.pi / n) * np.einsum("rmij,rmjk->rik", sin * cos * (a - c) - sin * sin * b, d_inv)
+    return np.stack([f0, f1 - 1j * math.pi * np.eye(3)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -241,22 +248,24 @@ def factor_integral(p: QuadraticPencil) -> IntegralFactor:
     f1 - pi i Id, changes by less than QUAD_RELTOL of its own norm (norm_ratio,
     free of units); past QUAD_MAX_NODES, after at most 64 + 128 + ... + 16384
     = 32704 3x3 inversions, QuadratureError is raised.
+
+    Over a leading row axis of a1 and a2 each field is per row, and a row stops at
+    its own level, so no row depends on its batch; temporaries hold rows x nodes x 9 doubles.
     """
-    n = 64
-    prev = None
-    while n <= QUAD_MAX_NODES:
-        f0, f1 = _integrate_f0_f1(p, n)
-        factors = np.stack([f0, f1 - 1j * math.pi * np.eye(3)])
-        if prev is not None and norm_ratio(factors - prev, factors).max() < QUAD_RELTOL:
-            break
-        prev = factors
-        n *= 2
-    else:
-        raise QuadratureError(
-            f"f0/f1 quadrature did not converge below {QUAD_RELTOL} with {QUAD_MAX_NODES} nodes"
-        )
-    q = np.linalg.solve(p.a, factors[1] @ np.linalg.inv(f0))
-    return IntegralFactor(f0=f0, f1=f1, q=q, nodes=n)
+    rows, n = _rows(p), 64
+    factors, live, nodes = _integrate_f0_f1(rows, n), np.arange(len(rows.a1)), np.zeros(len(rows.a1), int)
+    while live.size:  # factors[live] holds the live rows' previous level
+        if (n := 2 * n) > QUAD_MAX_NODES:
+            raise QuadratureError(f"f0/f1 quadrature did not converge below {QUAD_RELTOL} "
+                                  f"with {QUAD_MAX_NODES} nodes")
+        new = _integrate_f0_f1(QuadraticPencil(rows.a[live], rows.a1[live], rows.a2[live], p.rho), n)
+        done = norm_ratio(new - factors[live], new).max(axis=1) < QUAD_RELTOL
+        factors[live], nodes[live[done]], live = new, n, live[~done]
+    f0, f1 = factors[:, 0].real, factors[:, 1].real  # exactly the real f0 and f1 stacked
+    q = np.linalg.solve(rows.a, factors[:, 1] @ np.linalg.inv(f0))
+    if p.a1.ndim == 2:
+        return IntegralFactor(f0=f0[0], f1=f1[0], q=q[0], nodes=int(nodes[0]))
+    return IntegralFactor(f0=f0, f1=f1, q=q, nodes=nodes)
 
 
 def residual_breaches(p: QuadraticPencil, q: np.ndarray):
@@ -287,16 +296,20 @@ def spectral_factor(p: QuadraticPencil) -> SpectralFactor:
     One companion eigensolve gives the ellipticity test and the primary
     route, q V = V diag(S) on the three decaying eigenpairs; a q failing
     factor_from_eig's guard or residual_breaches comes from integral_fallback.
+    Over a leading row axis of a1 and a2 each row is decided alone; any row's failure raises.
     """
-    vals, vecs = companion_eig(np.linalg.inv(p.a), p.a1[None], p.a2[None], p.rho)
-    ell = _ellipticity(p, vals)
-    if not ell.elliptic:
-        raise NonEllipticError(f"pencil is not elliptic (margin {ell.margin:.3e})")
+    rows = _rows(p)
+    vals, vecs = companion_eig(np.linalg.inv(p.a), rows.a1, rows.a2, p.rho)
+    elliptic, margin = _ellipticity(rows, vals)
+    if not elliptic.all():
+        raise NonEllipticError(f"pencil is not elliptic (margin {margin[~elliptic].min():.3e})")
     q, s3, ok = factor_from_eig(vals, vecs)
-    breach, solvency, factor_max = residual_breaches(p, q[0])
-    integral = not ok[0] or breach
-    if integral:
-        integral_fallback(QuadraticPencil(p.a[None], p.a1[None], p.a2[None], p.rho), q, s3, [True])
-        _, solvency, factor_max = residual_breaches(p, q[0])
-    return SpectralFactor(q[0], "integral" if integral else "eigen", float(solvency), float(factor_max),
-                          ell.margin)
+    breach, solvency, factor_max = residual_breaches(rows, q)
+    integral = ~ok | breach
+    if integral.any():
+        integral_fallback(rows, q, s3, integral)
+        _, solvency, factor_max = residual_breaches(rows, q)
+    if p.a1.ndim == 2:
+        return SpectralFactor(q[0], "integral" if integral[0] else "eigen", float(solvency[0]),
+                              float(factor_max[0]), float(margin[0]))
+    return SpectralFactor(q, np.where(integral, "integral", "eigen"), solvency, factor_max, margin)

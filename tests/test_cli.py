@@ -532,7 +532,7 @@ def test_nan_residual_exits_2(capsys, iso_file, monkeypatch, argv):
 @pytest.mark.parametrize("density, moduli_gpa, argv, threads, code", [
     ("1e-300", "30.0", ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"), "1", 2),
     ("1e-300", "30.0", ("scan", "--normal", "0,0,1", "--count", "600"), "2", 2),
-    ("1e-300", "30.0", ("subprincipal", "--xi-dir", "1,0,0"), "1", 2),
+    ("1e-300", "30.0", ("subprincipal", "--xi-dir", "1,0,0"), "1", 0),
     ("2700.0", "3e290", ("subprincipal", "--xi-dir", "1,0,0"), "1", 0),
     ("1e300", "30.0", ("subprincipal", "--xi-dir", "1,0,0"), "1", 0),
     ("1e300", "30.0", ("rayleigh", "--normal", "0,0,1", "--tangent", "1,0,0"), "1", 0),

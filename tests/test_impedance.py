@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from surfimp import impedance, selftest
+from surfimp import impedance, polyfactor, rayleigh, selftest
 from surfimp.impedance import (
     SpectralSeparationError,
     barnett_lothe_residual,
@@ -15,8 +15,8 @@ from surfimp.impedance import (
     sylvester_solve,
 )
 from surfimp.material import Material, StiffnessTensor, SurfaceFrame
-from surfimp.polyfactor import build_pencil, factor_integral, spectral_factor
-from surfimp.presets import random_isotropic, synthetic_anisotropic
+from surfimp.polyfactor import NonEllipticError, QuadraticPencil, build_pencil, factor_integral, spectral_factor
+from surfimp.presets import isotropic_material, random_isotropic, synthetic_anisotropic
 
 from conftest import frame_rotation, random_frame
 
@@ -84,6 +84,92 @@ def test_impedance_tensor_runs_no_quadrature(aniso, rng, monkeypatch):
     p = build_pencil(aniso, random_frame(rng), 5e-4)
     impedance_tensor(p, spectral_factor(p))
     assert calls == []
+
+
+def _stacked(pencils, shared_a):
+    return QuadraticPencil(a=pencils[0].a if shared_a else np.stack([p.a for p in pencils]),
+                           a1=np.stack([p.a1 for p in pencils]), a2=np.stack([p.a2 for p in pencils]),
+                           rho=pencils[0].rho)
+
+
+@pytest.mark.parametrize("cond_limit", [1e8, 0.0], ids=["eigen", "integral"])
+@pytest.mark.parametrize("shared_a", [True, False], ids=["one-normal", "four-normals"])
+def test_batches_equal_their_unbatched_calls(monkeypatch, shared_a, cond_limit):
+    # each row of a batch is bit for bit its own call, through the eigen route
+    # or, with every eigenvector basis rejected, the integral fallback; at
+    # these fractions of c_lim factor_integral's rows stop at different levels
+    mat = synthetic_anisotropic(11)
+    rng = np.random.default_rng(3)
+    frames = [random_frame(rng)] * 4 if shared_a else [random_frame(rng) for _ in range(4)]
+    c_lim = [rayleigh.rayleigh_point(mat, f).c_lim for f in frames]
+    fractions = (0.3, 0.99, 0.995, 0.999) if shared_a else (0.3, 0.9, 0.99, 0.995)
+    pencils = [build_pencil(mat, f, 1.0 / (fraction * c)) for f, c, fraction in zip(frames, c_lim, fractions)]
+    batch = _stacked(pencils, shared_a)
+    monkeypatch.setattr(polyfactor, "COND_LIMIT", cond_limit)
+    sf, intf = spectral_factor(batch), factor_integral(batch)
+    data = impedance_tensor(batch, sf)
+    bl = barnett_lothe_residual(data.z, intf.f0)
+    assert intf.nodes.tolist() == ([128, 128, 256, 512] if shared_a else [128, 128, 256, 256])
+    for k, p in enumerate(pencils):
+        one_sf, one_intf = spectral_factor(p), factor_integral(p)
+        one = impedance_tensor(p, one_sf)
+        for got, want in ((sf.q[k], one_sf.q), (intf.f0[k], one_intf.f0), (intf.f1[k], one_intf.f1),
+                          (intf.q[k], one_intf.q), (data.z[k], one.z)):
+            np.testing.assert_array_equal(got, want)
+        assert one_sf.method == ("eigen" if cond_limit else "integral")
+        assert ((sf.method[k], sf.residual_solvency[k], sf.residual_factorization[k], sf.spectral_margin[k])
+                == (one_sf.method, one_sf.residual_solvency, one_sf.residual_factorization,
+                    one_sf.spectral_margin))
+        assert ((intf.nodes[k], data.hermiticity[k], data.riccati[k], data.re_z_positive_definite[k],
+                 data.nonpositive_eigenvalues[k], bl[k])
+                == (one_intf.nodes, one.hermiticity, one.riccati, one.re_z_positive_definite,
+                    one.nonpositive_eigenvalues, barnett_lothe_residual(one.z, one_intf.f0)))
+    # one row above c_lim fails the whole batch
+    beyond = build_pencil(mat, frames[3], 1.0 / (1.5 * c_lim[3]))
+    with pytest.raises(NonEllipticError):
+        spectral_factor(_stacked(pencils[:3] + [beyond], shared_a))
+
+
+def _identities_point_by_point(seed, per_mat):
+    """selftest._check_identities' values, and each point's q, from one unbatched
+    chain per point on the check's own draws: the loop that its batches replaced."""
+    rng = np.random.default_rng([seed, 3])
+    mats = [isotropic_material(35.0, 27.0, 2600.0),
+            synthetic_anisotropic(11), synthetic_anisotropic(12), synthetic_anisotropic(13)]
+    worst_res = worst_herm = worst_q = 0.0
+    failures, qs = 0, []
+    for mat in mats:
+        draws = [(random_frame(rng), rng.uniform(0.05, 0.95)) for _ in range(per_mat)]
+        engine = rayleigh._Engine(mat)
+        pre = engine.prepare(np.array([f.nu for f, _ in draws]), np.array([f.tangent for f, _ in draws]))
+        c_lim = engine.limiting_speeds(pre, np.full(per_mat, np.nan))[0]
+        for (frame, fraction), top in zip(draws, c_lim):
+            p = build_pencil(mat, frame, 1.0 / (fraction * top))
+            sf, intf = spectral_factor(p), factor_integral(p)
+            data = impedance_tensor(p, sf)
+            worst_res = max(worst_res, data.riccati, sf.residual_solvency, sf.residual_factorization,
+                            barnett_lothe_residual(data.z, intf.f0))
+            worst_herm = max(worst_herm, data.hermiticity)
+            worst_q = max(worst_q, np.linalg.norm(sf.q - intf.q) / np.linalg.norm(sf.q))
+            zdot = radial_derivative_z(data.z, sf.q, mat.density)
+            failures += not (data.re_z_positive_definite and np.linalg.eigvalsh(zdot - data.z)[0] > 0.0
+                             and data.nonpositive_eigenvalues <= 1)
+            qs.append(sf.q)
+    return (worst_res, worst_herm, failures, worst_q), qs
+
+
+@pytest.mark.parametrize("seed, per_mat", [(0, 8), (20240817, 12)])
+def test_identity_check_matches_the_per_point_chain(monkeypatch, seed, per_mat):
+    # one batch per material gives the per-point chain's values, and its
+    # batches hold every point's q; the q gap takes its norms over the batch
+    batches = []
+    monkeypatch.setattr(selftest, "impedance_tensor",
+                        lambda p, sf: batches.append(sf.q) or impedance_tensor(p, sf))
+    got = selftest._check_identities(seed, per_mat)
+    want, qs = _identities_point_by_point(seed, per_mat)
+    assert got[:3] == want[:3]
+    assert abs(got[3] - want[3]) <= 1e-15 * want[3]
+    np.testing.assert_array_equal(np.concatenate(batches), np.stack(qs))
 
 
 def test_z_positive_definite_deep_elliptic(soft_iso, std_frame):

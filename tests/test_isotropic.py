@@ -321,6 +321,19 @@ def test_subprincipal_routes_agree_where_m_cubed_overflows(rho):
     assert abs(br.psub_direct - br.psub_assembled) <= TWO_ROUTE_TOL * (1.0 + abs(br.psub_direct))
 
 
+@pytest.mark.parametrize("rho", [1e-298, 1e-304, 1e-308])
+@pytest.mark.parametrize("modulus", [30e9, 1e-10])
+def test_subprincipal_at_tiny_densities(modulus, rho):
+    # mu / rho, c_r^2 / mu and the complex-stepped t = rho / (mu xi^2) leave
+    # the float range here, and the step on rho underflows from about 1e-304;
+    # all are formed at a power-of-two scale, so psub keeps its c_r scaling
+    curv = CurvatureData(0.1, 0.2)
+    ref = subprincipal_p(iso_state_on_sigma(modulus, modulus, 1000.0), curv).psub_direct
+    br = subprincipal_p(iso_state_on_sigma(modulus, modulus, rho), curv)
+    assert br.psub_direct * math.sqrt(rho / 1000.0) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert abs(br.psub_direct - br.psub_assembled) <= TWO_ROUTE_TOL * (1.0 + abs(br.psub_direct))
+
+
 def test_subprincipal_two_routes_and_linearity():
     _, worst_lin, worst_route, worst_herm = selftest._check_subprincipal(23, 30)
     assert worst_herm <= 1e-12
